@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .benefit import benefit_coefficients, h_upper, h_upper_limit, net_benefit_ao
@@ -445,13 +444,8 @@ def cmd_sweep(args) -> int:
         raise _InputError(f"--steps must be at least 2, got {args.steps}")
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     step = (args.stop - args.start) / (args.steps - 1)
-    grid = [args.start + i * step for i in range(args.steps)]
-
-    def work(value: float) -> dict:
-        return _sweep_row(model.params, rc, args.param, value, tolerance)
-
-    with ThreadPoolExecutor(max_workers=min(8, args.steps)) as pool:
-        rows = list(pool.map(work, grid))
+    rows = [_sweep_row(model.params, rc, args.param, args.start + i * step, tolerance)
+            for i in range(args.steps)]
 
     fmt = _format_or_default(args, "csv")
     if fmt == "json":
@@ -487,9 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to this file instead of stdout")
     common.add_argument("--format", choices=["table", "json", "csv"],
                         help="output format (default depends on the subcommand)")
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--tolerance", type=float,
-                        help="override the sign-test tolerance")
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--tolerance", type=float,
+                          help="override the sign-test tolerance")
 
     parser = argparse.ArgumentParser(
         prog="clearbalk",
@@ -497,13 +491,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "in an alternating environment.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, tolerant],
                        help="dominant strategies (fu/au/fo) or equilibrium set (ao)")
     p.add_argument("--info-level", choices=["fu", "au", "fo", "ao"], required=True,
                    help="information regime")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("equilibrium", parents=[common],
+    p = sub.add_parser("equilibrium", parents=[common, tolerant],
                        help="alias for analyze --info-level ao")
     p.set_defaults(func=cmd_equilibrium)
 
@@ -525,9 +519,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1e5,
                    help="simulated time per replication")
     p.add_argument("--replications", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, tolerant],
                        help="equilibrium classification along a parameter grid")
     p.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
     p.add_argument("--from", dest="start", type=float, required=True)

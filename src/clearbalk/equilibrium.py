@@ -31,9 +31,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
-
-from .benefit import BenefitCoefficients, f_eval, g_eval, h_upper_limit
+from .benefit import BenefitCoefficients, f_eval, h_upper_limit
 from .errors import NoInteriorRoot, ScanLimitExceeded
 from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, congestion_case
 from .spectral import SpectralData
@@ -121,7 +119,13 @@ class _SignTester:
         self.band_hit = False
 
     def sign_f(self, n: int, theta: float) -> int:
-        value = f_eval(self.coef, n, theta) / g_eval(self.coef, n, 1.0)
+        # F(n, theta) / G(n, 1) with both divided by r1**n, which would
+        # underflow long before the sign changes when r1 is small
+        c = self.coef
+        w = 1.0 - theta
+        ratio = (c.r2 / c.r1) ** n
+        value = ((c.alpha / (1.0 - w * c.r1) + c.beta * ratio / (1.0 - w * c.r2))
+                 / (c.d + c.e * ratio))
         return self._sign(value)
 
     def _sign(self, value: float) -> int:
@@ -190,39 +194,28 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
     return bounds(Subcase.II, m_l, m_u, m_l_plus, m_u_minus)
 
 
-def mixing_probability(coef: BenefitCoefficients, n0: int,
-                       validate_tol: float = 1e-10) -> float:
+def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
     """Joining probability theta(n0) solving F(n0, theta) = 0.
 
     Clearing the denominators makes F linear in u = 1 - theta, giving the
-    closed form u = F(n0, 1) / (alpha*r1**n0*r2 + beta*r2**n0*r1). The
-    result is validated by substituting back; if the residual exceeds
-    ``validate_tol``, a bracketing root solve on [0, 1] is attempted as a
-    fallback.
+    closed form u = F(n0, 1) / (alpha*r1**n0*r2 + beta*r2**n0*r1). Both
+    terms are divided by r1**n0, so the ratio is evaluated as
+    (alpha + beta*s) / (alpha*r2 + beta*s*r1) with s = (r2/r1)**n0, which
+    cannot underflow.
 
     Raises:
         NoInteriorRoot: If the computed theta does not lie strictly inside
             (0, 1), which signals that n0 is outside the admissible mixed
             range.
     """
-    f_at_one = f_eval(coef, n0, 1.0)
-    denom = (coef.alpha * coef.r1 ** n0 * coef.r2
-             + coef.beta * coef.r2 ** n0 * coef.r1)
+    ratio = (coef.r2 / coef.r1) ** n0
+    denom = coef.alpha * coef.r2 + coef.beta * ratio * coef.r1
     if denom == 0.0:
         raise NoInteriorRoot(f"F(n={n0}, theta) has no interior root (degenerate)")
-    theta = 1.0 - f_at_one / denom
+    theta = 1.0 - (coef.alpha + coef.beta * ratio) / denom
     slack = 1e-12
     if not slack < theta < 1.0 - slack:
         raise NoInteriorRoot(f"computed theta {theta!r} is outside (0, 1) at n0={n0}")
-    if abs(f_eval(coef, n0, theta)) >= validate_tol:
-        try:
-            theta = brentq(lambda th: f_eval(coef, n0, th), 0.0, 1.0,
-                           xtol=1e-15, rtol=8.9e-16)
-        except ValueError as exc:
-            raise NoInteriorRoot(
-                f"F(n={n0}, theta) does not change sign on [0, 1]") from exc
-        if not slack < theta < 1.0 - slack:
-            raise NoInteriorRoot(f"refined theta {theta!r} is outside (0, 1) at n0={n0}")
     return theta
 
 

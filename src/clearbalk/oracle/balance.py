@@ -1,17 +1,27 @@
-"""Stationary distribution by direct solve of the truncated balance equations.
+"""Stationary distribution by a forward level recursion of the balance equations.
 
-This module never touches the spectral closed forms. It builds the
-generator of the level/environment chain from the raw transition rates
-(arrival with the strategy's joining probability, clearing back to an
-empty system, environment switch), truncates at a level ``N`` with
-arrival transitions out of level ``N`` suppressed, and solves
-``pi Q = 0`` with the normalization ``sum(pi) = 1``.
+This module never touches the spectral closed forms. It works from the
+raw transition rates alone (arrival with the strategy's joining
+probability, clearing back to an empty system, environment switch) on
+the chain truncated at a level ``N``, where arrivals out of ``N`` are
+suppressed.
 
-For strategies whose joining probabilities vanish from some level on, a
-truncation at that level is exact. For infinite-support strategies the
-level is doubled until the mass stranded at the top is below a target,
-which bounds the truncation error at the same order because the
-suppressed arrivals only ever push mass back down.
+Clearing sends every level back to 0 at a rate that does not depend on
+the level, so the balance equations are a chain of 2x2 systems. With
+``S`` the off-diagonal switch matrix, ``pi`` the environment's
+stationary law and ``j(n)`` the joining probability at level ``n``:
+
+* level 0: ``p(0) [diag(lambda j(0) + mu + q) - S] = pi diag(mu)``;
+* level ``1 <= n < N``: ``p(n) [diag(lambda j(n) + mu + q) - S]
+  = p(n-1) diag(lambda j(n-1))``;
+* top level ``N``: ``p(N) [diag(mu + q) - S] = p(N-1) diag(lambda j(N-1))``.
+
+The top level holds exactly the untruncated mass at levels ``>= N``,
+because clearing does not depend on the level. So the lower levels are
+exact at every ``N`` and the total is 1 without renormalising, and one
+forward pass finds the first ``N`` whose top mass meets the tail target.
+Each 2x2 solve involves only positive terms, so there is no cancellation
+(the matrix-geometric structure of Neuts, 1981).
 """
 
 from __future__ import annotations
@@ -19,29 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ..errors import ConsistencyError, SingularSystem
 from ..model import ValidatedModel
 from ..strategies import Strategy
 
-#: Largest state count solved densely; beyond it the sparse path is used.
-DENSE_STATE_LIMIT = 600
+#: Hard cap on the automatically chosen truncation level.
+LEVEL_LIMIT = 1 << 20
 
-#: Starting truncation level of the adaptive search.
-ADAPTIVE_START = 64
-
-#: Hard cap on the adaptive truncation level.
-ADAPTIVE_LIMIT = 1 << 17
-
-#: Adaptive search stops once the top-level mass drops below this.
+#: Automatic truncation stops at the first level whose top mass is below this.
 TAIL_TARGET = 1e-12
 
 
 @dataclass(frozen=True)
 class TruncatedSolution:
-    """Normalized solution of the truncated balance equations.
+    """Solution of the truncated balance equations.
 
     ``masses[n, e]`` is the stationary probability of level ``n`` in
     environment ``e + 1`` for ``n <= level``; ``residual`` is the largest
@@ -79,71 +81,20 @@ class TruncatedSolution:
         return float(self.masses.sum())
 
 
-def _build_generator(model: ValidatedModel, strategy: Strategy, level: int,
-                     dense: bool):
+def _balance_residual(model: ValidatedModel, masses: np.ndarray,
+                      joins: np.ndarray) -> float:
+    """Largest |inflow - outflow| over the states of the truncated chain."""
     p = model.params
-    lam = (p.lambda1, p.lambda2)
-    mu = (p.mu1, p.mu2)
-    switch = (p.q12, p.q21)
-    size = 2 * (level + 1)
-    if dense:
-        gen = np.zeros((size, size))
-    else:
-        gen = scipy.sparse.lil_matrix((size, size))
-
-    def idx(n: int, e: int) -> int:
-        return 2 * n + e
-
-    for n in range(level + 1):
-        join = strategy.join_prob(n)
-        for e in (0, 1):
-            i = idx(n, e)
-            # arrivals out of the top level are suppressed by truncation
-            arrive = lam[e] * join if n < level else 0.0
-            if arrive > 0.0:
-                gen[i, idx(n + 1, e)] += arrive
-                gen[i, i] -= arrive
-            if n >= 1:
-                gen[i, idx(0, e)] += mu[e]
-                gen[i, i] -= mu[e]
-            gen[i, idx(n, 1 - e)] += switch[e]
-            gen[i, i] -= switch[e]
-    return gen
-
-
-def _solve_generator(gen, dense: bool) -> tuple[np.ndarray, float]:
-    size = gen.shape[0]
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
-    if dense:
-        system = gen.T.copy()
-        system[-1, :] = 1.0
-        try:
-            pi = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"balance system of {size} states is singular") from exc
-    else:
-        system = gen.T.tolil()
-        system[-1, :] = 1.0
-        pi = scipy.sparse.linalg.spsolve(system.tocsr(), rhs)
-        if not np.all(np.isfinite(pi)):
-            raise SingularSystem(f"sparse balance system of {size} states is singular")
-    low = float(pi.min())
-    if low < -1e-9:
-        raise SingularSystem(f"balance solution has negative mass {low!r}")
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual_vec = pi @ gen if dense else gen.tocsr().T @ pi
-    residual = float(np.max(np.abs(residual_vec)))
-    return pi, residual
-
-
-def _solve_at_level(model: ValidatedModel, strategy: Strategy,
-                    level: int) -> tuple[np.ndarray, float]:
-    dense = 2 * (level + 1) <= DENSE_STATE_LIMIT
-    gen = _build_generator(model, strategy, level, dense)
-    pi, residual = _solve_generator(gen, dense)
-    return pi.reshape(level + 1, 2), residual
+    lam = np.array([p.lambda1, p.lambda2])
+    mu = np.array([p.mu1, p.mu2])
+    q = np.array([p.q12, p.q21])
+    arrive = masses * lam * joins[:, None]
+    outflow = arrive + masses * q
+    outflow[1:] += masses[1:] * mu
+    inflow = masses[:, ::-1] * q[::-1]
+    inflow[1:] += arrive[:-1]
+    inflow[0] += masses[1:].sum(axis=0) * mu
+    return float(np.max(np.abs(inflow - outflow)))
 
 
 def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
@@ -152,39 +103,54 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
 
     With ``level=None`` the truncation is chosen automatically: the
     strategy's support bound plus a margin of two when joining stops at
-    some finite level, otherwise adaptive doubling from
-    ``ADAPTIVE_START`` until the top-level mass falls below
-    ``TAIL_TARGET``.
+    some finite level, otherwise the first level whose top mass falls
+    below ``TAIL_TARGET``.
 
     Raises:
-        SingularSystem: If the linear system cannot be solved to a valid
-            probability vector.
-        ConsistencyError: If the adaptive search hits ``ADAPTIVE_LIMIT``
-            without meeting the tail target.
+        SingularSystem: If a level mass comes out non-finite.
+        ConsistencyError: If clearing is so slow that the top mass is still
+            above ``TAIL_TARGET`` at ``LEVEL_LIMIT``.
     """
+    p = model.params
+    lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
     bound = strategy.support_bound()
-    if level is not None:
-        masses, residual = _solve_at_level(model, strategy, level)
-        exact = bound is not None and level >= bound
-        tail = 0.0 if exact else float(masses[level].sum())
-        return TruncatedSolution(level=level, masses=masses,
-                                 residual=residual, tail_mass=tail)
+    adaptive = level is None and bound is None
+    if level is None:
+        level = LEVEL_LIMIT if bound is None else bound + 2
 
-    if bound is not None:
-        level = bound + 2
-        masses, residual = _solve_at_level(model, strategy, level)
-        return TruncatedSolution(level=level, masses=masses,
-                                 residual=residual, tail_mass=0.0)
+    # p(n) [diag(c + q) - S] = y solves as x1 = (y1 (c2 + q21) + y2 q21) / det,
+    # x2 = (y2 (c1 + q12) + y1 q12) / det with det = c1 c2 + c1 q21 + c2 q12.
+    top_det = mu1 * mu2 + mu1 * q21 + mu2 * q12
+    y1, y2 = model.env_stationary[0] * mu1, model.env_stationary[1] * mu2
+    rows: list[tuple[float, float]] = []
+    joins: list[float] = []
+    for n in range(level + 1):
+        # mass at levels >= n if arrivals out of level n were suppressed
+        t1 = (y1 * (mu2 + q21) + y2 * q21) / top_det
+        t2 = (y2 * (mu1 + q12) + y1 * q12) / top_det
+        if n == level or (adaptive and t1 + t2 < TAIL_TARGET):
+            break
+        j = strategy.join_prob(n)
+        c1, c2 = mu1 + lam1 * j, mu2 + lam2 * j
+        det = c1 * c2 + c1 * q21 + c2 * q12
+        x1 = (y1 * (c2 + q21) + y2 * q21) / det
+        x2 = (y2 * (c1 + q12) + y1 * q12) / det
+        rows.append((x1, x2))
+        joins.append(j)
+        y1, y2 = x1 * lam1 * j, x2 * lam2 * j
+    top = t1 + t2
+    if adaptive and top >= TAIL_TARGET:
+        raise ConsistencyError(
+            f"clearing is too slow to truncate: at level {n} the mass "
+            f"{top!r} is still left at and above it, over the tail target "
+            f"{TAIL_TARGET!r}")
+    rows.append((t1, t2))
+    joins.append(0.0)
 
-    level = ADAPTIVE_START
-    while True:
-        masses, residual = _solve_at_level(model, strategy, level)
-        top = float(masses[level].sum())
-        if top < TAIL_TARGET:
-            return TruncatedSolution(level=level, masses=masses,
-                                     residual=residual, tail_mass=top)
-        if level >= ADAPTIVE_LIMIT:
-            raise ConsistencyError(
-                f"truncation level {level} still leaves top mass {top!r}; "
-                "the chain appears unstable under this strategy")
-        level *= 2
+    masses = np.array(rows)
+    if not np.isfinite(masses).all():
+        raise SingularSystem(f"balance recursion gave a non-finite mass by level {n}")
+    residual = _balance_residual(model, masses, np.array(joins))
+    exact = bound is not None and n >= bound
+    return TruncatedSolution(level=n, masses=masses, residual=residual,
+                             tail_mass=0.0 if exact else top)

@@ -264,3 +264,16 @@ def test_out_writes_file_and_keeps_stdout_quiet(config, tmp_path, capsys):
                  "--max-n", "3", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text().startswith("n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--strategy", "always-join", "--seed", "1"],
+    ["benefit", "--strategy", "always-join", "--seed", "1"],
+    ["stationary", "--strategy", "always-join", "--tolerance", "0.1"],
+    ["simulate", "--strategy", "always-join", "--tolerance", "0.1"],
+])
+def test_flags_only_on_subcommands_that_read_them(config, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--config", config()] + argv[1:])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from clearbalk import (
@@ -10,6 +11,7 @@ from clearbalk import (
     AlwaysJoin,
     BenefitCoefficients,
     CaseKind,
+    ModelParams,
     MixedThreshold,
     NoInteriorRoot,
     Orientation,
@@ -26,8 +28,9 @@ from clearbalk import (
     mixing_probability,
     report_from_dict,
     threshold_bounds,
+    validate_params,
 )
-from conftest import P0, PB, Ctx, case_a_model
+from conftest import P0, PB, UNIT_RC, Ctx, case_a_model
 
 
 def _report(ctx: Ctx, **kw):
@@ -195,3 +198,55 @@ def test_random_case_a_structure(rng):
                 assert resid / g_eval(ctx.coef, item.strategy.n0, 1.0) < 1e-9
         assert report.social_optimum == PureThreshold(int(b.n_u))
     assert seen_ii >= 8
+
+
+def test_small_ratios_do_not_underflow():
+    # r1 and r2 near 0.0042: r1**n underflows before F changes sign at 165
+    params = ModelParams(lambda1=0.016743977228212244, lambda2=0.03384402744337043,
+                         mu1=3.9494826976825506, mu2=8.125627823231214,
+                         q12=0.016620754669195402, q21=0.0011702509971118248)
+    ctx = Ctx(params, RewardCost(0.15854222038049257, 1.0))
+    report = _report(ctx)
+    assert report.subcase is Subcase.II
+    assert [i.strategy for i in report.equilibria] == [PureThreshold(165)]
+    assert report.equilibria[0].verification.passed
+
+
+def _bisect_root(coef, n0):
+    lo, hi = 0.0, 1.0
+    f_lo = f_eval(coef, n0, lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f_eval(coef, n0, mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_mixing_probability_matches_bisection():
+    # independent check of the closed-form theta on wide-rate case-A models
+    rng = np.random.default_rng(5_440_011)
+    compared = 0
+    for _ in range(400):
+        rates = (10.0 ** rng.uniform(-3.0, 3.0, size=6)).tolist()
+        model = validate_params(ModelParams(*rates), UNIT_RC)
+        unit = Ctx(model.params, UNIT_RC)
+        if unit.coef.a / unit.coef.d <= (unit.coef.a + unit.coef.b) / (unit.coef.d + unit.coef.e):
+            continue
+        reward = float(rng.uniform((unit.coef.a + unit.coef.b) / (unit.coef.d + unit.coef.e),
+                                   unit.coef.a / unit.coef.d))
+        ctx = Ctx(model.params, RewardCost(reward, 1.0))
+        report = _report(ctx, verify=False)
+        for item in report.equilibria:
+            if item.tag != "mixed":
+                continue
+            n0 = item.strategy.n0
+            if f_eval(ctx.coef, n0, 1.0) == 0.0 or f_eval(ctx.coef, n0, 0.0) == 0.0:
+                continue
+            assert item.strategy.theta == pytest.approx(_bisect_root(ctx.coef, n0), abs=1e-9)
+            compared += 1
+    assert compared >= 30

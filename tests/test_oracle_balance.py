@@ -8,12 +8,18 @@ from clearbalk import (
     AlwaysJoin,
     JoinVector,
     MixedThreshold,
+    ModelParams,
     PureThreshold,
+    RewardCost,
     solve_truncated_balance,
     spectral_quantities,
     stationary_distribution,
+    validate_params,
+    verify_equilibrium,
 )
-from conftest import random_closed_strategy, random_model
+from clearbalk.errors import ConsistencyError
+from clearbalk.oracle import balance
+from conftest import UNIT_RC, random_closed_strategy, random_model
 
 
 def test_symmetric_model_geometric(p0):
@@ -79,13 +85,41 @@ def test_explicit_truncation_reports_tail(pstar):
     assert sol.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sparse_path_matches_dense(pstar):
-    # past 600 states the solver switches to the sparse factorization
-    dense = solve_truncated_balance(pstar.model, AlwaysJoin(), level=200)
-    sparse = solve_truncated_balance(pstar.model, AlwaysJoin(), level=400)
+def test_low_levels_independent_of_truncation(pstar):
+    # the top level absorbs the whole tail, so lower levels do not move
+    short = solve_truncated_balance(pstar.model, AlwaysJoin(), level=200)
+    long = solve_truncated_balance(pstar.model, AlwaysJoin(), level=400)
     for n in range(10):
         for env in (1, 2):
-            assert sparse.pmf(n, env) == pytest.approx(dense.pmf(n, env), abs=1e-12)
+            assert long.pmf(n, env) == pytest.approx(short.pmf(n, env), abs=1e-12)
+
+
+def _generator(model, strategy, level):
+    """Dense generator of the chain truncated at ``level``, built state by state."""
+    p = model.params
+    lam, mu, switch = (p.lambda1, p.lambda2), (p.mu1, p.mu2), (p.q12, p.q21)
+    gen = np.zeros((2 * (level + 1), 2 * (level + 1)))
+    for n in range(level + 1):
+        for e in (0, 1):
+            i = 2 * n + e
+            if n < level:
+                gen[i, i + 2] = lam[e] * strategy.join_prob(n)
+            if n >= 1:
+                gen[i, e] += mu[e]
+            gen[i, 2 * n + 1 - e] += switch[e]
+            gen[i, i] -= gen[i].sum()
+    return gen
+
+
+@pytest.mark.parametrize("strategy,level", [
+    (AlwaysJoin(), 30), (AlwaysJoin(), None), (MixedThreshold(3, 0.4), None),
+    (JoinVector((1.0, 0.5, 0.25)), 2),
+])
+def test_masses_solve_the_generator(pstar, strategy, level):
+    sol = solve_truncated_balance(pstar.model, strategy, level=level)
+    flow = sol.masses.reshape(-1) @ _generator(pstar.model, strategy, sol.level)
+    assert np.max(np.abs(flow)) < 1e-14
+    assert sol.residual == pytest.approx(np.max(np.abs(flow)), abs=1e-16)
 
 
 def test_env_marginals(pstar):
@@ -116,3 +150,50 @@ def test_masses_shape_and_dtype(pstar):
     assert isinstance(sol.masses, np.ndarray)
     assert sol.masses.shape == (sol.level + 1, 2)
     assert (sol.masses >= 0.0).all()
+
+
+def test_wide_rate_stress_against_closed_form():
+    # rates log-uniform on [1e-4, 1e4]; slow clearing down to 1 - r1 = 1e-4
+    rng = np.random.default_rng(20261018)
+    slowest = 1.0
+    checked = 0
+    while checked < 60:
+        rates = (10.0 ** rng.uniform(-4.0, 4.0, size=6)).tolist()
+        model = validate_params(ModelParams(*rates), UNIT_RC)
+        spec = spectral_quantities(model)
+        if 1.0 - spec.r1 < 1e-4:
+            continue
+        strategy = AlwaysJoin() if checked % 4 == 0 else random_closed_strategy(rng)
+        dist = stationary_distribution(model, spec, strategy)
+        sol = solve_truncated_balance(model, strategy)
+        top = min(sol.level, 300)
+        worst = max(abs(sol.pmf(n, env) - dist.pmf(n, env))
+                    for n in range(top + 1) for env in (1, 2))
+        assert worst < 1e-10, (rates, strategy)
+        assert sol.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert sol.residual < 1e-12 * max(rates)
+        slowest = min(slowest, 1.0 - spec.r1)
+        checked += 1
+    assert slowest < 1e-3
+
+
+def test_slow_clearing_always_join_verifies():
+    # 1 - r1 = 1e-4: the tail target needs about 276k levels
+    params = ModelParams(lambda1=2.0, lambda2=1.0, mu1=1e-4, mu2=3e-4, q12=1.0, q21=2.0)
+    rc = RewardCost(2e4, 1.0)
+    model = validate_params(params, rc)
+    sol = solve_truncated_balance(model, AlwaysJoin())
+    assert 2e5 < sol.level < balance.LEVEL_LIMIT
+    assert sol.tail_mass < balance.TAIL_TARGET
+    assert sol.residual < 1e-14
+    report = verify_equilibrium(model, rc, AlwaysJoin())
+    assert report.passed
+    assert len(report.checks) > 1e5
+
+
+def test_level_limit_names_slow_clearing(pstar, monkeypatch):
+    monkeypatch.setattr(balance, "LEVEL_LIMIT", 8)
+    with pytest.raises(ConsistencyError, match="clearing is too slow") as info:
+        solve_truncated_balance(pstar.model, AlwaysJoin())
+    assert "level 8" in str(info.value)
+    assert "unstable" not in str(info.value)
