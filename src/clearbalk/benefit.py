@@ -120,14 +120,33 @@ def g_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
             + coef.e * coef.r2 ** n / (1.0 - w * coef.r2))
 
 
+def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
+                     n: int, theta: float) -> float:
+    """c1*r1**n/(1-(1-theta)*r1) + c2*r2**n/(1-(1-theta)*r2), divided by r1**n.
+
+    With (c1, c2) = (alpha, beta) this is F(n, theta)/r1**n, with (d, e)
+    G(n, theta)/r1**n. Ratios of such sums equal the unscaled ratios and
+    stay finite at levels where r1**n itself underflows (small r1).
+    """
+    w = 1.0 - theta
+    ratio = (coef.r2 / coef.r1) ** n
+    return c1 / (1.0 - w * coef.r1) + c2 * ratio / (1.0 - w * coef.r2)
+
+
+def _benefit(coef: BenefitCoefficients, n: int, theta: float) -> float:
+    """F(n, theta)/G(n, theta), the benefit at n of a (1-theta)-discounted tail."""
+    return (scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
+            / scaled_aggregate(coef, coef.d, coef.e, n, theta))
+
+
 def h_upper(coef: BenefitCoefficients, n: int) -> float:
     """Benefit of joining at n when the population joins strictly below n only."""
-    return f_eval(coef, n, 1.0) / g_eval(coef, n, 1.0)
+    return _benefit(coef, n, 1.0)
 
 
 def h_lower(coef: BenefitCoefficients, n: int) -> float:
     """Benefit of joining at n when the population joins through n as well."""
-    return f_eval(coef, n, 0.0) / g_eval(coef, n, 0.0)
+    return _benefit(coef, n, 0.0)
 
 
 def h_upper_limit(coef: BenefitCoefficients) -> float:
@@ -140,26 +159,25 @@ def h_upper_limit(coef: BenefitCoefficients) -> float:
     return coef.reward - coef.cost * coef.a / coef.d
 
 
-def _arrival_weights_plain(coef: BenefitCoefficients, n: int) -> tuple[float, float]:
-    return (coef.arrival_r1[0] * coef.r1 ** n + coef.arrival_r2[0] * coef.r2 ** n,
-            coef.arrival_r1[1] * coef.r1 ** n + coef.arrival_r2[1] * coef.r2 ** n)
+def _arrival_weights(coef: BenefitCoefficients, n: int,
+                     theta: float) -> tuple[float, float]:
+    """Per-environment arrival weights of a discounted tail, scaled by r1**n."""
+    return tuple(scaled_aggregate(coef, coef.arrival_r1[e], coef.arrival_r2[e], n, theta)
+                 for e in (0, 1))
 
 
-def _arrival_weights_discounted(coef: BenefitCoefficients, n: int,
-                                theta: float) -> tuple[float, float]:
-    w = 1.0 - theta
-    d1 = 1.0 - w * coef.r1
-    d2 = 1.0 - w * coef.r2
-    return (coef.arrival_r1[0] * coef.r1 ** n / d1 + coef.arrival_r2[0] * coef.r2 ** n / d2,
-            coef.arrival_r1[1] * coef.r1 ** n / d1 + coef.arrival_r2[1] * coef.r2 ** n / d2)
-
-
-def _package(model: ValidatedModel, coef: BenefitCoefficients, value: float,
+def _package(model: ValidatedModel, value: float,
              weights: tuple[float, float]) -> BenefitValue:
     total = weights[0] + weights[1]
     palm = (weights[0] / total, weights[1] / total)
     s1, s2 = model.mean_clearing
     return BenefitValue(value=value, sojourn=palm[0] * s1 + palm[1] * s2, palm=palm)
+
+
+def _discounted(model: ValidatedModel, coef: BenefitCoefficients, n: int,
+                theta: float) -> BenefitValue:
+    """Benefit at n when the population's masses from n on form a discounted tail."""
+    return _package(model, _benefit(coef, n, theta), _arrival_weights(coef, n, theta))
 
 
 def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
@@ -188,8 +206,7 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
         strategy = AlwaysJoin()
 
     if isinstance(strategy, AlwaysJoin):
-        return _package(model, coef, h_upper(coef, n),
-                        _arrival_weights_plain(coef, n))
+        return _discounted(model, coef, n, 1.0)
 
     if isinstance(strategy, (AlwaysBalk, ReverseThreshold)) and not (
             isinstance(strategy, ReverseThreshold) and strategy.n0 == 0 and strategy.theta > 0.0):
@@ -198,16 +215,12 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
         if n != 0:
             raise UnreachableState(
                 f"level {n} has zero stationary mass under {strategy!r}")
-        return _package(model, coef, h_lower(coef, 0),
-                        _arrival_weights_discounted(coef, 0, 0.0))
+        return _discounted(model, coef, 0, 0.0)
 
     if isinstance(strategy, ReverseThreshold):
         # Interior theta at level 0: every level is reachable and the
         # discounted aggregates apply verbatim at each n.
-        theta = strategy.theta
-        value = f_eval(coef, n, theta) / g_eval(coef, n, theta)
-        return _package(model, coef, value,
-                        _arrival_weights_discounted(coef, n, theta))
+        return _discounted(model, coef, n, strategy.theta)
 
     if isinstance(strategy, PureThreshold):
         strategy = MixedThreshold(strategy.n0, 0.0)
@@ -215,20 +228,20 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
     if isinstance(strategy, MixedThreshold):
         n0, theta = strategy.n0, strategy.theta
         if n < n0:
-            return _package(model, coef, h_upper(coef, n),
-                            _arrival_weights_plain(coef, n))
+            return _discounted(model, coef, n, 1.0)
         if n == n0:
-            value = f_eval(coef, n0, theta) / g_eval(coef, n0, theta)
-            return _package(model, coef, value,
-                            _arrival_weights_discounted(coef, n0, theta))
+            return _discounted(model, coef, n0, theta)
         if n == n0 + 1 and theta > 0.0:
-            f_diff = f_eval(coef, n0, 0.0) - f_eval(coef, n0, theta)
-            g_diff = g_eval(coef, n0, 0.0) - g_eval(coef, n0, theta)
-            plain = _arrival_weights_discounted(coef, n0 + 1, 0.0)
-            disc = _arrival_weights_discounted(coef, n0 + 1, theta)
+            # mass at n0+1 is the undiscounted tail minus the discounted one
+            f_diff = (scaled_aggregate(coef, coef.alpha, coef.beta, n0, 0.0)
+                      - scaled_aggregate(coef, coef.alpha, coef.beta, n0, theta))
+            g_diff = (scaled_aggregate(coef, coef.d, coef.e, n0, 0.0)
+                      - scaled_aggregate(coef, coef.d, coef.e, n0, theta))
+            plain = _arrival_weights(coef, n0 + 1, 0.0)
+            disc = _arrival_weights(coef, n0 + 1, theta)
             w = 1.0 - theta
             weights = (plain[0] - w * disc[0], plain[1] - w * disc[1])
-            return _package(model, coef, f_diff / g_diff, weights)
+            return _package(model, f_diff / g_diff, weights)
         raise UnreachableState(
             f"level {n} has zero stationary mass under {strategy!r}")
 

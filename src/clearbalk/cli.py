@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -24,10 +25,9 @@ import sys
 from pathlib import Path
 
 from .benefit import benefit_coefficients, h_upper, h_upper_limit, net_benefit_ao
+from .codec import decode
 from .dominant import (
     KNIFE_TOLERANCE,
-    CriticalValues,
-    DominanceKind,
     DominantStrategySet,
     Regime,
     critical_values,
@@ -65,6 +65,17 @@ def _fmt(value: float) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _cells_text(cells: list[tuple[str, ...]], fmt: str) -> str:
+    """Rows of string cells, header first, as CSV or a left-aligned table."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(cells)
+        return buf.getvalue()
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in cells)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,34 +137,7 @@ def _decision_text(join: float | None) -> str:
     return "join (q=1)" if join >= 1.0 else "balk (q=0)"
 
 
-def dominant_to_dict(report: DominantStrategySet) -> dict:
-    join = list(report.join) if isinstance(report.join, tuple) else report.join
-    net = list(report.net_benefit) if isinstance(report.net_benefit, tuple) else report.net_benefit
-    return {
-        "regime": report.regime.value,
-        "kind": report.kind.value,
-        "join": join,
-        "net_benefit": net,
-        "critical": {
-            "v_fu": report.critical.v_fu,
-            "v_au_min": report.critical.v_au_min,
-            "v_au_max": report.critical.v_au_max,
-        },
-        "knife_edge": report.knife_edge,
-    }
-
-
-def dominant_from_dict(d: dict) -> DominantStrategySet:
-    join = tuple(d["join"]) if isinstance(d["join"], list) else d["join"]
-    net = tuple(d["net_benefit"]) if isinstance(d["net_benefit"], list) else d["net_benefit"]
-    return DominantStrategySet(
-        regime=Regime(d["regime"]),
-        kind=DominanceKind(d["kind"]),
-        join=join,
-        net_benefit=net,
-        critical=CriticalValues(**d["critical"]),
-        knife_edge=d["knife_edge"],
-    )
+dominant_from_dict = functools.partial(decode, DominantStrategySet)
 
 
 _REGIME_NAMES = {
@@ -244,7 +228,7 @@ def cmd_analyze(args) -> int:
     report = runner(model, rc, tolerance)
     fmt = _format_or_default(args, "table")
     if fmt == "json":
-        _emit(_json_text(dominant_to_dict(report)), args.out)
+        _emit(_json_text(report.to_dict()), args.out)
     elif fmt == "table":
         _emit(_dominant_table(report), args.out)
     else:
@@ -259,15 +243,11 @@ def cmd_equilibrium(args) -> int:
 def _stationary_rows(model, strategy: Strategy, max_n: int):
     """(rows, tail) where rows[n] = (p(n,1), p(n,2)) and tail covers > max_n."""
     if isinstance(strategy, JoinVector):
-        solution = solve_truncated_balance(model, strategy)
-        rows = [(solution.pmf(n, 1), solution.pmf(n, 2)) for n in range(max_n + 1)]
-        tail = (solution.tail(max_n + 1, 1), solution.tail(max_n + 1, 2))
-        return rows, tail
-    spec = spectral_quantities(model)
-    dist = stationary_distribution(model, spec, strategy)
-    rows = [(dist.pmf(n, 1), dist.pmf(n, 2)) for n in range(max_n + 1)]
-    tail = (dist.tail(max_n + 1, 1), dist.tail(max_n + 1, 2))
-    return rows, tail
+        law = solve_truncated_balance(model, strategy)
+    else:
+        law = stationary_distribution(model, spectral_quantities(model), strategy)
+    rows = [(law.pmf(n, 1), law.pmf(n, 2)) for n in range(max_n + 1)]
+    return rows, (law.tail(max_n + 1, 1), law.tail(max_n + 1, 2))
 
 
 def cmd_stationary(args) -> int:
@@ -291,15 +271,7 @@ def cmd_stationary(args) -> int:
     for n, (m1, m2) in enumerate(rows):
         cells.append((str(n), _fmt(m1), _fmt(m2), _fmt(m1 + m2)))
     cells.append(("tail", _fmt(tail[0]), _fmt(tail[1]), _fmt(tail[0] + tail[1])))
-    if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(cells)
-        _emit(buf.getvalue(), args.out)
-    else:
-        widths = [max(len(row[i]) for row in cells) for i in range(4)]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                 for row in cells]
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit(_cells_text(cells, fmt), args.out)
     return 0
 
 
@@ -337,15 +309,7 @@ def cmd_benefit(args) -> int:
                 cells.append((str(n), "-", "-", "-"))
             else:
                 cells.append((str(n), _fmt(v), _fmt(p), _fmt(s)))
-        if fmt == "csv":
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(cells)
-            _emit(buf.getvalue(), args.out)
-        else:
-            widths = [max(len(row[i]) for row in cells) for i in range(4)]
-            lines = ["  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
-                     for row in cells]
-            _emit("\n".join(lines) + "\n", args.out)
+        _emit(_cells_text(cells, fmt), args.out)
     if unreachable:
         span = ", ".join(str(n) for n in unreachable)
         print(f"warning: level(s) {span} unreachable under "
@@ -381,9 +345,7 @@ def cmd_simulate(args) -> int:
         cells.append((str(n),
                       _fmt(estimates.pmf(n, 1)), _fmt(estimates.pmf_se(n, 1)), ref1,
                       _fmt(estimates.pmf(n, 2)), _fmt(estimates.pmf_se(n, 2)), ref2))
-    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
-    lines = ["  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
-             for row in cells]
+    lines = []
     s1, s2 = model.mean_clearing
     for e, ref_s in ((0, s1), (1, s2)):
         mean = estimates.sojourn_by_env[e]
@@ -393,15 +355,8 @@ def cmd_simulate(args) -> int:
         lines.append(f"sojourn env {e + 1}: sim {mean_text} (se {se_text}), "
                      f"expected {_fmt(ref_s)}")
     lines.append(f"events: {estimates.event_count}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_cells_text(cells, fmt) + "\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _bound_out(value: float | None) -> float | str | None:
-    """Levels for report rows: infinities as the string 'inf' (JSON-safe)."""
-    if value is None or isinstance(value, str):
-        return value
-    return "inf" if math.isinf(value) else value
 
 
 def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
@@ -423,14 +378,14 @@ def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
         listed = "family"
     else:
         listed = ";".join(format_strategy(i.strategy) for i in report.equilibria)
-    bounds = report.bounds
+    bounds = {} if report.bounds is None else report.bounds.to_dict()
     return {
         "param": param,
         "value": value,
         "case": report.case.kind.value,
         "subcase": report.subcase.value,
-        "n_l": None if bounds is None else _bound_out(bounds.n_l),
-        "n_u": None if bounds is None else _bound_out(bounds.n_u),
+        "n_l": bounds.get("n_l"),
+        "n_u": bounds.get("n_u"),
         "equilibria": listed,
         "v_fu": crit.v_fu,
         "h_upper_0": h_upper(coef, 0),
@@ -462,15 +417,7 @@ def cmd_sweep(args) -> int:
             row["equilibria"], _fmt(row["v_fu"]),
             _fmt(row["h_upper_0"]), _fmt(row["h_limit"]),
         ))
-    if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(table)
-        _emit(buf.getvalue(), args.out)
-    else:
-        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-        lines = ["  ".join(c.ljust(widths[i]) for i, c in enumerate(r)).rstrip()
-                 for r in table]
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit(_cells_text(table, fmt), args.out)
     return 0
 
 

@@ -26,6 +26,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 
+from .codec import Wire
 from .model import RewardCost, ValidatedModel
 
 #: Relative equality band when comparing R/C against a critical value.
@@ -58,7 +59,7 @@ class CriticalValues:
 
 
 @dataclass(frozen=True)
-class DominantStrategySet:
+class DominantStrategySet(Wire):
     """Dominant strategy report for one information regime.
 
     ``join`` is a single joining probability for the fully unobservable

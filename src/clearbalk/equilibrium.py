@@ -28,12 +28,18 @@ tolerance-dependent.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
-from .benefit import BenefitCoefficients, f_eval, h_upper_limit
+from .benefit import BenefitCoefficients, f_eval, h_upper_limit, scaled_aggregate
+from .codec import Wire, decode
 from .errors import NoInteriorRoot, ScanLimitExceeded
 from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, congestion_case
+# verify_equilibrium is looked up on its module at call time, where
+# perfbench's tracer wraps it
+from .oracle import verify as oracle_verify
+from .oracle.verify import VerificationReport
 from .spectral import SpectralData
 from .strategies import (
     AlwaysBalk,
@@ -42,8 +48,6 @@ from .strategies import (
     PureThreshold,
     ReverseThreshold,
     Strategy,
-    format_strategy,
-    parse_strategy,
 )
 
 #: Absolute band for sign tests on G(n,1)-normalized F values.
@@ -65,7 +69,7 @@ class Subcase(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ThresholdBounds:
+class ThresholdBounds(Wire):
     """Integer bounds delimiting the equilibrium strategies.
 
     For the threshold orientation, ``n_l``..``n_u`` is the pure-threshold
@@ -84,30 +88,9 @@ class ThresholdBounds:
     n_u_minus: float
     knife_edge: bool
 
-    def to_dict(self) -> dict:
-        def enc(v: float) -> float | str:
-            return "inf" if math.isinf(v) else v
-        return {
-            "orientation": self.orientation.value,
-            "subcase": self.subcase.value,
-            "n_l": enc(self.n_l),
-            "n_u": enc(self.n_u),
-            "n_l_plus": enc(self.n_l_plus),
-            "n_u_minus": enc(self.n_u_minus),
-            "knife_edge": self.knife_edge,
-        }
 
-
-def bounds_from_dict(d: dict) -> ThresholdBounds:
-    def dec(v: float | str) -> float:
-        return math.inf if v == "inf" else v
-    return ThresholdBounds(
-        orientation=Orientation(d["orientation"]),
-        subcase=Subcase(d["subcase"]),
-        n_l=dec(d["n_l"]), n_u=dec(d["n_u"]),
-        n_l_plus=dec(d["n_l_plus"]), n_u_minus=dec(d["n_u_minus"]),
-        knife_edge=d["knife_edge"],
-    )
+#: Rebuild ThresholdBounds from its JSON dictionary form.
+bounds_from_dict = functools.partial(decode, ThresholdBounds)
 
 
 class _SignTester:
@@ -119,14 +102,11 @@ class _SignTester:
         self.band_hit = False
 
     def sign_f(self, n: int, theta: float) -> int:
-        # F(n, theta) / G(n, 1) with both divided by r1**n, which would
-        # underflow long before the sign changes when r1 is small
+        # F(n, theta) / G(n, 1) from their forms divided by r1**n, which
+        # underflows long before the sign changes when r1 is small
         c = self.coef
-        w = 1.0 - theta
-        ratio = (c.r2 / c.r1) ** n
-        value = ((c.alpha / (1.0 - w * c.r1) + c.beta * ratio / (1.0 - w * c.r2))
-                 / (c.d + c.e * ratio))
-        return self._sign(value)
+        return self._sign(scaled_aggregate(c, c.alpha, c.beta, n, theta)
+                          / scaled_aggregate(c, c.d, c.e, n, 1.0))
 
     def _sign(self, value: float) -> int:
         if abs(value) <= self.tolerance:
@@ -150,9 +130,11 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
         ScanLimitExceeded: If the ascending scan passes the cap.
     """
     tester = _SignTester(coef, tolerance)
-    sign_at_zero = tester.sign_f(0, 1.0)
-    limit = h_upper_limit(coef)
-    sign_limit = tester._sign(limit)
+    # the reverse orientation is the threshold one with F negated
+    s = 1 if orientation is Orientation.THRESHOLD else -1
+
+    def sign(n: int, theta: float) -> int:
+        return s * tester.sign_f(n, theta)
 
     def bounds(subcase: Subcase, nl: float, nu: float,
                nlp: float, num: float) -> ThresholdBounds:
@@ -160,38 +142,24 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
                                n_l=nl, n_u=nu, n_l_plus=nlp, n_u_minus=num,
                                knife_edge=tester.band_hit)
 
-    if orientation is Orientation.THRESHOLD:
-        if sign_at_zero < 0:
-            return bounds(Subcase.I, 0, 0, 0, 0)
-        if sign_limit >= 0:
-            return bounds(Subcase.III, math.inf, math.inf, math.inf, math.inf)
-        n_u = 0
-        while tester.sign_f(n_u, 1.0) >= 0:
-            n_u += 1
-            if n_u > scan_limit:
-                raise ScanLimitExceeded(f"upper-threshold scan passed {scan_limit}")
-        n_l = n_u
-        while n_l >= 1 and tester.sign_f(n_l - 1, 0.0) <= 0:
-            n_l -= 1
-        n_l_plus = n_l if tester.sign_f(n_l, 0.0) < 0 else n_l + 1
-        n_u_minus = n_u if tester.sign_f(n_u - 1, 1.0) > 0 else n_u - 1
-        return bounds(Subcase.II, n_l, n_u, n_l_plus, n_u_minus)
-
-    if sign_at_zero > 0:
+    sign_at_zero = sign(0, 1.0)
+    sign_limit = s * tester._sign(h_upper_limit(coef))
+    if sign_at_zero < 0:
         return bounds(Subcase.I, 0, 0, 0, 0)
-    if sign_limit <= 0:
+    if sign_limit >= 0:
         return bounds(Subcase.III, math.inf, math.inf, math.inf, math.inf)
-    m_u = 0
-    while tester.sign_f(m_u, 1.0) <= 0:
-        m_u += 1
-        if m_u > scan_limit:
-            raise ScanLimitExceeded(f"upper-reverse scan passed {scan_limit}")
-    m_l = m_u
-    while m_l >= 1 and tester.sign_f(m_l - 1, 0.0) >= 0:
-        m_l -= 1
-    m_l_plus = m_l if tester.sign_f(m_l, 0.0) > 0 else m_l + 1
-    m_u_minus = m_u if tester.sign_f(m_u - 1, 1.0) < 0 else m_u - 1
-    return bounds(Subcase.II, m_l, m_u, m_l_plus, m_u_minus)
+    n_u = 0
+    while sign(n_u, 1.0) >= 0:
+        n_u += 1
+        if n_u > scan_limit:
+            raise ScanLimitExceeded(
+                f"upper-{orientation.value} scan passed {scan_limit}")
+    n_l = n_u
+    while n_l >= 1 and sign(n_l - 1, 0.0) <= 0:
+        n_l -= 1
+    n_l_plus = n_l if sign(n_l, 0.0) < 0 else n_l + 1
+    n_u_minus = n_u if sign(n_u - 1, 1.0) > 0 else n_u - 1
+    return bounds(Subcase.II, n_l, n_u, n_l_plus, n_u_minus)
 
 
 def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
@@ -220,7 +188,7 @@ def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
 
 
 @dataclass(frozen=True)
-class EquilibriumItem:
+class EquilibriumItem(Wire):
     """One member of the equilibrium set.
 
     ``strategy`` is None for the all-strategies family of congestion case
@@ -230,20 +198,12 @@ class EquilibriumItem:
 
     strategy: Strategy | None
     tag: str
-    verification: "object | None" = None
+    verification: VerificationReport | None = None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": None if self.strategy is None else format_strategy(self.strategy),
-            "tag": self.tag,
-            "verification": None if self.verification is None else self.verification.to_dict(),
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(Wire):
     """Complete equilibrium analysis of one model and reward structure."""
 
     case: CaseLabel
@@ -255,45 +215,9 @@ class EquilibriumReport:
     knife_edge: bool
     tolerance: float = field(default=SIGN_TOLERANCE)
 
-    def to_dict(self) -> dict:
-        return {
-            "case": {"kind": self.case.kind.value, "product": self.case.product},
-            "subcase": self.subcase.value,
-            "bounds": None if self.bounds is None else self.bounds.to_dict(),
-            "equilibria": [item.to_dict() for item in self.equilibria],
-            "social_optimum": (None if self.social_optimum is None
-                               else format_strategy(self.social_optimum)),
-            "social_coincides": self.social_coincides,
-            "knife_edge": self.knife_edge,
-            "tolerance": self.tolerance,
-        }
 
-
-def report_from_dict(d: dict) -> EquilibriumReport:
-    """Rebuild an EquilibriumReport from its JSON dictionary form."""
-    from .oracle.verify import verification_from_dict
-
-    items = tuple(
-        EquilibriumItem(
-            strategy=None if i["strategy"] is None else parse_strategy(i["strategy"]),
-            tag=i["tag"],
-            verification=(None if i["verification"] is None
-                          else verification_from_dict(i["verification"])),
-            note=i["note"],
-        )
-        for i in d["equilibria"]
-    )
-    return EquilibriumReport(
-        case=CaseLabel(kind=CaseKind(d["case"]["kind"]), product=d["case"]["product"]),
-        subcase=Subcase(d["subcase"]),
-        bounds=None if d["bounds"] is None else bounds_from_dict(d["bounds"]),
-        equilibria=items,
-        social_optimum=(None if d["social_optimum"] is None
-                        else parse_strategy(d["social_optimum"])),
-        social_coincides=d["social_coincides"],
-        knife_edge=d["knife_edge"],
-        tolerance=d["tolerance"],
-    )
+#: Rebuild an EquilibriumReport from its JSON dictionary form.
+report_from_dict = functools.partial(decode, EquilibriumReport)
 
 
 def compute_equilibria(model: ValidatedModel, spec: SpectralData,
@@ -318,8 +242,6 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     balance-oracle best-response verifier and the per-strategy report is
     attached.
     """
-    from .oracle.verify import verify_equilibrium
-
     case = congestion_case(model)
     tester = _SignTester(coef, tolerance)
 
@@ -395,7 +317,8 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
             if item.strategy is None:
                 verified.append(item)
                 continue
-            report = verify_equilibrium(model, rc, item.strategy, tol=verify_tolerance)
+            report = oracle_verify.verify_equilibrium(
+                model, rc, item.strategy, tol=verify_tolerance)
             verified.append(EquilibriumItem(item.strategy, item.tag,
                                             verification=report, note=item.note))
         items = verified

@@ -11,11 +11,11 @@ in index order, so identical inputs give bit-identical estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import Wire
 from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
 
@@ -23,7 +23,7 @@ _BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
-class SimEstimates:
+class SimEstimates(Wire):
     """Cross-replication estimates with standard errors.
 
     Arrays indexed by level hold rows 0..track_levels plus one final
@@ -64,35 +64,6 @@ class SimEstimates:
         if not 1 <= env <= 2:
             raise ValueError(f"environment must be 1 or 2, got {env}")
         return float(self.masses_se[n, env - 1])
-
-    def to_dict(self) -> dict:
-        def clean(value: float) -> float | None:
-            return None if math.isnan(value) else float(value)
-
-        def rows(arr: np.ndarray) -> list:
-            if arr.ndim == 1:
-                return [clean(v) for v in arr]
-            return [[clean(v) for v in row] for row in arr]
-
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "replications": self.replications,
-            "horizon": self.horizon,
-            "warm_fraction": self.warm_fraction,
-            "track_levels": self.track_levels,
-            "event_count": self.event_count,
-            "masses": rows(self.masses),
-            "masses_se": rows(self.masses_se),
-            "palm_env": rows(self.palm_env),
-            "palm_env_se": rows(self.palm_env_se),
-            "sojourn_by_level": rows(self.sojourn_by_level),
-            "sojourn_by_level_se": rows(self.sojourn_by_level_se),
-            "sojourn_by_env": rows(self.sojourn_by_env),
-            "sojourn_by_env_se": rows(self.sojourn_by_env_se),
-            "net_benefit_by_level": rows(self.net_benefit_by_level),
-            "net_benefit_by_level_se": rows(self.net_benefit_by_level_se),
-        }
 
 
 def _run_replication(model: ValidatedModel, strategy: Strategy, horizon: float,

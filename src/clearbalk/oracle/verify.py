@@ -13,8 +13,10 @@ probability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from ..codec import Wire, decode
 from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
 from .balance import solve_truncated_balance
@@ -27,7 +29,7 @@ MASS_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Wire):
     """Best-response check at one reachable level."""
 
     level: int
@@ -37,19 +39,9 @@ class CheckRecord:
     margin: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "join_prob": self.join_prob,
-            "mass": self.mass,
-            "net_benefit": self.net_benefit,
-            "margin": self.margin,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Wire):
     strategy: str
     passed: bool
     checks: tuple[CheckRecord, ...]
@@ -59,24 +51,9 @@ class VerificationReport:
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(c for c in self.checks if not c.ok)
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "tolerance": self.tolerance,
-            "mass_floor": self.mass_floor,
-        }
 
-
-def verification_from_dict(d: dict) -> VerificationReport:
-    return VerificationReport(
-        strategy=d["strategy"],
-        passed=d["passed"],
-        checks=tuple(CheckRecord(**c) for c in d["checks"]),
-        tolerance=d["tolerance"],
-        mass_floor=d["mass_floor"],
-    )
+#: Rebuild a VerificationReport from its JSON dictionary form.
+verification_from_dict = functools.partial(decode, VerificationReport)
 
 
 def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy,

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConsistencyError
 from .model import ValidatedModel
 from .strategies import (
@@ -180,14 +178,6 @@ class StationaryDistribution:
     def total_mass(self) -> float:
         """Closed-form total mass; equals 1 up to rounding."""
         return self.tail(0, 1) + self.tail(0, 2)
-
-    def masses_array(self, max_level: int) -> np.ndarray:
-        """Dense (max_level+1, 2) table of masses for levels 0..max_level."""
-        out = np.zeros((max_level + 1, 2))
-        for n in range(max_level + 1):
-            out[n, 0] = self.pmf(n, 1)
-            out[n, 1] = self.pmf(n, 2)
-        return out
 
 
 def _head_block(rows: list[tuple[float, float]]) -> tuple[tuple[tuple[float, float], ...], int]:

@@ -8,6 +8,8 @@ import pytest
 from clearbalk import (
     PureThreshold,
     compute_equilibria,
+    dominant_almost_unobservable,
+    dominant_fully_observable,
     dominant_fully_unobservable,
     report_from_dict,
     stationary_distribution,
@@ -19,6 +21,14 @@ from clearbalk import RewardCost
 BASE_CONFIG = {
     "lambda1": 2.0, "lambda2": 1.0, "mu1": 1.0, "mu2": 3.0,
     "q12": 1.0, "q21": 2.0, "R": 0.72, "C": 1.0,
+}
+
+# r1 and r2 near 0.0042, so r1**n underflows at the levels around 165
+SMALL_RATIO_CONFIG = {
+    "lambda1": 0.016743977228212244, "lambda2": 0.03384402744337043,
+    "mu1": 3.9494826976825506, "mu2": 8.125627823231214,
+    "q12": 0.016620754669195402, "q21": 0.0011702509971118248,
+    "R": 0.15854222038049257, "C": 1.0,
 }
 
 
@@ -51,6 +61,20 @@ def test_analyze_fu_json_round_trip(config, capsys):
     assert dominant_from_dict(data) == dominant_fully_unobservable(ctx.model, ctx.rc)
 
 
+@pytest.mark.parametrize("level", ["au", "fo"])
+@pytest.mark.parametrize("reward", [0.6, 0.75, 0.5])
+def test_analyze_au_fo_json_round_trip(config, capsys, level, reward):
+    # R/C = 0.75 = E[S_1] and 0.5 = E[S_2] leave that coordinate free (None)
+    assert main(["analyze", "--config", config(R=reward), "--info-level", level,
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    ctx = Ctx(PSTAR, RewardCost(reward, 1.0))
+    runner = {"au": dominant_almost_unobservable, "fo": dominant_fully_observable}[level]
+    want = runner(ctx.model, ctx.rc)
+    assert (None in want.join) == (reward != 0.6)
+    assert dominant_from_dict(data) == want
+
+
 def test_analyze_au_table(config, capsys):
     assert main(["analyze", "--config", config(R=0.6), "--info-level", "au"]) == 0
     out = capsys.readouterr().out
@@ -75,6 +99,13 @@ def test_equilibrium_alias_matches_analyze(config, capsys):
     assert main(["equilibrium", "--config", path, "--format", "json"]) == 0
     via_alias = capsys.readouterr().out
     assert via_alias == via_analyze
+
+
+def test_equilibrium_json_keeps_integer_bounds(config, capsys):
+    assert main(["equilibrium", "--config", config(), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"n_l": 2,' in out
+    assert '"n_u": 3,' in out
 
 
 def test_equilibrium_table(config, capsys):
@@ -143,6 +174,17 @@ def test_benefit_marks_unreachable(config, capsys):
     assert lines[5].split() == ["4", "-", "-", "-"]
     assert "unreachable" in captured.err
     assert "3, 4" in captured.err
+
+
+def test_benefit_small_ratios_do_not_underflow(config, capsys):
+    assert main(["benefit", "--config", config(**SMALL_RATIO_CONFIG),
+                 "--strategy", "threshold:165", "--levels", "160..166"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [str(n) for n in range(160, 167)]
+    assert float(rows[4][1]) > 0.0 > float(rows[5][1])
+    assert rows[6][1:] == ["-", "-", "-"]
+    assert "level(s) 166 unreachable" in captured.err
 
 
 def test_benefit_json_values(config, capsys):

@@ -143,6 +143,22 @@ def test_scan_limit_guard():
         threshold_bounds(coef, Orientation.THRESHOLD, scan_limit=500)
 
 
+@pytest.mark.parametrize("orientation, alpha, beta, a", [
+    (Orientation.THRESHOLD, 0.5, 0.1, 2.0),
+    (Orientation.REVERSE, -0.5, -0.1, 0.5),
+])
+def test_scan_limit_names_orientation(orientation, alpha, beta, a):
+    # F(n,1) keeps the sign that continues the scan while the analytic
+    # limit has the opposite one, in either orientation
+    coef = BenefitCoefficients(
+        a=a, b=0.0, d=1.0, e=0.1, alpha=alpha, beta=beta,
+        r1=0.9, r2=0.5, reward=1.0, cost=1.0,
+        arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
+    )
+    with pytest.raises(ScanLimitExceeded, match=f"upper-{orientation.value} scan passed 500"):
+        threshold_bounds(coef, orientation, scan_limit=500)
+
+
 def test_report_round_trips_through_json(pstar, pb):
     for ctx in (pstar, pb):
         report = _report(ctx)
