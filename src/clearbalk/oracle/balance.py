@@ -1,4 +1,4 @@
-"""Stationary distribution by a forward level recursion of the balance equations.
+"""Stationary distribution from the balance equations: a level recursion and a constant tail step.
 
 This module never touches the spectral closed forms. It works from the
 raw transition rates alone (arrival with the strategy's joining
@@ -14,19 +14,36 @@ stationary law and ``j(n)`` the joining probability at level ``n``:
 * level 0: ``p(0) [diag(lambda j(0) + mu + q) - S] = pi diag(mu)``;
 * level ``1 <= n < N``: ``p(n) [diag(lambda j(n) + mu + q) - S]
   = p(n-1) diag(lambda j(n-1))``;
-* top level ``N``: ``p(N) [diag(mu + q) - S] = p(N-1) diag(lambda j(N-1))``.
+* top level ``N``: ``p(N) B = p(N-1) diag(lambda j(N-1))`` with
+  ``B = diag(mu + q) - S``.
 
-The top level holds exactly the untruncated mass at levels ``>= N``,
-because clearing does not depend on the level. So the lower levels are
-exact at every ``N`` and the total is 1 without renormalising, and one
-forward pass finds the first ``N`` whose top mass meets the tail target.
-Each 2x2 solve involves only positive terms, so there is no cancellation
-(the matrix-geometric structure of Neuts, 1981).
+The top equation is the sum of the untruncated equations from ``N`` on,
+so the top level holds exactly the untruncated mass at levels ``>= N``,
+the lower levels are exact at every ``N`` and the total is 1 without
+renormalising. The same sum gives the mass at and above any level ``m >= 1``
+as ``p(m-1) diag(lambda j(m-1)) B^-1``. Every 2x2 inverse involved has
+positive entries, so there is no cancellation.
+
+Constant tail step. Every strategy without a support bound joins with
+certainty from level 1 on (see :mod:`clearbalk.strategies`), so for
+``n >= 2`` the level equation is ``p(n) A = p(n-1) diag(lambda)`` with
+``A = diag(lambda + mu + q) - S``, and ``p(n) = p(1) T^(n-1)`` with
+``T = diag(lambda) A^-1``: the matrix-geometric form of Neuts (1981). ``T``
+is positive, with ``det T > 0`` and ``tr T > 0``, so both its eigenvalues
+are positive and below 1. Only levels 0 and 1 are solved by the recursion;
+``p(n)`` comes from ``T^(n-1)`` by repeated squaring, and the tail
+``p(m) (I - T)^-1`` is evaluated as ``p(m-1) diag(lambda) B^-1``, since
+``(I - T)^-1 = A B^-1``. The automatic truncation level is found by
+bisection over the decreasing tail with the powers ``T^(2^k)``, so no
+level between 2 and ``N`` is visited. Strategies with a support bound
+keep the level recursion up to the bound plus two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,66 +52,191 @@ from ..model import ValidatedModel
 from ..strategies import Strategy
 
 #: Hard cap on the automatically chosen truncation level.
-LEVEL_LIMIT = 1 << 20
+LEVEL_LIMIT = 1 << 26
 
-#: Automatic truncation stops at the first level whose top mass is below this.
+#: Automatic truncation stops at the first level whose tail mass is below this.
 TAIL_TARGET = 1e-12
+
+Vec = tuple[float, float]
+#: A 2x2 matrix, row-major.
+Mat = tuple[float, float, float, float]
+
+
+def _vecmat(v: Vec, m: Mat) -> Vec:
+    return (v[0] * m[0] + v[1] * m[2], v[0] * m[1] + v[1] * m[3])
+
+
+def _matmul(x: Mat, y: Mat) -> Mat:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _inverse(c1: float, c2: float, q12: float, q21: float) -> Mat:
+    """``[diag(c + q) - S]^-1``; every entry is positive."""
+    det = c1 * c2 + c1 * q21 + c2 * q12
+    return ((c2 + q21) / det, q12 / det, q21 / det, (c1 + q12) / det)
+
+
+def _squares(step: Mat, count: int) -> tuple[Mat, ...]:
+    """``(T, T^2, T^4, ..., T^(2^(count-1)))`` for ``T = step``."""
+    powers = [step]
+    while len(powers) < count:
+        powers.append(_matmul(powers[-1], powers[-1]))
+    return tuple(powers)
+
+
+def _advance(v: Vec, powers: tuple[Mat, ...], k: int) -> Vec:
+    """``v T^k`` from ``powers[b] = T^(2^b)``, for ``k < 2^len(powers)``."""
+    b = 0
+    while k:
+        if k & 1:
+            v = _vecmat(v, powers[b])
+        k >>= 1
+        b += 1
+    return v
 
 
 @dataclass(frozen=True)
 class TruncatedSolution:
-    """Solution of the truncated balance equations.
+    """Solution of the balance equations truncated at ``level``.
 
-    ``masses[n, e]`` is the stationary probability of level ``n`` in
-    environment ``e + 1`` for ``n <= level``; ``residual`` is the largest
-    balance-equation violation of the returned vector, and ``tail_mass``
-    estimates the probability beyond the truncation (exactly 0.0 when the
-    strategy's support ends at or below ``level``).
+    ``pmf(n, env)`` is the stationary probability of level ``n`` in
+    environment ``env`` for ``n <= level``, where level ``level`` holds the
+    whole mass at and above it; ``residual`` is the largest balance-equation
+    violation of the solution, and ``tail_mass`` is the mass at and above
+    the truncation level (exactly 0.0 when the strategy's support ends
+    at or below ``level``).
+
+    Levels below ``run_start`` are stored (``head``, with ``head_tails[m]``
+    the mass at and above ``m`` for ``m <= run_start``). From ``run_start``
+    to ``level - 1`` each level is the previous one times the constant
+    step ``T = powers[0]``, and ``tail_map`` maps a level to the mass
+    above it. ``masses`` is the full ``(level + 1, 2)`` array, built
+    on first use.
     """
 
     level: int
-    masses: np.ndarray
     residual: float
     tail_mass: float
+    head: tuple[Vec, ...]
+    head_tails: tuple[Vec, ...]
+    top: Vec
+    powers: tuple[Mat, ...] = field(default=(), repr=False)
+    tail_map: Mat | None = field(default=None, repr=False)
+
+    @property
+    def run_start(self) -> int:
+        """First level of the constant-step run (``level`` when there is none)."""
+        return len(self.head)
+
+    def row(self, n: int) -> Vec:
+        """``(p(n, 1), p(n, 2))``; zero outside ``0..level``."""
+        if n < 0 or n > self.level:
+            return (0.0, 0.0)
+        if n == self.level:
+            return self.top
+        if n < self.run_start:
+            return self.head[n]
+        return _advance(self.head[-1], self.powers, n - self.run_start + 1)
+
+    def tail_row(self, m: int) -> Vec:
+        """Mass at levels ``>= m`` in each environment."""
+        if m > self.level:
+            return (0.0, 0.0)
+        if m <= self.run_start:
+            return self.head_tails[max(m, 0)]
+        if m == self.level:
+            return self.top
+        return _vecmat(self.row(m - 1), self.tail_map)
 
     def pmf(self, n: int, env: int) -> float:
-        if not 1 <= env <= 2:
-            raise ValueError(f"environment must be 1 or 2, got {env}")
-        if n < 0 or n > self.level:
-            return 0.0
-        return float(self.masses[n, env - 1])
+        return self.row(n)[_env_index(env)]
 
     def env_marginal(self, env: int) -> float:
-        if not 1 <= env <= 2:
-            raise ValueError(f"environment must be 1 or 2, got {env}")
-        return float(self.masses[:, env - 1].sum())
+        return self.head_tails[0][_env_index(env)]
 
     def tail(self, m: int, env: int) -> float:
         """Mass at levels >= m in the given environment (within truncation)."""
-        if not 1 <= env <= 2:
-            raise ValueError(f"environment must be 1 or 2, got {env}")
-        if m > self.level:
-            return 0.0
-        return float(self.masses[max(m, 0):, env - 1].sum())
+        return self.tail_row(m)[_env_index(env)]
 
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return sum(self.head_tails[0])
+
+    @functools.cached_property
+    def masses(self) -> np.ndarray:
+        """``masses[n, e]`` is ``pmf(n, e + 1)`` for ``n <= level``, to rounding.
+
+        The run is walked level by level here, in time and memory linear
+        in ``level``; ``pmf`` and ``tail`` need neither.
+        """
+        rows = list(self.head)
+        if self.run_start < self.level:
+            step = self.powers[0]
+            for _ in range(self.run_start, self.level):
+                rows.append(_vecmat(rows[-1], step))
+        rows.append(self.top)
+        return np.array(rows)
 
 
-def _balance_residual(model: ValidatedModel, masses: np.ndarray,
-                      joins: np.ndarray) -> float:
-    """Largest |inflow - outflow| over the states of the truncated chain."""
+def _env_index(env: int) -> int:
+    if not 1 <= env <= 2:
+        raise ValueError(f"environment must be 1 or 2, got {env}")
+    return env - 1
+
+
+def _walk(model: ValidatedModel, strategy: Strategy, inv_b: Mat,
+          count: int) -> tuple[list[Vec], list[Vec]]:
+    """Levels ``0..count-1`` by the level recursion, and the tails ``0..count``."""
     p = model.params
-    lam = np.array([p.lambda1, p.lambda2])
-    mu = np.array([p.mu1, p.mu2])
-    q = np.array([p.q12, p.q21])
-    arrive = masses * lam * joins[:, None]
-    outflow = arrive + masses * q
-    outflow[1:] += masses[1:] * mu
-    inflow = masses[:, ::-1] * q[::-1]
-    inflow[1:] += arrive[:-1]
-    inflow[0] += masses[1:].sum(axis=0) * mu
-    return float(np.max(np.abs(inflow - outflow)))
+    lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
+    # y(n-1) = p(n-1) diag(lambda j(n-1)) drives level n; pi diag(mu) drives level 0
+    y = (model.env_stationary[0] * mu1, model.env_stationary[1] * mu2)
+    rows: list[Vec] = []
+    tails: list[Vec] = []
+    for n in range(count):
+        tails.append(_vecmat(y, inv_b))
+        j = strategy.join_prob(n)
+        x = _vecmat(y, _inverse(mu1 + lam1 * j, mu2 + lam2 * j, q12, q21))
+        rows.append(x)
+        y = (x[0] * lam1 * j, x[1] * lam2 * j)
+    tails.append(_vecmat(y, inv_b))
+    return rows, tails
+
+
+def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution) -> float:
+    """Largest |inflow - outflow| of ``sol`` on the truncated chain.
+
+    Level 0 and every stored level are evaluated, and so are the last two
+    levels. The levels of the constant-step run share one equation,
+    ``p(n) A = p(n-1) diag(lambda)``, evaluated at the run's first and last
+    levels.
+    """
+    p = model.params
+    lam, mu, q = (p.lambda1, p.lambda2), (p.mu1, p.mu2), (p.q12, p.q21)
+    top = sol.level
+
+    def join(n: int) -> float:
+        return 0.0 if n == top else strategy.join_prob(n)
+
+    p0, inflow = sol.row(0), sol.tail_row(1)
+    worst = max(abs(p0[e] * (lam[e] * join(0) + q[e]) - p0[1 - e] * q[1 - e]
+                    - mu[e] * inflow[e]) for e in (0, 1))
+    levels = set(range(1, min(sol.run_start, top) + 1)) | {top - 1, top}
+    for n in levels - {-1, 0}:
+        prev, cur, j_prev, j = sol.row(n - 1), sol.row(n), join(n - 1), join(n)
+        worst = max(worst, *(abs(cur[e] * (lam[e] * j + mu[e] + q[e]) - cur[1 - e] * q[1 - e]
+                                 - prev[e] * lam[e] * j_prev) for e in (0, 1)))
+    return worst
+
+
+def _require_certain_join(strategy: Strategy, n: int) -> None:
+    """Guard the invariant the constant tail step rests on, at level ``n``."""
+    j = strategy.join_prob(n)
+    if j != 1.0:
+        raise ConsistencyError(
+            f"strategy {strategy!r} has no support bound but joins with probability "
+            f"{j!r} at level {n}; the constant tail step needs certain joining "
+            f"from level 1 on")
 
 
 def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
@@ -103,54 +245,73 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
 
     With ``level=None`` the truncation is chosen automatically: the
     strategy's support bound plus a margin of two when joining stops at
-    some finite level, otherwise the first level whose top mass falls
-    below ``TAIL_TARGET``.
+    some finite level, otherwise the first level whose tail mass is below
+    ``TAIL_TARGET``.
 
     Raises:
         SingularSystem: If a level mass comes out non-finite.
-        ConsistencyError: If clearing is so slow that the top mass is still
-            above ``TAIL_TARGET`` at ``LEVEL_LIMIT``.
+        ConsistencyError: If clearing is so slow that the tail mass is
+            still above ``TAIL_TARGET`` at ``LEVEL_LIMIT``, or if a strategy
+            without a support bound does not join with certainty from
+            level 1 on.
     """
     p = model.params
     lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
+    inv_b = _inverse(mu1, mu2, q12, q21)
     bound = strategy.support_bound()
-    adaptive = level is None and bound is None
-    if level is None:
-        level = LEVEL_LIMIT if bound is None else bound + 2
-
-    # p(n) [diag(c + q) - S] = y solves as x1 = (y1 (c2 + q21) + y2 q21) / det,
-    # x2 = (y2 (c1 + q12) + y1 q12) / det with det = c1 c2 + c1 q21 + c2 q12.
-    top_det = mu1 * mu2 + mu1 * q21 + mu2 * q12
-    y1, y2 = model.env_stationary[0] * mu1, model.env_stationary[1] * mu2
-    rows: list[tuple[float, float]] = []
-    joins: list[float] = []
-    for n in range(level + 1):
-        # mass at levels >= n if arrivals out of level n were suppressed
-        t1 = (y1 * (mu2 + q21) + y2 * q21) / top_det
-        t2 = (y2 * (mu1 + q12) + y1 * q12) / top_det
-        if n == level or (adaptive and t1 + t2 < TAIL_TARGET):
-            break
-        j = strategy.join_prob(n)
-        c1, c2 = mu1 + lam1 * j, mu2 + lam2 * j
-        det = c1 * c2 + c1 * q21 + c2 * q12
-        x1 = (y1 * (c2 + q21) + y2 * q21) / det
-        x2 = (y2 * (c1 + q12) + y1 * q12) / det
-        rows.append((x1, x2))
-        joins.append(j)
-        y1, y2 = x1 * lam1 * j, x2 * lam2 * j
-    top = t1 + t2
-    if adaptive and top >= TAIL_TARGET:
-        raise ConsistencyError(
-            f"clearing is too slow to truncate: at level {n} the mass "
-            f"{top!r} is still left at and above it, over the tail target "
-            f"{TAIL_TARGET!r}")
-    rows.append((t1, t2))
-    joins.append(0.0)
-
-    masses = np.array(rows)
-    if not np.isfinite(masses).all():
+    powers: tuple[Mat, ...] = ()
+    tail_map = None
+    if bound is not None:
+        n = bound + 2 if level is None else level
+        head, tails = _walk(model, strategy, inv_b, n)
+    else:
+        _require_certain_join(strategy, 1)
+        head, tails = _walk(model, strategy, inv_b, 2 if level is None else min(level, 2))
+        a_inv = _inverse(mu1 + lam1, mu2 + lam2, q12, q21)
+        step = (lam1 * a_inv[0], lam1 * a_inv[1], lam2 * a_inv[2], lam2 * a_inv[3])
+        powers = _squares(step, max(LEVEL_LIMIT, level or 0).bit_length())
+        tail_map = (lam1 * inv_b[0], lam1 * inv_b[1], lam2 * inv_b[2], lam2 * inv_b[3])
+        n = level
+        if n is None:
+            below = [m for m, t in enumerate(tails) if sum(t) < TAIL_TARGET]
+            n = below[0] if below else _truncation_level(head[1], powers, tail_map)
+            if n > LEVEL_LIMIT:
+                left = sum(_vecmat(_advance(head[1], powers, LEVEL_LIMIT - 2), tail_map))
+                raise ConsistencyError(
+                    f"clearing is too slow to truncate: at level {LEVEL_LIMIT} the mass "
+                    f"{left!r} is still left at and above it, over the tail target "
+                    f"{TAIL_TARGET!r}")
+        head, tails = head[:n], tails[:n + 1]
+        _require_certain_join(strategy, max(n - 1, 1))
+    if len(head) < n:
+        top = _vecmat(_advance(head[-1], powers, n - len(head)), tail_map)
+    else:
+        top = tails[n]
+    if not np.isfinite([*head, top]).all():
         raise SingularSystem(f"balance recursion gave a non-finite mass by level {n}")
-    residual = _balance_residual(model, masses, np.array(joins))
     exact = bound is not None and n >= bound
-    return TruncatedSolution(level=n, masses=masses, residual=residual,
-                             tail_mass=0.0 if exact else top)
+    sol = TruncatedSolution(level=n, residual=0.0, tail_mass=0.0 if exact else sum(top),
+                            head=tuple(head), head_tails=tuple(tails), top=top,
+                            powers=powers, tail_map=tail_map)
+    return dataclasses.replace(sol, residual=_residual(model, strategy, sol))
+
+
+def _truncation_level(p1: Vec, powers: tuple[Mat, ...], tail_map: Mat) -> int:
+    """First level ``N >= 3`` whose tail ``p(N-1) tail_map`` is below ``TAIL_TARGET``.
+
+    ``p(k) = p1 T^(k-1)``, with ``tail(2) >= TAIL_TARGET``. The tail decreases
+    in ``k``, so the largest ``k`` with ``tail(k+1) >= TAIL_TARGET`` is found
+    bit by bit from the top; the search stops squaring past ``LEVEL_LIMIT``.
+    """
+    def above(v: Vec) -> bool:
+        return sum(_vecmat(v, tail_map)) >= TAIL_TARGET
+
+    b = 0
+    while (1 << b) < LEVEL_LIMIT and above(_advance(p1, powers, 1 << b)):
+        b += 1
+    k, v = 1, p1
+    for bit in reversed(range(b + 1)):
+        candidate = _advance(v, powers, 1 << bit)
+        if above(candidate):
+            k, v = k + (1 << bit), candidate
+    return k + 2

@@ -9,10 +9,23 @@ against itself exactly when no reachable level offers a profitable
 deviation: joining must not win where the strategy balks with positive
 probability, balking must not win where it joins with positive
 probability.
+
+Levels before the balance solve's constant-step run, and its top level,
+are checked one by one. Along the run ``p(n) = p(n0) T^(n-n0)``, and both
+eigenvalues of ``T`` are positive, so each component of ``p(n)`` is
+``a r1^n + b r2^n`` with ``0 < r2 < r1 < 1``. The level mass is then
+unimodal, and the levels with mass at least the floor form one interval.
+The ratio of the two components is a Moebius function of ``(r2/r1)^n``,
+so the Palm weights, the net benefit and the margin are monotone along
+the run. Everyone joins there, so the reachable run splits into at most
+a passing and a failing stretch. Each stretch is found by bisection and
+reported as one :class:`CheckRecord` spanning ``level..last_level``, with
+its worst margin and its summed mass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -30,9 +43,15 @@ MASS_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class CheckRecord(Wire):
-    """Best-response check at one reachable level."""
+    """Best-response check over the reachable levels ``level..last_level``.
+
+    A single level has ``last_level == level``. Over a stretch of the
+    constant-step run, ``mass`` is the stretch's summed mass, and
+    ``net_benefit`` and ``margin`` are taken at its worst level.
+    """
 
     level: int
+    last_level: int
     join_prob: float
     mass: float
     net_benefit: float
@@ -62,7 +81,7 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
     """Check the equilibrium sign pattern at every reachable level.
 
     A level counts as reachable when its stationary mass under the
-    strategy exceeds ``mass_floor``. At each such level the expected
+    strategy is at least ``mass_floor``. At each such level the expected
     sojourn is the arrival-weighted mixture of the per-environment mean
     clearing times, and the margin is the distance to the nearest
     violated inequality (negative when violated).
@@ -72,13 +91,8 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
     mean_s = model.mean_clearing
     solution = solve_truncated_balance(model, strategy)
 
-    checks: list[CheckRecord] = []
-    for n in range(solution.level + 1):
-        m1 = float(solution.masses[n, 0])
-        m2 = float(solution.masses[n, 1])
-        mass = m1 + m2
-        if mass < mass_floor:
-            continue
+    def check(n: int) -> CheckRecord:
+        m1, m2 = solution.row(n)
         w1 = lam[0] * m1
         w2 = lam[1] * m2
         sojourn = (w1 * mean_s[0] + w2 * mean_s[1]) / (w1 + w2)
@@ -89,9 +103,31 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
             margin = net + tol
         elif jp <= 0.0:
             margin = tol - net
-        checks.append(CheckRecord(level=n, join_prob=jp, mass=mass,
-                                  net_benefit=net, margin=margin,
-                                  ok=margin >= 0.0))
+        return CheckRecord(level=n, last_level=n, join_prob=jp, mass=m1 + m2,
+                           net_benefit=net, margin=margin, ok=margin >= 0.0)
+
+    def stretch(first: int, last: int) -> CheckRecord:
+        worst = min(check(first), check(last), key=lambda c: c.margin)
+        mass = sum(solution.tail_row(first)) - sum(solution.tail_row(last + 1))
+        return dataclasses.replace(worst, level=first, last_level=last, mass=mass)
+
+    def mass(n: int) -> float:
+        return sum(solution.row(n))
+
+    checks = [check(n) for n in range(solution.run_start) if mass(n) >= mass_floor]
+    first, last = solution.run_start, solution.level - 1
+    if first <= last:
+        peak = _first(lambda n: mass(n + 1) < mass(n), first, last)
+        if mass(peak) >= mass_floor:
+            lo = _first(lambda n: mass(n) >= mass_floor, first, peak)
+            hi = _first(lambda n: mass(n) < mass_floor, peak, last + 1) - 1
+            ok = check(lo).ok
+            cut = _first(lambda n: check(n).ok != ok, lo, hi + 1)
+            checks.append(stretch(lo, cut - 1))
+            if cut <= hi:
+                checks.append(stretch(cut, hi))
+    if mass(solution.level) >= mass_floor:
+        checks.append(check(solution.level))
 
     return VerificationReport(
         strategy=format_strategy(strategy),
@@ -100,3 +136,14 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
         tolerance=tol,
         mass_floor=mass_floor,
     )
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """Smallest ``n`` in ``[lo, hi)`` with ``pred(n)``, else ``hi``; ``pred`` turns true once."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -17,6 +17,14 @@ analysis handles, plus a raw probability vector for the simulator:
 * ``JoinVector(probs)``: explicit per-level joining probabilities, balking
   beyond the last entry. Only the simulation oracle evaluates these.
 
+``support_bound()`` names the highest level a stationary chain started
+empty can reach, or None when every level is reachable. Every strategy
+without a support bound (``AlwaysJoin`` and ``ReverseThreshold(0, theta)``
+with ``theta > 0``) joins with certainty from level 1 on. The balance
+oracle rests on this: from level 2 on, its levels follow one constant 2x2
+step, and it raises ``ConsistencyError`` for an unbounded strategy that
+does not join with certainty at the levels it evaluates.
+
 The descriptor grammar used by the command-line interface and by report
 serialization maps each family to a compact string; ``parse_strategy`` and
 ``format_strategy`` are exact inverses of each other.

@@ -15,6 +15,7 @@ from clearbalk import (
     stationary_distribution,
 )
 from clearbalk.cli import dominant_from_dict, main
+from clearbalk.oracle.verify import verification_from_dict
 from conftest import Ctx, PSTAR
 from clearbalk import RewardCost
 
@@ -106,6 +107,22 @@ def test_equilibrium_json_keeps_integer_bounds(config, capsys):
     out = capsys.readouterr().out
     assert '"n_l": 2,' in out
     assert '"n_u": 3,' in out
+
+
+def test_slow_clearing_equilibrium_json_lists_runs(config, capsys):
+    # 1 - r1 = 1e-4: about 115k reachable levels, reported as a few runs
+    path = config(mu1=1e-4, mu2=3e-4, R=2e4)
+    assert main(["equilibrium", "--config", path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    (item,) = data["equilibria"]
+    assert item["strategy"] == "always-join"
+    wire = item["verification"]
+    assert wire["passed"]
+    assert len(wire["checks"]) <= 4
+    assert wire["checks"][-1]["last_level"] > 1e5
+    report = verification_from_dict(wire)
+    assert report.to_dict() == wire
+    assert verification_from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
 def test_equilibrium_table(config, capsys):

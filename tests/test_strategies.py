@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clearbalk import (
@@ -91,3 +91,17 @@ _strategies = st.one_of(
 @given(_strategies)
 def test_format_parse_round_trip(strategy):
     assert parse_strategy(format_strategy(strategy)) == strategy
+
+
+@given(_strategies)
+@example(AlwaysJoin())
+@example(ReverseThreshold(0, 0.5))
+@example(ReverseThreshold(0, 0.0))
+@example(JoinVector((1.0,)))
+def test_unbounded_strategies_join_from_level_one(strategy):
+    # the balance oracle's constant tail step rests on this invariant
+    if strategy.support_bound() is None:
+        assert isinstance(strategy, (AlwaysJoin, ReverseThreshold))
+        assert all(strategy.join_prob(n) == 1.0 for n in range(1, 200))
+    else:
+        assert strategy.support_bound() >= 0

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from clearbalk import (
@@ -9,12 +10,15 @@ from clearbalk import (
     AlwaysJoin,
     MixedThreshold,
     PureThreshold,
+    ModelParams,
     ReverseThreshold,
     RewardCost,
+    solve_truncated_balance,
+    spectral_quantities,
     validate_params,
     verify_equilibrium,
 )
-from clearbalk.oracle.verify import verification_from_dict
+from clearbalk.oracle.verify import VERIFY_TOLERANCE, verification_from_dict
 from conftest import PB, PSTAR
 
 
@@ -104,3 +108,104 @@ def test_custom_tolerance_loosens_verdict(pstar):
     assert not strict.passed
     loose = verify_equilibrium(pstar.model, pstar.rc, PureThreshold(1), tol=1.0)
     assert loose.passed
+
+
+def _reference_checks(model, rc, strategy, tol, mass_floor):
+    """One check per reachable level, walking pmf(n) up to the truncation level."""
+    p = model.params
+    lam = (p.lambda1, p.lambda2)
+    mean_s = model.mean_clearing
+    solution = solve_truncated_balance(model, strategy)
+    checks = []
+    for n in range(solution.level + 1):
+        m1 = solution.pmf(n, 1)
+        m2 = solution.pmf(n, 2)
+        mass = m1 + m2
+        if mass < mass_floor:
+            continue
+        w1 = lam[0] * m1
+        w2 = lam[1] * m2
+        sojourn = (w1 * mean_s[0] + w2 * mean_s[1]) / (w1 + w2)
+        net = rc.reward - rc.cost * sojourn
+        jp = strategy.join_prob(n)
+        margin = tol - abs(net)
+        if jp >= 1.0:
+            margin = net + tol
+        elif jp <= 0.0:
+            margin = tol - net
+        checks.append((n, mass, margin, margin >= 0.0))
+    return checks
+
+
+def _sojourn(model, solution, n):
+    p = model.params
+    w1, w2 = p.lambda1 * solution.pmf(n, 1), p.lambda2 * solution.pmf(n, 2)
+    return (w1 * model.mean_clearing[0] + w2 * model.mean_clearing[1]) / (w1 + w2)
+
+
+def _reference_cases(count):
+    """Seeded models and strategies for the run-length verifier.
+
+    Always-join with R inside its subcase, and always-join and reverse
+    thresholds at 0 with R between the sojourns at level 2 and at the
+    deepest level up to 60 with mass 1e-8 (so the verdict flips inside the
+    constant-step run),
+    reverse thresholds mixing at level 0 and above it, and clearing slowed
+    down to 1 - r1 = 1e-3.
+    """
+    rng = np.random.default_rng(20261018)
+    cases = []
+    while len(cases) < count:
+        lam1, lam2, q12, q21 = (10.0 ** rng.uniform(-1.0, 1.0, size=4)).tolist()
+        slow = 10.0 ** rng.uniform(-3.0, 0.0) if rng.random() < 0.4 else 1.0
+        mu1, mu2 = (slow * 10.0 ** rng.uniform(-1.0, 1.0, size=2)).tolist()
+        params = ModelParams(lam1, lam2, mu1, mu2, q12, q21)
+        model = validate_params(params, RewardCost(1.0, 1.0))
+        if 1.0 - spectral_quantities(model).r1 < 1e-3:
+            continue
+        kind = len(cases) % 4
+        if kind < 3:
+            strategy = AlwaysJoin() if kind < 2 else ReverseThreshold(0, float(rng.uniform(0.05, 1.0)))
+            solution = solve_truncated_balance(model, strategy)
+            near = _sojourn(model, solution, 2)
+            deep = max(n for n in range(2, min(solution.level, 61))
+                       if solution.pmf(n, 1) + solution.pmf(n, 2) >= 1e-8)
+            far = _sojourn(model, solution, deep)
+            if kind > 0 and abs(far - near) < 1e-6 * near:
+                continue
+        else:
+            strategy = ReverseThreshold(int(rng.integers(1, 4)), float(rng.uniform(0.0, 1.0)))
+            near, far = model.mean_clearing
+        if kind == 0:
+            reward = max(model.mean_clearing) * rng.uniform(1.0, 2.0)
+        else:
+            # mostly near the deep level's sojourn, so the flip lands deep in the run
+            reward = far + (near - far) * rng.uniform() ** 4 - VERIFY_TOLERANCE
+        rc = RewardCost(reward, 1.0)
+        cases.append((validate_params(params, rc), rc, strategy))
+    return cases
+
+
+def test_runs_match_the_reference_walk():
+    slowest, outcomes = 1.0, set()
+    for model, rc, strategy in _reference_cases(200):
+        report = verify_equilibrium(model, rc, strategy)
+        reference = _reference_checks(model, rc, strategy, report.tolerance, report.mass_floor)
+        assert report.passed == all(ok for _, _, _, ok in reference)
+        by_level = {n: (mass, margin, ok) for n, mass, margin, ok in reference}
+        covered = [n for c in report.checks for n in range(c.level, c.last_level + 1)]
+        assert covered == sorted(by_level)
+        failing = {n for c in report.failures() for n in range(c.level, c.last_level + 1)}
+        assert failing == {n for n, (_, _, ok) in by_level.items() if not ok}
+        for c in report.checks:
+            span = [by_level[n] for n in range(c.level, c.last_level + 1)]
+            assert c.margin == pytest.approx(min(m for _, m, _ in span), abs=1e-12)
+            assert c.mass == pytest.approx(sum(m for m, _, _ in span), abs=1e-12)
+            assert all(ok == c.ok for _, _, ok in span)
+        assert len(report.checks) <= len(reference)
+        slowest = min(slowest, 1.0 - spectral_quantities(model).r1)
+        outcomes.add((type(strategy).__name__, report.passed))
+    assert slowest < 2e-3
+    assert outcomes == {(name, passed) for name in ("AlwaysJoin", "ReverseThreshold")
+                        for passed in (True, False)}
+
