@@ -33,16 +33,18 @@ is positive, with ``det T > 0`` and ``tr T > 0``, so both its eigenvalues
 are positive and below 1. Only levels 0 and 1 are solved by the recursion;
 ``p(n)`` comes from ``T^(n-1)`` by repeated squaring, and the tail
 ``p(m) (I - T)^-1`` is evaluated as ``p(m-1) diag(lambda) B^-1``, since
-``(I - T)^-1 = A B^-1``. The automatic truncation level is found by
-bisection over the decreasing tail with the powers ``T^(2^k)``, so no
-level between 2 and ``N`` is visited. Strategies with a support bound
-keep the level recursion up to the bound plus two.
+``(I - T)^-1 = A B^-1``. The automatic truncation level is found by a
+doubling search and a bisection over the decreasing tail, each probe
+reached with the powers ``T^(2^k)``, so no level between 2 and ``N`` is
+walked. Strategies with a support bound keep the level recursion up to
+the bound plus two.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,16 +105,16 @@ class TruncatedSolution:
     ``pmf(n, env)`` is the stationary probability of level ``n`` in
     environment ``env`` for ``n <= level``, where level ``level`` holds the
     whole mass at and above it; ``residual`` is the largest balance-equation
-    violation of the solution, and ``tail_mass`` is the mass at and above
-    the truncation level (exactly 0.0 when the strategy's support ends
-    at or below ``level``).
+    violation of the solution over the levels listed in :func:`_residual`,
+    and ``tail_mass`` is the mass at and above the truncation level
+    (exactly 0.0 when the strategy's support ends at or below ``level``).
 
     Levels below ``run_start`` are stored (``head``, with ``head_tails[m]``
     the mass at and above ``m`` for ``m <= run_start``). From ``run_start``
     to ``level - 1`` each level is the previous one times the constant
     step ``T = powers[0]``, and ``tail_map`` maps a level to the mass
-    above it. ``masses`` is the full ``(level + 1, 2)`` array, built
-    on first use.
+    above it. ``masses`` is the full ``(level + 1, 2)`` array of ``row``,
+    built on first use.
     """
 
     level: int
@@ -160,22 +162,17 @@ class TruncatedSolution:
         return self.tail_row(m)[_env_index(env)]
 
     def total_mass(self) -> float:
-        return sum(self.head_tails[0])
+        """Sum of the stored levels and the tail after them: 1 up to rounding."""
+        return sum(map(sum, self.head)) + sum(self.tail_row(self.run_start))
 
     @functools.cached_property
     def masses(self) -> np.ndarray:
-        """``masses[n, e]`` is ``pmf(n, e + 1)`` for ``n <= level``, to rounding.
+        """``masses[n, e]`` is ``pmf(n, e + 1)`` for ``n <= level``.
 
-        The run is walked level by level here, in time and memory linear
-        in ``level``; ``pmf`` and ``tail`` need neither.
+        Time and memory are linear in ``level``; ``pmf`` and ``tail`` need
+        neither.
         """
-        rows = list(self.head)
-        if self.run_start < self.level:
-            step = self.powers[0]
-            for _ in range(self.run_start, self.level):
-                rows.append(_vecmat(rows[-1], step))
-        rows.append(self.top)
-        return np.array(rows)
+        return np.array([self.row(n) for n in range(self.level + 1)])
 
 
 def _env_index(env: int) -> int:
@@ -206,10 +203,12 @@ def _walk(model: ValidatedModel, strategy: Strategy, inv_b: Mat,
 def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution) -> float:
     """Largest |inflow - outflow| of ``sol`` on the truncated chain.
 
-    Level 0 and every stored level are evaluated, and so are the last two
-    levels. The levels of the constant-step run share one equation,
-    ``p(n) A = p(n-1) diag(lambda)``, evaluated at the run's first and last
-    levels.
+    Evaluated at level 0, every stored level, the last two levels and the
+    run levels ``1 + 2^k``. The levels of the constant-step run share one
+    equation, ``p(n) A = p(n-1) diag(lambda)``, but each level comes from
+    its own product of the powers ``T^(2^b)``; at ``n = 1 + 2^k`` one
+    squared power meets the product of all the smaller ones, which exposes
+    the drift of the squaring at every scale of ``n``.
     """
     p = model.params
     lam, mu, q = (p.lambda1, p.lambda2), (p.mu1, p.mu2), (p.q12, p.q21)
@@ -221,7 +220,8 @@ def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution)
     p0, inflow = sol.row(0), sol.tail_row(1)
     worst = max(abs(p0[e] * (lam[e] * join(0) + q[e]) - p0[1 - e] * q[1 - e]
                     - mu[e] * inflow[e]) for e in (0, 1))
-    levels = set(range(1, min(sol.run_start, top) + 1)) | {top - 1, top}
+    levels = (set(range(1, min(sol.run_start, top) + 1)) | {top - 1, top}
+              | {1 + (1 << k) for k in range(top.bit_length()) if 1 + (1 << k) < top})
     for n in levels - {-1, 0}:
         prev, cur, j_prev, j = sol.row(n - 1), sol.row(n), join(n - 1), join(n)
         worst = max(worst, *(abs(cur[e] * (lam[e] * j + mu[e] + q[e]) - cur[1 - e] * q[1 - e]
@@ -230,7 +230,13 @@ def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution)
 
 
 def _require_certain_join(strategy: Strategy, n: int) -> None:
-    """Guard the invariant the constant tail step rests on, at level ``n``."""
+    """Spot-check the invariant the constant tail step rests on, at level ``n``.
+
+    Every family in :mod:`clearbalk.strategies` without a support bound
+    joins with certainty from level 1 on (a test pins this), so the guard
+    can only fire for a strategy from outside them; it probes levels 1 and
+    ``N - 1``, not every level between.
+    """
     j = strategy.join_prob(n)
     if j != 1.0:
         raise ConsistencyError(
@@ -273,14 +279,21 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
         tail_map = (lam1 * inv_b[0], lam1 * inv_b[1], lam2 * inv_b[2], lam2 * inv_b[3])
         n = level
         if n is None:
-            below = [m for m, t in enumerate(tails) if sum(t) < TAIL_TARGET]
-            n = below[0] if below else _truncation_level(head[1], powers, tail_map)
+            def tail(m: int) -> float:
+                # p(m - 1) diag(lambda) B^-1, with p(m - 1) = p(1) T^(m - 2)
+                if m < len(tails):
+                    return sum(tails[m])
+                return sum(_vecmat(_advance(head[1], powers, m - 2), tail_map))
+
+            hi = 1
+            while hi < LEVEL_LIMIT and tail(hi) >= TAIL_TARGET:
+                hi = min(2 * hi, LEVEL_LIMIT)
+            n = bisect_first(lambda m: tail(m) < TAIL_TARGET, hi // 2, hi + 1)
             if n > LEVEL_LIMIT:
-                left = sum(_vecmat(_advance(head[1], powers, LEVEL_LIMIT - 2), tail_map))
                 raise ConsistencyError(
                     f"clearing is too slow to truncate: at level {LEVEL_LIMIT} the mass "
-                    f"{left!r} is still left at and above it, over the tail target "
-                    f"{TAIL_TARGET!r}")
+                    f"{tail(LEVEL_LIMIT)!r} is still left at and above it, over the tail "
+                    f"target {TAIL_TARGET!r}")
         head, tails = head[:n], tails[:n + 1]
         _require_certain_join(strategy, max(n - 1, 1))
     if len(head) < n:
@@ -296,22 +309,12 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
     return dataclasses.replace(sol, residual=_residual(model, strategy, sol))
 
 
-def _truncation_level(p1: Vec, powers: tuple[Mat, ...], tail_map: Mat) -> int:
-    """First level ``N >= 3`` whose tail ``p(N-1) tail_map`` is below ``TAIL_TARGET``.
-
-    ``p(k) = p1 T^(k-1)``, with ``tail(2) >= TAIL_TARGET``. The tail decreases
-    in ``k``, so the largest ``k`` with ``tail(k+1) >= TAIL_TARGET`` is found
-    bit by bit from the top; the search stops squaring past ``LEVEL_LIMIT``.
-    """
-    def above(v: Vec) -> bool:
-        return sum(_vecmat(v, tail_map)) >= TAIL_TARGET
-
-    b = 0
-    while (1 << b) < LEVEL_LIMIT and above(_advance(p1, powers, 1 << b)):
-        b += 1
-    k, v = 1, p1
-    for bit in reversed(range(b + 1)):
-        candidate = _advance(v, powers, 1 << bit)
-        if above(candidate):
-            k, v = k + (1 << bit), candidate
-    return k + 2
+def bisect_first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest ``n`` in ``[lo, hi)`` with ``pred(n)``, else ``hi``; ``pred`` turns true once."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

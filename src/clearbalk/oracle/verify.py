@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from ..codec import Wire, decode
 from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
-from .balance import solve_truncated_balance
+from .balance import bisect_first, solve_truncated_balance
 
 #: Sign tolerance for the best-response inequalities.
 VERIFY_TOLERANCE = 1e-8
@@ -117,12 +117,12 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
     checks = [check(n) for n in range(solution.run_start) if mass(n) >= mass_floor]
     first, last = solution.run_start, solution.level - 1
     if first <= last:
-        peak = _first(lambda n: mass(n + 1) < mass(n), first, last)
+        peak = bisect_first(lambda n: mass(n + 1) < mass(n), first, last)
         if mass(peak) >= mass_floor:
-            lo = _first(lambda n: mass(n) >= mass_floor, first, peak)
-            hi = _first(lambda n: mass(n) < mass_floor, peak, last + 1) - 1
+            lo = bisect_first(lambda n: mass(n) >= mass_floor, first, peak)
+            hi = bisect_first(lambda n: mass(n) < mass_floor, peak, last + 1) - 1
             ok = check(lo).ok
-            cut = _first(lambda n: check(n).ok != ok, lo, hi + 1)
+            cut = bisect_first(lambda n: check(n).ok != ok, lo, hi + 1)
             checks.append(stretch(lo, cut - 1))
             if cut <= hi:
                 checks.append(stretch(cut, hi))
@@ -137,13 +137,3 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
         mass_floor=mass_floor,
     )
 
-
-def _first(pred, lo: int, hi: int) -> int:
-    """Smallest ``n`` in ``[lo, hi)`` with ``pred(n)``, else ``hi``; ``pred`` turns true once."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

@@ -172,6 +172,9 @@ def test_wide_rate_stress_against_closed_form():
                     for n in range(top + 1) for env in (1, 2))
         assert worst < 1e-10, (rates, strategy)
         assert sol.total_mass() == pytest.approx(1.0, abs=1e-9)
+        if sol.level <= 20_000:
+            # the rows themselves, every one of them, must carry the whole mass
+            assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9), (rates, strategy)
         assert sol.residual < 1e-12 * max(rates)
         slowest = min(slowest, 1.0 - spec.r1)
         checked += 1
