@@ -320,10 +320,12 @@ def cmd_benefit(args) -> int:
 def cmd_simulate(args) -> int:
     model, rc = _load_config(args.config)
     strategy = parse_strategy(args.strategy)
-    if args.horizon <= 0:
-        raise _InputError(f"--horizon must be positive, got {args.horizon}")
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise _InputError(f"--horizon must be positive and finite, got {args.horizon}")
     if args.replications < 1:
         raise _InputError(f"--replications must be >= 1, got {args.replications}")
+    if args.seed < 0:
+        raise _InputError(f"--seed must be nonnegative, got {args.seed}")
     estimates = simulate(model, rc, strategy, horizon=args.horizon,
                          seed=args.seed, replications=args.replications)
     fmt = _format_or_default(args, "json")

@@ -1,16 +1,42 @@
-"""Event-driven simulation of the level/environment chain.
+"""Block-sampled simulation of the level/environment chain.
 
-Each replication runs an exponential race among arrival, clearing, and
-environment switch, with the arriving customer joining according to the
-strategy's probability at the observed level. Clearings remove every
-present customer at once, which is what makes a joiner's realized
-sojourn simply the time to the next clearing. Statistics are collected
-after a warm-up fraction of the horizon and merged across replications
-in index order, so identical inputs give bit-identical estimates.
+The chain's event rates depend on the environment only: a customer who
+balks is still an arrival event. So the path of (time, environment, event
+type) does not depend on the strategy and is drawn in numpy blocks:
+
+* each environment visit holds a geometric number of events, with success
+  probability q_e/(lambda_e+mu_e+q_e); its last event is the switch;
+* every other event is an arrival with probability
+  lambda_e/(lambda_e+mu_e) and a clearing otherwise;
+* the gaps between events are Exp(lambda_e+mu_e+q_e).
+
+This is the exponential race among arrival, clearing and switch, with the
+draws reordered. Each event also carries a uniform: an arrival that sees
+level n joins when its uniform is below the strategy's joining
+probability at n.
+
+The level pass is the only sequential step. Clearings remove every
+present customer at once, so they cut the arrivals into segments that
+start empty, and the pass loops over levels instead of events: at level
+n, every open segment joins at its first later arrival whose uniform is
+below p(n). A level with p = 0 absorbs. A run of levels with p = 1 is
+climbed in one step: a pure threshold n0 gives min(arrivals since the
+clearing, n0), and an unbounded strategy, which joins with certainty
+from level 1 on (see ``strategies``), takes every later arrival.
+
+Occupancy times, Palm counts of arrivals and each joiner's sojourn, which
+is simply the time to the next clearing, are summed with ``np.bincount``.
+The path is processed in blocks of at most ``_BLOCK`` events. The time,
+the level and the joiners of the open segment carry across a block
+boundary, so memory does not grow with the horizon. Statistics are
+collected after a warm-up fraction of the horizon and merged across
+replications in index order, so identical inputs give bit-identical
+estimates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +46,9 @@ from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
 
 _BLOCK = 1 << 15
+
+#: Event types of a path.
+ARRIVAL, CLEARING, SWITCH = 0, 1, 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,105 +95,201 @@ class SimEstimates(Wire):
         return float(self.masses_se[n, env - 1])
 
 
+def _path_blocks(model: ValidatedModel, rng: np.random.Generator, horizon: float):
+    """Yield the event path in blocks of (times, envs, kinds, unis) arrays.
+
+    ``envs[i]`` is the environment (0 or 1) in which event i happens,
+    ``kinds[i]`` its type and ``unis[i]`` its joining uniform. Blocks are
+    sized to the expected number of events left before ``horizon`` and
+    never exceed ``_BLOCK``; the generator runs until the caller stops.
+    """
+    p = model.params
+    lam = np.array([p.lambda1, p.lambda2])
+    mu = np.array([p.mu1, p.mu2])
+    q = np.array([p.q12, p.q21])
+    total = lam + mu + q
+    ends_visit = q / total
+    arrives = lam / (lam + mu)
+    rate = float(q[::-1] @ total) / float(q.sum())   # long-run events per unit time
+    per_two_visits = float((1.0 / ends_visit).sum())
+    t, env, left = 0.0, 0, 0   # left: events still due in the current visit
+    while True:
+        expected = rate * max(horizon - t, 0.0)
+        size = min(_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        parts = [np.array([left])] if left else []
+        visits, drawn = len(parts), left
+        while drawn < size:
+            batch = 2 + 2 * int((size - drawn) / per_two_visits)
+            runs = rng.geometric(ends_visit[(env + visits + np.arange(batch)) % 2])
+            parts.append(runs)
+            visits += batch
+            drawn += int(runs.sum())
+        runs = np.concatenate(parts)
+        closes = np.cumsum(runs)
+        last = int(np.searchsorted(closes, size))   # the visit holding the last event
+        left = int(closes[last]) - size
+        runs = runs[:last + 1]
+        runs[last] -= left
+        envs = np.repeat((env + np.arange(last + 1)) % 2, runs)
+        kinds = (rng.random(size) >= arrives.take(envs)).view(np.int8)   # ARRIVAL or CLEARING
+        kinds[closes[:last + (left == 0)] - 1] = SWITCH
+        gaps = rng.standard_exponential(size) / total.take(envs)
+        gaps[0] += t
+        times = np.cumsum(gaps)
+        unis = rng.random(size)
+        yield times, envs, kinds, unis
+        t = float(times[-1])
+        env = (env + last + (left == 0)) % 2
+
+
+class _Tally:
+    """Level pass and statistics of one replication, fed its path in order.
+
+    Blocks may be cut anywhere: the time and level after the last event
+    and the joiners of the open segment carry over. Statistics are kept
+    per (level row, environment) cell, ``2 * row + env``.
+    """
+
+    def __init__(self, strategy: Strategy, horizon: float, warm: float,
+                 track_levels: int):
+        self.join_prob = strategy.join_prob
+        self.bounded = strategy.support_bound() is not None
+        self.horizon = horizon
+        self.warm = warm
+        self.lump = track_levels + 1
+        cells = 2 * (self.lump + 1)
+        self.occ = np.zeros(cells)
+        self.palm = np.zeros(cells)
+        self.soj_sum = np.zeros(cells)
+        self.soj_cnt = np.zeros(cells)
+        self.t = 0.0
+        self.level = 0
+        self.events = 0
+        # joiners of the open segment after the warm-up: join times, cells
+        self.pending = (np.empty(0), np.empty(0, dtype=np.int64))
+
+    def _certain_until(self, ell: int) -> int | None:
+        """First level above ``ell`` that may balk, given p(ell) = 1; None if none."""
+        if not self.bounded:
+            return None   # an unbounded strategy that joins at some level joins at all above
+        while self.join_prob(ell) >= 1.0:
+            ell += 1
+        return ell
+
+    def _joins(self, unis: np.ndarray, starts: np.ndarray):
+        """Which arrivals join, and the level of each segment at its end.
+
+        Segment s holds the arrivals from ``starts[s]`` up to
+        ``starts[s+1]``. The first segment continues at the carried level;
+        the others start empty, so they climb the levels in step. A run of
+        levels with p = 1 is climbed in one step, as a range of joins.
+        """
+        n = len(unis)
+        ends = np.append(starts[1:], n)
+        pos = starts.copy()
+        top = np.zeros(len(starts), dtype=np.int64)
+        top[0] = self.level
+        cover = np.zeros(n + 1, dtype=np.int64)   # +1 where a range of joins starts, -1 after
+        live = np.flatnonzero(pos < ends)
+        ell = 0
+        while live.size:
+            prob = self.join_prob(ell)
+            if prob <= 0.0:
+                break
+            if prob >= 1.0:
+                stop = self._certain_until(ell)
+                take = ends[live] - pos[live]
+                if stop is not None:
+                    take = np.minimum(take, np.maximum(stop - top[live], 0))
+                seg, take = live[take > 0], take[take > 0]
+                first = pos[seg]
+            else:
+                stop = ell + 1
+                at = live[top[live] == ell]
+                hits = np.flatnonzero(unis < prob)
+                found = np.append(hits, n)[np.searchsorted(hits, pos[at])]
+                ok = found < ends[at]
+                pos[at[~ok]] = ends[at[~ok]]   # a miss ends the climb
+                seg, first, take = at[ok], found[ok], 1
+            cover[first] += 1
+            cover[first + take] -= 1
+            top[seg] += take
+            pos[seg] = first + take
+            if stop is None:
+                break
+            live = live[pos[live] < ends[live]]
+            ell = stop
+        return np.cumsum(cover[:n]) > 0, top
+
+    def feed(self, times: np.ndarray, envs: np.ndarray, kinds: np.ndarray,
+             unis: np.ndarray) -> bool:
+        """Apply one block of events; True once an event reaches the horizon."""
+        horizon, warm, lump = self.horizon, self.warm, self.lump
+        k = int(np.searchsorted(times, horizon))   # events before the horizon
+        done = k < len(times)
+        span = k + done   # intervals, the one the horizon cuts included
+        kinds = kinds[:k]
+        arr = np.flatnonzero(kinds == ARRIVAL)
+        clr = np.flatnonzero(kinds == CLEARING)
+        joined, top = self._joins(unis[arr], np.append(0, np.searchsorted(arr, clr)))
+        joins = arr[joined]
+
+        # level before each event: +1 at a join, back to 0 after a clearing
+        steps = np.zeros(k + 1, dtype=np.int64)
+        steps[0] = self.level
+        steps[joins + 1] = 1
+        steps[clr + 1] = -top[:-1]
+        levels = np.cumsum(steps)
+        cells = 2 * np.minimum(levels[:span], lump) + envs[:span]
+        edges = np.clip(np.concatenate(([self.t], times[:span])), warm, horizon)
+        self.occ += np.bincount(cells, weights=np.diff(edges), minlength=len(self.occ))
+
+        first = np.searchsorted(times, warm)   # first event after the warm-up
+        seen = arr[np.searchsorted(arr, first):]
+        self.palm += np.bincount(cells[seen], minlength=len(self.palm))
+
+        # each joiner leaves at the first clearing after it; the pending
+        # ones, at index -1, leave at this block's first clearing
+        joins = joins[np.searchsorted(joins, first):]
+        index = np.concatenate((np.full(len(self.pending[0]), -1), joins))
+        tau = np.concatenate((self.pending[0], times[joins]))
+        cell = np.concatenate((self.pending[1], cells[joins]))
+        m = int(np.searchsorted(index, clr[-1])) if len(clr) else 0
+        sojourn = times[clr[np.searchsorted(clr, index[:m])]] - tau[:m]
+        self.soj_sum += np.bincount(cell[:m], weights=sojourn, minlength=len(self.soj_sum))
+        self.soj_cnt += np.bincount(cell[:m], minlength=len(self.soj_cnt))
+        self.pending = (tau[m:], cell[m:])
+
+        self.events += k
+        if k:
+            self.t = float(times[k - 1])
+        self.level = int(top[-1])
+        return done
+
+    def estimates(self):
+        """Masses, Palm frequencies, sojourns by level and by environment, events."""
+        occ = self.occ.reshape(-1, 2)
+        palm = self.palm.reshape(-1, 2)
+        soj_sum = self.soj_sum.reshape(-1, 2)
+        soj_cnt = self.soj_cnt.reshape(-1, 2)
+        return (occ / occ.sum(), _ratio(palm, palm.sum(axis=1, keepdims=True)),
+                _ratio(soj_sum.sum(axis=1), soj_cnt.sum(axis=1)),
+                _ratio(soj_sum.sum(axis=0), soj_cnt.sum(axis=0)), self.events)
+
+
+def _ratio(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """total / count, NaN where nothing was counted."""
+    return np.where(count > 0.0, total / np.maximum(count, 1.0), np.nan)
+
+
 def _run_replication(model: ValidatedModel, strategy: Strategy, horizon: float,
                      rng: np.random.Generator, warm_fraction: float,
                      track_levels: int):
-    p = model.params
-    lam = (p.lambda1, p.lambda2)
-    mu = (p.mu1, p.mu2)
-    switch = (p.q12, p.q21)
-    totals = (lam[0] + mu[0] + switch[0], lam[1] + mu[1] + switch[1])
-    inv_totals = (1.0 / totals[0], 1.0 / totals[1])
-
-    lump = track_levels + 1
-    occ = np.zeros((lump + 1, 2))
-    palm = np.zeros((lump + 1, 2))
-    soj_sum_level = np.zeros(lump + 1)
-    soj_cnt_level = np.zeros(lump + 1)
-    soj_sum_env = np.zeros(2)
-    soj_cnt_env = np.zeros(2)
-
-    join_prob = strategy.join_prob
-    warm = warm_fraction * horizon
-    t = 0.0
-    level = 0
-    env = 0
-    events = 0
-    # joiners pending the next clearing: (join time, observed row, env)
-    pending: list[tuple[float, int, int]] = []
-
-    exps: list[float] = []
-    unis: list[float] = []
-    ie = len(exps)
-    iu = len(unis)
-    lam_e, mu_e, tot_e, inv_e = lam[0], mu[0], totals[0], inv_totals[0]
-
-    while True:
-        if ie == len(exps):
-            exps = rng.exponential(size=_BLOCK).tolist()
-            ie = 0
-        dt = exps[ie] * inv_e
-        ie += 1
-        t_next = t + dt
-        start = t if t > warm else warm
-        if t_next >= horizon:
-            if horizon > start:
-                occ[level if level <= track_levels else lump, env] += horizon - start
+    tally = _Tally(strategy, horizon, warm_fraction * horizon, track_levels)
+    for block in _path_blocks(model, rng, horizon):
+        if tally.feed(*block):
             break
-        if t_next > start:
-            occ[level if level <= track_levels else lump, env] += t_next - start
-        t = t_next
-        events += 1
-
-        if iu == len(unis):
-            unis = rng.random(size=_BLOCK).tolist()
-            iu = 0
-        u = unis[iu] * tot_e
-        iu += 1
-
-        if u < lam_e:
-            row = level if level <= track_levels else lump
-            if t >= warm:
-                palm[row, env] += 1.0
-            jp = join_prob(level)
-            if jp >= 1.0:
-                joined = True
-            elif jp <= 0.0:
-                joined = False
-            else:
-                if iu == len(unis):
-                    unis = rng.random(size=_BLOCK).tolist()
-                    iu = 0
-                joined = unis[iu] < jp
-                iu += 1
-            if joined:
-                pending.append((t, row, env))
-                level += 1
-        elif u < lam_e + mu_e:
-            if level:
-                for tau, row, e0 in pending:
-                    if tau >= warm:
-                        s = t - tau
-                        soj_sum_level[row] += s
-                        soj_cnt_level[row] += 1.0
-                        soj_sum_env[e0] += s
-                        soj_cnt_env[e0] += 1.0
-                pending.clear()
-                level = 0
-        else:
-            env = 1 - env
-            lam_e, mu_e, tot_e, inv_e = lam[env], mu[env], totals[env], inv_totals[env]
-
-    measured = occ.sum()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        masses = occ / measured
-        palm_rows = palm.sum(axis=1, keepdims=True)
-        palm_freq = np.where(palm_rows > 0.0, palm / np.maximum(palm_rows, 1.0), np.nan)
-        soj_level = np.where(soj_cnt_level > 0.0,
-                             soj_sum_level / np.maximum(soj_cnt_level, 1.0), np.nan)
-        soj_env = np.where(soj_cnt_env > 0.0,
-                           soj_sum_env / np.maximum(soj_cnt_env, 1.0), np.nan)
-    return masses, palm_freq, soj_level, soj_env, events
+    return tally.estimates()
 
 
 def _merge(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +316,12 @@ def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
     because each replication owns a stream spawned from the master seed
     and the merge folds replications in index order.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    if not isinstance(track_levels, (int, np.integer)) or track_levels < 0:
+        raise ValueError(f"track_levels must be a nonnegative integer, got {track_levels!r}")
     if replications < 1:
         raise ValueError("replications must be at least 1")
     if not 0.0 <= warm_fraction < 1.0:

@@ -248,6 +248,19 @@ def test_simulate_csv_rejected(config, capsys):
     assert "csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--horizon", "nan"), ("--horizon", "inf"),
+    ("--horizon", "0"), ("--seed", "-1"), ("--replications", "0"),
+])
+def test_simulate_rejects_bad_arguments(config, capsys, flag, value):
+    argv = ["simulate", "--config", config(), "--strategy", "always-join",
+            "--horizon", "100", "--replications", "2"]
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
 def test_analyze_csv_rejected(config, capsys):
     assert main(["analyze", "--config", config(), "--info-level", "fu",
                  "--format", "csv"]) == 2
