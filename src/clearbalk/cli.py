@@ -9,7 +9,8 @@ benefit per observed level), ``simulate`` (discrete-event estimates),
 All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
 use exit codes 0 (success), 2 (input error), 3 (internal consistency
-failure).
+failure, or any other package error, such as an equilibrium bound past
+the search cap; the one-line message names the error class).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .dominant import (
 )
 from .equilibrium import SIGN_TOLERANCE, EquilibriumReport, compute_equilibria
 from .errors import (
+    ClearbalkError,
     ConsistencyError,
     NonPositiveRate,
     NonPositiveRewardCost,
@@ -127,8 +129,15 @@ def _parse_span(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _format_or_default(args, default: str) -> str:
-    return args.format if args.format else default
+def _tolerance(text: str) -> float:
+    """``--tolerance``: a finite float >= 0; argparse names the flag on rejection."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:   # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def _decision_text(join: float | None) -> str:
@@ -191,6 +200,13 @@ def _equilibrium_table(report: EquilibriumReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_report(args, report, table, what: str) -> None:
+    """A report as a table (the default) or as JSON; CSV is refused."""
+    if args.format == "csv":
+        raise _InputError(f"format csv is not supported for {what} reports")
+    _emit(_json_text(report.to_dict()) if args.format == "json" else table(report), args.out)
+
+
 def _run_equilibrium(args) -> int:
     model, rc = _load_config(args.config)
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
@@ -198,13 +214,7 @@ def _run_equilibrium(args) -> int:
     coef = benefit_coefficients(model, spec, rc)
     report = compute_equilibria(model, spec, coef, rc, verify=True,
                                 tolerance=tolerance)
-    fmt = _format_or_default(args, "table")
-    if fmt == "json":
-        _emit(_json_text(report.to_dict()), args.out)
-    elif fmt == "table":
-        _emit(_equilibrium_table(report), args.out)
-    else:
-        raise _InputError("format csv is not supported for equilibrium reports")
+    _emit_report(args, report, _equilibrium_table, "equilibrium")
     failed = [item for item in report.equilibria
               if item.verification is not None and not item.verification.passed]
     if failed:
@@ -226,18 +236,8 @@ def cmd_analyze(args) -> int:
         "fo": dominant_fully_observable,
     }[args.info_level]
     report = runner(model, rc, tolerance)
-    fmt = _format_or_default(args, "table")
-    if fmt == "json":
-        _emit(_json_text(report.to_dict()), args.out)
-    elif fmt == "table":
-        _emit(_dominant_table(report), args.out)
-    else:
-        raise _InputError("format csv is not supported for analyze reports")
+    _emit_report(args, report, _dominant_table, "analyze")
     return 0
-
-
-def cmd_equilibrium(args) -> int:
-    return _run_equilibrium(args)
 
 
 def _stationary_rows(model, strategy: Strategy, max_n: int):
@@ -256,7 +256,7 @@ def cmd_stationary(args) -> int:
     if args.max_n < 0:
         raise _InputError(f"--max-n must be nonnegative, got {args.max_n}")
     rows, tail = _stationary_rows(model, strategy, args.max_n)
-    fmt = _format_or_default(args, "table")
+    fmt = args.format or "table"
     if fmt == "json":
         payload = {
             "strategy": format_strategy(strategy),
@@ -294,7 +294,7 @@ def cmd_benefit(args) -> int:
             rows.append((n, None, None, None))
             unreachable.append(n)
 
-    fmt = _format_or_default(args, "table")
+    fmt = args.format or "table"
     if fmt == "json":
         payload = {
             "strategy": format_strategy(strategy),
@@ -328,7 +328,7 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"--seed must be nonnegative, got {args.seed}")
     estimates = simulate(model, rc, strategy, horizon=args.horizon,
                          seed=args.seed, replications=args.replications)
-    fmt = _format_or_default(args, "json")
+    fmt = args.format or "json"
     if fmt == "json":
         _emit(_json_text(estimates.to_dict()), args.out)
         return 0
@@ -404,7 +404,7 @@ def cmd_sweep(args) -> int:
     rows = [_sweep_row(model.params, rc, args.param, args.start + i * step, tolerance)
             for i in range(args.steps)]
 
-    fmt = _format_or_default(args, "csv")
+    fmt = args.format or "csv"
     if fmt == "json":
         _emit(_json_text(rows), args.out)
         return 0
@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["table", "json", "csv"],
                         help="output format (default depends on the subcommand)")
     tolerant = argparse.ArgumentParser(add_help=False)
-    tolerant.add_argument("--tolerance", type=float,
+    tolerant.add_argument("--tolerance", type=_tolerance,
                           help="override the sign-test tolerance")
 
     parser = argparse.ArgumentParser(
@@ -448,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", parents=[common, tolerant],
                        help="alias for analyze --info-level ao")
-    p.set_defaults(func=cmd_equilibrium)
+    p.set_defaults(func=_run_equilibrium)
 
     p = sub.add_parser("stationary", parents=[common],
                        help="stationary distribution under a strategy")
@@ -485,14 +485,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonPositiveRate, NonPositiveRewardCost, StrategyParseError) as exc:
+    except (_InputError, NonPositiveRate, NonPositiveRewardCost, StrategyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
+        return 3
+    except ClearbalkError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

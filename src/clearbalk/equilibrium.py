@@ -22,11 +22,13 @@ from a handful of integer bounds:
 Sign tests run on F values normalized by G(n, 1) with an absolute band;
 band hits follow the weak/strict-inequality conventions of the exact
 theory and set a knife-edge flag, since the classification is then
-tolerance-dependent.
+tolerance-dependent. Each banded sign flips at most once along n, so the
+bounds are found by bisection (see ``threshold_bounds``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
@@ -39,6 +41,7 @@ from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, congestion_c
 # verify_equilibrium is looked up on its module at call time, where
 # perfbench's tracer wraps it
 from .oracle import verify as oracle_verify
+from .oracle.balance import bisect_first, search_first
 from .oracle.verify import VerificationReport
 from .spectral import SpectralData
 from .strategies import (
@@ -53,7 +56,7 @@ from .strategies import (
 #: Absolute band for sign tests on G(n,1)-normalized F values.
 SIGN_TOLERANCE = 1e-9
 
-#: Iteration cap for the ascending threshold scan.
+#: Highest level the search for the upper bound n_u probes.
 SCAN_LIMIT = 10 ** 6
 
 
@@ -116,18 +119,21 @@ class _SignTester:
 
 
 def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
-                     tolerance: float = SIGN_TOLERANCE,
-                     scan_limit: int = SCAN_LIMIT) -> ThresholdBounds:
+                     tolerance: float = SIGN_TOLERANCE) -> ThresholdBounds:
     """Classify the subcase and compute the equilibrium bounds.
 
     The subcase follows from the signs of the benefit at an empty system
-    and of its analytic large-n limit; only subcase II requires a scan.
-    The ascending scan for the upper bound is capped at ``scan_limit``,
-    which is unreachable for well-posed inputs because the limit test has
-    already excluded the divergent direction.
+    and of its analytic large-n limit; only subcase II needs a search.
+    F(n, theta)/G(n, 1) is a Moebius function of s = (r2/r1)**n, and s
+    falls with n, so each banded sign flips at most once: n_u (the first
+    n with ``sign(n, 1) < 0``) is found by doubling and bisection, n_l
+    (the first n with ``sign(n, 0) <= 0``) by bisection below n_u. Band
+    hits lie next to n_l or n_u, where the strict bounds test again, so
+    the knife-edge flag does not depend on the levels probed.
 
     Raises:
-        ScanLimitExceeded: If the ascending scan passes the cap.
+        ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT``, which the limit
+            test rules out for consistent coefficients.
     """
     tester = _SignTester(coef, tolerance)
     # the reverse orientation is the threshold one with F negated
@@ -148,15 +154,11 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
         return bounds(Subcase.I, 0, 0, 0, 0)
     if sign_limit >= 0:
         return bounds(Subcase.III, math.inf, math.inf, math.inf, math.inf)
-    n_u = 0
-    while sign(n_u, 1.0) >= 0:
-        n_u += 1
-        if n_u > scan_limit:
-            raise ScanLimitExceeded(
-                f"upper-{orientation.value} scan passed {scan_limit}")
-    n_l = n_u
-    while n_l >= 1 and sign(n_l - 1, 0.0) <= 0:
-        n_l -= 1
+    n_u = search_first(lambda n: sign(n, 1.0) < 0, SCAN_LIMIT)
+    if n_u > SCAN_LIMIT:
+        raise ScanLimitExceeded(
+            f"upper-{orientation.value} bound lies above the search cap {SCAN_LIMIT}")
+    n_l = bisect_first(lambda n: sign(n, 0.0) <= 0, 0, n_u)
     n_l_plus = n_l if sign(n_l, 0.0) < 0 else n_l + 1
     n_u_minus = n_u if sign(n_u - 1, 1.0) > 0 else n_u - 1
     return bounds(Subcase.II, n_l, n_u, n_l_plus, n_u_minus)
@@ -223,36 +225,33 @@ report_from_dict = functools.partial(decode, EquilibriumReport)
 def compute_equilibria(model: ValidatedModel, spec: SpectralData,
                        coef: BenefitCoefficients, rc: RewardCost,
                        verify: bool = True,
-                       tolerance: float = SIGN_TOLERANCE,
-                       scan_limit: int = SCAN_LIMIT,
-                       verify_tolerance: float = 1e-8) -> EquilibriumReport:
+                       tolerance: float = SIGN_TOLERANCE) -> EquilibriumReport:
     """Compute the complete equilibrium set with optional oracle checks.
 
     Congestion case A emits the contiguous pure-threshold range plus every
     admissible mixed threshold; case B emits its single reverse-threshold
     equilibrium; case C picks always-balk, always-join, or the
     all-strategies family by the sign of the constant benefit. In case A
-    subcase II the highest pure threshold is also the socially optimal
-    strategy (joining imposes no externality on others, and among
-    equilibria the widest joining range maximizes realized reward);
-    elsewhere the equilibrium outcome is itself socially optimal, reported
-    by the coincidence flag.
+    subcase II the highest pure threshold is reported as the socially
+    optimal strategy (joining imposes no externality on others, and among
+    equilibria the widest joining range maximizes realized reward).
+    Everywhere else ``social_coincides`` is set without computing an
+    optimum: it is asserted, not checked, and in case B subcase II it can
+    be wrong.
 
     When ``verify`` is set, every concrete equilibrium is checked by the
     balance-oracle best-response verifier and the per-strategy report is
     attached.
     """
     case = congestion_case(model)
-    tester = _SignTester(coef, tolerance)
 
     items: list[EquilibriumItem] = []
     bounds: ThresholdBounds | None = None
     social: Strategy | None = None
-    coincides = True
     root_knife = False
 
     if case.kind is CaseKind.CASE_A:
-        bounds = threshold_bounds(coef, Orientation.THRESHOLD, tolerance, scan_limit)
+        bounds = threshold_bounds(coef, Orientation.THRESHOLD, tolerance)
         if bounds.subcase is Subcase.I:
             items.append(EquilibriumItem(AlwaysBalk(), "pure"))
         elif bounds.subcase is Subcase.III:
@@ -270,33 +269,28 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
                     continue
                 items.append(EquilibriumItem(MixedThreshold(n0, theta), "mixed"))
             social = PureThreshold(int(bounds.n_u))
-            coincides = False
-        subcase = bounds.subcase
-        knife = bounds.knife_edge or root_knife
     elif case.kind is CaseKind.CASE_B:
-        bounds = threshold_bounds(coef, Orientation.REVERSE, tolerance, scan_limit)
+        bounds = threshold_bounds(coef, Orientation.REVERSE, tolerance)
         if bounds.subcase is Subcase.I:
             items.append(EquilibriumItem(AlwaysJoin(), "reverse"))
         elif bounds.subcase is Subcase.III:
             items.append(EquilibriumItem(AlwaysBalk(), "reverse"))
+        elif bounds.n_u_minus == 0:
+            items.append(EquilibriumItem(AlwaysJoin(), "reverse"))
+        elif bounds.n_l_plus >= 1:
+            items.append(EquilibriumItem(AlwaysBalk(), "reverse"))
         else:
-            if bounds.n_u_minus == 0:
-                items.append(EquilibriumItem(AlwaysJoin(), "reverse"))
-            elif bounds.n_l_plus >= 1:
-                items.append(EquilibriumItem(AlwaysBalk(), "reverse"))
-            else:
-                try:
-                    theta = mixing_probability(coef, 0)
-                    items.append(EquilibriumItem(ReverseThreshold(0, theta), "reverse"))
-                except NoInteriorRoot:
-                    # root rounded onto an endpoint: report the nearer pure
-                    root_knife = True
-                    join_side = abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0))
-                    edge = AlwaysJoin() if join_side else AlwaysBalk()
-                    items.append(EquilibriumItem(edge, "reverse"))
-        subcase = bounds.subcase
-        knife = bounds.knife_edge or root_knife
+            try:
+                theta = mixing_probability(coef, 0)
+                items.append(EquilibriumItem(ReverseThreshold(0, theta), "reverse"))
+            except NoInteriorRoot:
+                # root rounded onto an endpoint: report the nearer pure
+                root_knife = True
+                join_side = abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0))
+                edge = AlwaysJoin() if join_side else AlwaysBalk()
+                items.append(EquilibriumItem(edge, "reverse"))
     else:
+        tester = _SignTester(coef, tolerance)
         sign = tester.sign_f(0, 1.0)
         if sign < 0:
             subcase = Subcase.I
@@ -310,22 +304,17 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
                 None, "family",
                 note="every threshold and reverse-threshold strategy is an equilibrium"))
         knife = tester.band_hit
+    if bounds is not None:
+        subcase, knife = bounds.subcase, bounds.knife_edge or root_knife
 
     if verify:
-        verified: list[EquilibriumItem] = []
-        for item in items:
-            if item.strategy is None:
-                verified.append(item)
-                continue
-            report = oracle_verify.verify_equilibrium(
-                model, rc, item.strategy, tol=verify_tolerance)
-            verified.append(EquilibriumItem(item.strategy, item.tag,
-                                            verification=report, note=item.note))
-        items = verified
+        items = [item if item.strategy is None else dataclasses.replace(
+                     item, verification=oracle_verify.verify_equilibrium(model, rc, item.strategy))
+                 for item in items]
 
     return EquilibriumReport(
         case=case, subcase=subcase, bounds=bounds,
         equilibria=tuple(items),
-        social_optimum=social, social_coincides=coincides,
+        social_optimum=social, social_coincides=social is None,
         knife_edge=knife, tolerance=tolerance,
     )

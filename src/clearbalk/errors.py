@@ -34,7 +34,7 @@ class NoInteriorRoot(ClearbalkError):
 
 
 class ScanLimitExceeded(ClearbalkError):
-    """A threshold scan passed its iteration cap; input is numerically pathological."""
+    """An equilibrium bound lies above its search cap; input is numerically pathological."""
 
 
 class SingularSystem(ClearbalkError):

@@ -156,20 +156,20 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
     )
 
 
-def congestion_case(model: ValidatedModel, tolerance: float = CASE_TOLERANCE) -> CaseLabel:
+def congestion_case(model: ValidatedModel) -> CaseLabel:
     """Classify the congestion pattern by the sign of (mu1-mu2)*(rho1-rho2).
 
     The zero branch is taken when either factor vanishes within the relative
-    tolerance, i.e. when mu1 = mu2 or rho1 = rho2 up to rounding; the raw
-    product is always carried in the label so near-boundary classifications
-    can be audited by the caller.
+    ``CASE_TOLERANCE``, i.e. when mu1 = mu2 or rho1 = rho2 up to rounding; the
+    raw product is always carried in the label so near-boundary
+    classifications can be audited by the caller.
     """
     p = model.params
     mu_diff = p.mu1 - p.mu2
     rho_diff = model.rho1 - model.rho2
     product = mu_diff * rho_diff
-    mu_zero = abs(mu_diff) <= tolerance * max(p.mu1, p.mu2)
-    rho_zero = abs(rho_diff) <= tolerance * max(model.rho1, model.rho2)
+    mu_zero = abs(mu_diff) <= CASE_TOLERANCE * max(p.mu1, p.mu2)
+    rho_zero = abs(rho_diff) <= CASE_TOLERANCE * max(model.rho1, model.rho2)
     if mu_zero or rho_zero:
         kind = CaseKind.CASE_C
     elif product < 0.0:

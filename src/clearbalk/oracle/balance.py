@@ -285,10 +285,7 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
                     return sum(tails[m])
                 return sum(_vecmat(_advance(head[1], powers, m - 2), tail_map))
 
-            hi = 1
-            while hi < LEVEL_LIMIT and tail(hi) >= TAIL_TARGET:
-                hi = min(2 * hi, LEVEL_LIMIT)
-            n = bisect_first(lambda m: tail(m) < TAIL_TARGET, hi // 2, hi + 1)
+            n = search_first(lambda m: tail(m) < TAIL_TARGET, LEVEL_LIMIT)
             if n > LEVEL_LIMIT:
                 raise ConsistencyError(
                     f"clearing is too slow to truncate: at level {LEVEL_LIMIT} the mass "
@@ -318,3 +315,14 @@ def bisect_first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def search_first(pred: Callable[[int], bool], limit: int) -> int:
+    """Smallest ``n`` in ``[0, limit]`` with ``pred(n)``, else ``limit + 1``.
+
+    ``pred`` turns true once. Doubling, then bisection: about ``2 log2(n)`` probes.
+    """
+    hi = 1
+    while hi < limit and not pred(hi):
+        hi = min(2 * hi, limit)
+    return bisect_first(pred, hi // 2, hi + 1)

@@ -168,11 +168,14 @@ class _Tally:
         # joiners of the open segment after the warm-up: join times, cells
         self.pending = (np.empty(0), np.empty(0, dtype=np.int64))
 
-    def _certain_until(self, ell: int) -> int | None:
-        """First level above ``ell`` that may balk, given p(ell) = 1; None if none."""
+    def _certain_until(self, ell: int, reach: int) -> int | None:
+        """First level above ``ell`` that may balk, given p(ell) = 1; None if none.
+
+        The walk stops at ``reach``, which no open segment can climb past.
+        """
         if not self.bounded:
             return None   # an unbounded strategy that joins at some level joins at all above
-        while self.join_prob(ell) >= 1.0:
+        while ell < reach and self.join_prob(ell) >= 1.0:
             ell += 1
         return ell
 
@@ -197,8 +200,8 @@ class _Tally:
             if prob <= 0.0:
                 break
             if prob >= 1.0:
-                stop = self._certain_until(ell)
                 take = ends[live] - pos[live]
+                stop = self._certain_until(ell, int((top[live] + take).max()))
                 if stop is not None:
                     take = np.minimum(take, np.maximum(stop - top[live], 0))
                 seg, take = live[take > 0], take[take > 0]

@@ -76,12 +76,11 @@ verification_from_dict = functools.partial(decode, VerificationReport)
 
 
 def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
-                       tol: float = VERIFY_TOLERANCE,
-                       mass_floor: float = MASS_FLOOR) -> VerificationReport:
+                       tol: float = VERIFY_TOLERANCE) -> VerificationReport:
     """Check the equilibrium sign pattern at every reachable level.
 
     A level counts as reachable when its stationary mass under the
-    strategy is at least ``mass_floor``. At each such level the expected
+    strategy is at least ``MASS_FLOOR``. At each such level the expected
     sojourn is the arrival-weighted mixture of the per-environment mean
     clearing times, and the margin is the distance to the nearest
     violated inequality (negative when violated).
@@ -114,19 +113,19 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
     def mass(n: int) -> float:
         return sum(solution.row(n))
 
-    checks = [check(n) for n in range(solution.run_start) if mass(n) >= mass_floor]
+    checks = [check(n) for n in range(solution.run_start) if mass(n) >= MASS_FLOOR]
     first, last = solution.run_start, solution.level - 1
     if first <= last:
         peak = bisect_first(lambda n: mass(n + 1) < mass(n), first, last)
-        if mass(peak) >= mass_floor:
-            lo = bisect_first(lambda n: mass(n) >= mass_floor, first, peak)
-            hi = bisect_first(lambda n: mass(n) < mass_floor, peak, last + 1) - 1
+        if mass(peak) >= MASS_FLOOR:
+            lo = bisect_first(lambda n: mass(n) >= MASS_FLOOR, first, peak)
+            hi = bisect_first(lambda n: mass(n) < MASS_FLOOR, peak, last + 1) - 1
             ok = check(lo).ok
             cut = bisect_first(lambda n: check(n).ok != ok, lo, hi + 1)
             checks.append(stretch(lo, cut - 1))
             if cut <= hi:
                 checks.append(stretch(cut, hi))
-    if mass(solution.level) >= mass_floor:
+    if mass(solution.level) >= MASS_FLOOR:
         checks.append(check(solution.level))
 
     return VerificationReport(
@@ -134,6 +133,6 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
         passed=all(c.ok for c in checks),
         checks=tuple(checks),
         tolerance=tol,
-        mass_floor=mass_floor,
+        mass_floor=MASS_FLOOR,
     )
 

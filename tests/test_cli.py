@@ -15,6 +15,7 @@ from clearbalk import (
     stationary_distribution,
 )
 from clearbalk.cli import dominant_from_dict, main
+from clearbalk.equilibrium import SCAN_LIMIT
 from clearbalk.oracle.verify import verification_from_dict
 from conftest import Ctx, PSTAR
 from clearbalk import RewardCost
@@ -143,6 +144,49 @@ def test_forced_misclassification_fails_verification(config, capsys):
     assert code == 3
     assert "verification rejected" in captured.err
     assert "join" in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["equilibrium"],
+    ["analyze", "--info-level", "fu"],
+    ["sweep", "--param", "R", "--from", "0.6", "--to", "0.8", "--steps", "2"],
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "-1e-12", "tight"])
+def test_tolerance_must_be_finite_and_nonnegative(config, capsys, command, value):
+    with pytest.raises(SystemExit) as info:
+        main(command[:1] + ["--config", config()] + command[1:] + [f"--tolerance={value}"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tolerance" in err
+    assert "finite and nonnegative" in err
+
+
+def test_zero_tolerance_is_accepted(config, capsys):
+    assert main(["equilibrium", "--config", config(), "--tolerance", "0"]) == 0
+    assert "n_l=2 n_u=3" in capsys.readouterr().out
+
+
+# consistent model whose upper bound n_u lies past the search cap
+PAST_CAP_CONFIG = {
+    "lambda1": 122138.80182365495, "lambda2": 55271.63639674091,
+    "mu1": 0.038823142603324645, "mu2": 0.0012200002100189568,
+    "q12": 0.0014219869022153516, "q21": 0.0006898391676283957,
+    "R": 519.3780290194833, "C": 1.0,
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["equilibrium"],
+    ["sweep", "--param", "R", "--from", "519.3780290194833",
+     "--to", "519.3780290194833", "--steps", "2"],
+])
+def test_bound_past_the_cap_exits_3_without_traceback(config, capsys, command):
+    path = config(**PAST_CAP_CONFIG)
+    assert main(command[:1] + ["--config", path] + command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "ScanLimitExceeded" in err
+    assert f"upper-threshold bound lies above the search cap {SCAN_LIMIT}" in err
 
 
 def test_stationary_csv(config, capsys):

@@ -25,11 +25,14 @@ from clearbalk import (
     compute_equilibria,
     f_eval,
     g_eval,
+    h_upper_limit,
     mixing_probability,
     report_from_dict,
+    solve_truncated_balance,
     threshold_bounds,
     validate_params,
 )
+from clearbalk.equilibrium import SCAN_LIMIT, _SignTester
 from conftest import P0, PB, UNIT_RC, Ctx, case_a_model
 
 
@@ -133,14 +136,14 @@ def test_mixing_probability_outside_window(pstar, n0):
 
 def test_scan_limit_guard():
     # internally inconsistent coefficients: F(n,1) > 0 for every n while
-    # the analytic limit reports negative, so the ascending scan never ends
+    # the analytic limit reports negative, so n_u is never found
     coef = BenefitCoefficients(
         a=2.0, b=0.0, d=1.0, e=0.1, alpha=0.5, beta=0.1,
         r1=0.9, r2=0.5, reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
     with pytest.raises(ScanLimitExceeded):
-        threshold_bounds(coef, Orientation.THRESHOLD, scan_limit=500)
+        threshold_bounds(coef, Orientation.THRESHOLD)
 
 
 @pytest.mark.parametrize("orientation, alpha, beta, a", [
@@ -148,15 +151,106 @@ def test_scan_limit_guard():
     (Orientation.REVERSE, -0.5, -0.1, 0.5),
 ])
 def test_scan_limit_names_orientation(orientation, alpha, beta, a):
-    # F(n,1) keeps the sign that continues the scan while the analytic
+    # F(n,1) keeps the sign that continues the search while the analytic
     # limit has the opposite one, in either orientation
     coef = BenefitCoefficients(
         a=a, b=0.0, d=1.0, e=0.1, alpha=alpha, beta=beta,
         r1=0.9, r2=0.5, reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
-    with pytest.raises(ScanLimitExceeded, match=f"upper-{orientation.value} scan passed 500"):
-        threshold_bounds(coef, orientation, scan_limit=500)
+    message = f"upper-{orientation.value} bound lies above the search cap {SCAN_LIMIT}"
+    with pytest.raises(ScanLimitExceeded, match=message):
+        threshold_bounds(coef, orientation)
+
+
+def _reference_bounds(coef, orientation, tolerance):
+    """Reference bounds by a level-by-level scan: up to n_u, then down to n_l."""
+    tester = _SignTester(coef, tolerance)
+    s = 1 if orientation is Orientation.THRESHOLD else -1
+
+    def sign(n, theta):
+        return s * tester.sign_f(n, theta)
+
+    def bounds(subcase, nl, nu, nlp, num):
+        return ThresholdBounds(orientation, subcase, nl, nu, nlp, num, tester.band_hit)
+
+    sign_at_zero = sign(0, 1.0)
+    sign_limit = s * tester._sign(h_upper_limit(coef))
+    if sign_at_zero < 0:
+        return bounds(Subcase.I, 0, 0, 0, 0)
+    if sign_limit >= 0:
+        return bounds(Subcase.III, math.inf, math.inf, math.inf, math.inf)
+    n_u = 0
+    while sign(n_u, 1.0) >= 0:
+        n_u += 1
+        assert n_u <= SCAN_LIMIT
+    n_l = n_u
+    while n_l >= 1 and sign(n_l - 1, 0.0) <= 0:
+        n_l -= 1
+    n_l_plus = n_l if sign(n_l, 0.0) < 0 else n_l + 1
+    n_u_minus = n_u if sign(n_u - 1, 1.0) > 0 else n_u - 1
+    return bounds(Subcase.II, n_l, n_u, n_l_plus, n_u_minus)
+
+
+def test_bounds_match_the_level_scan():
+    # R inside the subcase II window, up to 1e-6 of its width from the
+    # limit end (long ranges), or on its empty-system edge (knife edges)
+    rng = np.random.default_rng(6_061_801)
+    seen = {}
+    for _ in range(4000):
+        params = ModelParams(*np.exp(rng.uniform(-4.0, 4.0, size=6)).tolist())
+        unit = Ctx(params, UNIT_RC).coef
+        edge, limit = (unit.a + unit.b) / (unit.d + unit.e), unit.a / unit.d
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            reward = float(np.exp(rng.uniform(-3.0, 3.0)) * min(edge, limit))
+        elif kind == 1:
+            reward = edge
+        else:
+            reward = limit + 10.0 ** rng.uniform(-6.0, 0.0) * (edge - limit)
+        coef = Ctx(params, RewardCost(reward, 1.0)).coef
+        tolerance = float(10.0 ** rng.uniform(-12.0, -3.0))
+        for orientation in Orientation:
+            got = threshold_bounds(coef, orientation, tolerance)
+            assert got == _reference_bounds(coef, orientation, tolerance)
+            key = (orientation, got.subcase, got.knife_edge)
+            seen[key] = seen.get(key, 0) + 1
+    for orientation in Orientation:
+        assert seen.get((orientation, Subcase.II, False), 0) >= 200
+        assert seen.get((orientation, Subcase.II, True), 0) >= 200
+
+
+def _count_sign_tests(monkeypatch):
+    calls = [0]
+    sign_f = _SignTester.sign_f
+
+    def counted(self, n, theta):
+        calls[0] += 1
+        return sign_f(self, n, theta)
+
+    monkeypatch.setattr(_SignTester, "sign_f", counted)
+    return calls
+
+
+def test_long_range_bounds_take_few_sign_tests(monkeypatch):
+    params = ModelParams(lambda1=2.13e6, lambda2=6.58e7, mu1=234.0, mu2=1.14e-6,
+                         q12=5.52e-4, q21=5.1e-5)
+    ctx = Ctx(params, RewardCost(539.0, 1.0))
+    calls = _count_sign_tests(monkeypatch)
+    b = threshold_bounds(ctx.coef, Orientation.THRESHOLD)
+    assert (b.subcase, b.n_l, b.n_u) == (Subcase.II, 0, 85_494)
+    assert calls[0] <= 200
+
+
+def test_bound_past_the_cap_raises_after_few_sign_tests(monkeypatch):
+    params = ModelParams(lambda1=122138.80182365495, lambda2=55271.63639674091,
+                         mu1=0.038823142603324645, mu2=0.0012200002100189568,
+                         q12=0.0014219869022153516, q21=0.0006898391676283957)
+    ctx = Ctx(params, RewardCost(519.3780290194833, 1.0))
+    calls = _count_sign_tests(monkeypatch)
+    with pytest.raises(ScanLimitExceeded):
+        threshold_bounds(ctx.coef, Orientation.THRESHOLD)
+    assert calls[0] <= 200
 
 
 def test_report_round_trips_through_json(pstar, pb):
@@ -266,3 +360,37 @@ def test_mixing_probability_matches_bisection():
             assert item.strategy.theta == pytest.approx(_bisect_root(ctx.coef, n0), abs=1e-9)
             compared += 1
     assert compared >= 30
+
+
+def _welfare_rate(model, rc, strategy):
+    """Sum over e of lambda_e * sum_n j(n) p(n, e) * (R - C E[S_e]), by the balance oracle.
+
+    For strategies that join with certainty from level 1 on, so the levels
+    above 0 enter through the tail mass.
+    """
+    law = solve_truncated_balance(model, strategy)
+    p = model.params
+    total = 0.0
+    for env, lam, sojourn in ((1, p.lambda1, model.mean_clearing[0]),
+                              (2, p.lambda2, model.mean_clearing[1])):
+        flow = lam * (strategy.join_prob(0) * law.pmf(0, env) + law.tail(1, env))
+        total += flow * (rc.reward - rc.cost * sojourn)
+    return total
+
+
+@pytest.mark.xfail(strict=True, reason="outside case A subcase II social_coincides is "
+                                       "asserted, not computed")
+def test_case_b_social_coincidence_is_not_checked():
+    params = ModelParams(lambda1=5.986, lambda2=0.1409, mu1=0.6026, mu2=0.1801,
+                         q12=1.987, q21=1.0007)
+    ctx = Ctx(params, RewardCost(2.981, 1.0))
+    report = _report(ctx, verify=False)
+    assert (report.case.kind, report.subcase) == (CaseKind.CASE_B, Subcase.II)
+    [item] = report.equilibria
+    assert item.strategy.theta == pytest.approx(0.0749, abs=1e-4)
+    at_equilibrium = _welfare_rate(ctx.model, ctx.rc, item.strategy)
+    assert at_equilibrium == pytest.approx(0.0024385, rel=1e-4)
+    better = _welfare_rate(ctx.model, ctx.rc, ReverseThreshold(0, 0.3475))
+    assert better == pytest.approx(0.0040877, rel=1e-4)
+    # a coincidence claim must mean that no strategy does better
+    assert not report.social_coincides or at_equilibrium >= better

@@ -309,3 +309,23 @@ def test_join_vector_agrees_with_balance_solve(pstar):
     est = simulate(pstar.model, pstar.rc, strategy,
                    horizon=1e4, seed=39, replications=16, track_levels=8)
     _within(est, sol.pmf)
+
+
+def test_high_threshold_walks_only_reachable_levels(pstar, monkeypatch):
+    # no segment reaches 10**9, so the threshold joins like always-join,
+    # and the certain-join walk stops at the highest level a segment can reach
+    kw = dict(horizon=200.0, seed=11, replications=2, track_levels=12)
+    calls = [0]
+    join_prob = PureThreshold.join_prob
+
+    def counted(self, n):
+        calls[0] += 1
+        return join_prob(self, n)
+
+    monkeypatch.setattr(PureThreshold, "join_prob", counted)
+    high = simulate(pstar.model, pstar.rc, PureThreshold(10 ** 9), **kw).to_dict()
+    free = simulate(pstar.model, pstar.rc, AlwaysJoin(), **kw).to_dict()
+    assert high.pop("strategy") == "threshold:1000000000"
+    free.pop("strategy")
+    assert high == free
+    assert 0 < calls[0] <= 100   # 19 here, against 10**9 for a walk to the threshold
