@@ -22,8 +22,9 @@ sign questions about conditional benefits reduce to sign questions about
 F. The two envelopes H_upper(n) = F(n,1)/G(n,1) and
 H_lower(n) = F(n,0)/G(n,0) are the benefits of joining at n when the
 population joins up to n (exclusive) and through n (inclusive),
-respectively, and ``net_benefit_ao`` dispatches the exact F/G expression
-for every reachable state of every closed-form strategy class.
+respectively. ``net_benefit_ao`` evaluates the same ratio on the piece of
+the strategy's stationary law that holds the observed level (see
+``spectral``), with that piece's divisors in place of 1-(1-theta)*r.
 """
 
 from __future__ import annotations
@@ -32,16 +33,8 @@ from dataclasses import dataclass
 
 from .errors import UnreachableState
 from .model import RewardCost, ValidatedModel
-from .spectral import SpectralData
-from .strategies import (
-    AlwaysBalk,
-    AlwaysJoin,
-    JoinVector,
-    MixedThreshold,
-    PureThreshold,
-    ReverseThreshold,
-    Strategy,
-)
+from .spectral import SpectralData, discounts, law_pieces, piece_at, scaled_mixture
+from .strategies import Strategy
 
 
 @dataclass(frozen=True)
@@ -106,20 +99,6 @@ def benefit_coefficients(model: ValidatedModel, spec: SpectralData,
     )
 
 
-def f_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
-    """Discounted net-benefit aggregate F(n, theta) in closed form."""
-    w = 1.0 - theta
-    return (coef.alpha * coef.r1 ** n / (1.0 - w * coef.r1)
-            + coef.beta * coef.r2 ** n / (1.0 - w * coef.r2))
-
-
-def g_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
-    """Discounted arrival-mass aggregate G(n, theta); strictly positive."""
-    w = 1.0 - theta
-    return (coef.d * coef.r1 ** n / (1.0 - w * coef.r1)
-            + coef.e * coef.r2 ** n / (1.0 - w * coef.r2))
-
-
 def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
                      n: int, theta: float) -> float:
     """c1*r1**n/(1-(1-theta)*r1) + c2*r2**n/(1-(1-theta)*r2), divided by r1**n.
@@ -128,9 +107,17 @@ def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
     G(n, theta)/r1**n. Ratios of such sums equal the unscaled ratios and
     stay finite at levels where r1**n itself underflows (small r1).
     """
-    w = 1.0 - theta
-    ratio = (coef.r2 / coef.r1) ** n
-    return c1 / (1.0 - w * coef.r1) + c2 * ratio / (1.0 - w * coef.r2)
+    return scaled_mixture(coef.r1, coef.r2, c1, c2, n, *discounts(coef.r1, coef.r2, theta))
+
+
+def f_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
+    """Discounted net-benefit aggregate F(n, theta) in closed form."""
+    return coef.r1 ** n * scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
+
+
+def g_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
+    """Discounted arrival-mass aggregate G(n, theta); strictly positive."""
+    return coef.r1 ** n * scaled_aggregate(coef, coef.d, coef.e, n, theta)
 
 
 def _benefit(coef: BenefitCoefficients, n: int, theta: float) -> float:
@@ -159,34 +146,14 @@ def h_upper_limit(coef: BenefitCoefficients) -> float:
     return coef.reward - coef.cost * coef.a / coef.d
 
 
-def _arrival_weights(coef: BenefitCoefficients, n: int,
-                     theta: float) -> tuple[float, float]:
-    """Per-environment arrival weights of a discounted tail, scaled by r1**n."""
-    return tuple(scaled_aggregate(coef, coef.arrival_r1[e], coef.arrival_r2[e], n, theta)
-                 for e in (0, 1))
-
-
-def _package(model: ValidatedModel, value: float,
-             weights: tuple[float, float]) -> BenefitValue:
-    total = weights[0] + weights[1]
-    palm = (weights[0] / total, weights[1] / total)
-    s1, s2 = model.mean_clearing
-    return BenefitValue(value=value, sojourn=palm[0] * s1 + palm[1] * s2, palm=palm)
-
-
-def _discounted(model: ValidatedModel, coef: BenefitCoefficients, n: int,
-                theta: float) -> BenefitValue:
-    """Benefit at n when the population's masses from n on form a discounted tail."""
-    return _package(model, _benefit(coef, n, theta), _arrival_weights(coef, n, theta))
-
-
 def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
                    strategy: Strategy, n: int) -> BenefitValue:
     """Net benefit of joining at observed queue length n against ``strategy``.
 
-    Dispatches the exact F/G expression for the state (strategy, n)
-    together with the arrival-conditioned environment pair and conditional
-    sojourn of that state.
+    The ratio F/G and the arrival-conditioned environment pair are taken
+    on the piece of the strategy's stationary law that holds level n,
+    with that piece's divisors; the conditional sojourn follows from the
+    pair.
 
     Raises:
         UnreachableState: If the state has zero stationary mass under the
@@ -198,51 +165,15 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
     """
     if n < 0:
         raise ValueError(f"queue length must be nonnegative, got {n}")
-    if isinstance(strategy, JoinVector):
-        raise ValueError("join vectors have no closed-form benefit; "
-                         "use the simulation oracle")
+    piece = piece_at(law_pieces(coef.r1, coef.r2, strategy), n)
+    if piece is None:
+        raise UnreachableState(f"level {n} has zero stationary mass under {strategy!r}")
 
-    if isinstance(strategy, ReverseThreshold) and strategy.n0 == 0 and strategy.theta == 1.0:
-        strategy = AlwaysJoin()
+    def aggregate(c1: float, c2: float) -> float:
+        return scaled_mixture(coef.r1, coef.r2, c1, c2, n, piece.d1, piece.d2)
 
-    if isinstance(strategy, AlwaysJoin):
-        return _discounted(model, coef, n, 1.0)
-
-    if isinstance(strategy, (AlwaysBalk, ReverseThreshold)) and not (
-            isinstance(strategy, ReverseThreshold) and strategy.n0 == 0 and strategy.theta > 0.0):
-        # Always-balk and every steady-state equivalent: only the empty
-        # system is ever seen, and seeing it carries no information.
-        if n != 0:
-            raise UnreachableState(
-                f"level {n} has zero stationary mass under {strategy!r}")
-        return _discounted(model, coef, 0, 0.0)
-
-    if isinstance(strategy, ReverseThreshold):
-        # Interior theta at level 0: every level is reachable and the
-        # discounted aggregates apply verbatim at each n.
-        return _discounted(model, coef, n, strategy.theta)
-
-    if isinstance(strategy, PureThreshold):
-        strategy = MixedThreshold(strategy.n0, 0.0)
-
-    if isinstance(strategy, MixedThreshold):
-        n0, theta = strategy.n0, strategy.theta
-        if n < n0:
-            return _discounted(model, coef, n, 1.0)
-        if n == n0:
-            return _discounted(model, coef, n0, theta)
-        if n == n0 + 1 and theta > 0.0:
-            # mass at n0+1 is the undiscounted tail minus the discounted one
-            f_diff = (scaled_aggregate(coef, coef.alpha, coef.beta, n0, 0.0)
-                      - scaled_aggregate(coef, coef.alpha, coef.beta, n0, theta))
-            g_diff = (scaled_aggregate(coef, coef.d, coef.e, n0, 0.0)
-                      - scaled_aggregate(coef, coef.d, coef.e, n0, theta))
-            plain = _arrival_weights(coef, n0 + 1, 0.0)
-            disc = _arrival_weights(coef, n0 + 1, theta)
-            w = 1.0 - theta
-            weights = (plain[0] - w * disc[0], plain[1] - w * disc[1])
-            return _package(model, f_diff / g_diff, weights)
-        raise UnreachableState(
-            f"level {n} has zero stationary mass under {strategy!r}")
-
-    raise TypeError(f"not a strategy: {strategy!r}")
+    w1, w2 = (aggregate(coef.arrival_r1[e], coef.arrival_r2[e]) for e in (0, 1))
+    palm = (w1 / (w1 + w2), w2 / (w1 + w2))
+    s1, s2 = model.mean_clearing
+    return BenefitValue(value=aggregate(coef.alpha, coef.beta) / aggregate(coef.d, coef.e),
+                        sojourn=palm[0] * s1 + palm[1] * s2, palm=palm)

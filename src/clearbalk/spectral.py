@@ -8,20 +8,27 @@ r_e = 1/(1 - z_e) turns the solution into a two-term geometric mixture
     p(n, e) = A_e * r1**n + B_e * r2**n,        0 < r2 < r1 < 1,
 
 with coefficients A_e, B_e fixed by the boundary behaviour at the empty
-system. Every other strategy class induces a stationary law that is a
-head-block plus geometric-tail rearrangement of the same mixture:
+system. Every other strategy class keeps this mixture on the levels it
+reaches and moves the rest of the tail onto at most two of them, so its
+law is at most three *pieces*. A piece covers levels first..last, and on
+those levels every quantity linear in the masses (the masses themselves,
+the arrival weights, and the benefit aggregates of ``benefit``) is its
+always-join form with the r1 branch divided by d1 and the r2 branch by
+d2. With delta(theta) = 1 - (1-theta)*r for each branch:
 
-* a mixed threshold at n0 piles the (1-theta)-discounted tail onto level
-  n0 and the complement onto n0+1, leaving levels below n0 untouched;
-* a pure threshold piles the whole tail onto n0;
-* always-balk concentrates at the empty system with the environment
-  marginal;
-* a reverse threshold at 0 with interior theta spreads a discounted head
-  onto level 0 and keeps a genuine geometric tail above it.
+* always-join: levels 0.. with divisors (1, 1);
+* a mixed threshold (n0, theta), pure when theta = 0: levels below n0
+  with (1, 1); level n0 with delta(theta), the (1-theta)-discounted tail;
+  and, when theta > 0, level n0+1 with delta(theta)*(1-r)/theta, the
+  plain tail minus (1-theta) times the discounted one;
+* always-balk and its steady-state equivalents: the pure threshold at 0;
+* a reverse threshold at 0 with interior theta: level 0 with
+  delta(theta), levels 1.. with delta(theta)/theta.
 
-All tail sums are evaluated through the closed geometric forms, never by
-series truncation; the truncation-based evaluation lives in the oracle
-package precisely so the two routes stay independent.
+``scaled_mixture`` is the one evaluation kernel: masses, tails, F, G and
+Palm weights are all calls of it with a piece's divisors. Tail sums are
+closed geometric forms, never series truncations; the truncation-based
+evaluation lives in the oracle package so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -101,75 +108,150 @@ def spectral_quantities(model: ValidatedModel) -> SpectralData:
                         a1=a1, b1=b1, a2=a2, b2=b2)
 
 
-def _clip_mass(value: float, where: str) -> tuple[float, int]:
+def _clip_mass(value: float, where: str) -> float:
     if value >= 0.0:
-        return value, 0
+        return value
     if value >= -MASS_CLIP:
-        return 0.0, 1
+        return 0.0
     raise ConsistencyError(f"negative stationary mass {value!r} at {where}")
+
+
+def discounts(r1: float, r2: float, theta: float) -> tuple[float, float]:
+    """delta(theta) = 1 - (1-theta)*r for the r1 and the r2 branch."""
+    w = 1.0 - theta
+    return 1.0 - w * r1, 1.0 - w * r2
+
+
+def scaled_mixture(r1: float, r2: float, c1: float, c2: float, n: int,
+                   d1: float, d2: float) -> float:
+    """(c1*r1**n/d1 + c2*r2**n/d2) / r1**n.
+
+    Divided by r1**n, the value stays finite where r1**n underflows, and
+    ratios of two such values equal the unscaled ratios.
+    """
+    return c1 / d1 + c2 * (r2 / r1) ** n / d2
+
+
+def _level_sum(r: float, count: float) -> float:
+    """1/(1 + r + ... + r**(count-1)): the divisor that sums ``count`` levels."""
+    if count == 1:
+        return 1.0
+    if count == math.inf:
+        return 1.0 - r
+    return (1.0 - r) / (1.0 - r ** count)
+
+
+@dataclass(frozen=True)
+class Piece:
+    """Levels ``first``..``last`` of a law (``last`` may be ``math.inf``).
+
+    On these levels every quantity linear in the masses is its always-join
+    form with the r1 branch divided by ``d1`` and the r2 branch by ``d2``.
+    """
+
+    first: int
+    last: float
+    d1: float
+    d2: float
+
+
+_JOIN_PIECES = (Piece(0, math.inf, 1.0, 1.0),)
+
+
+def _threshold_pieces(r1: float, r2: float, n0: int, theta: float) -> tuple[Piece, ...]:
+    d1, d2 = discounts(r1, r2, theta)
+    pieces = [Piece(0, n0 - 1, 1.0, 1.0)] if n0 > 0 else []
+    pieces.append(Piece(n0, n0, d1, d2))
+    if theta > 0.0:
+        e1, e2 = discounts(r1, r2, 0.0)
+        pieces.append(Piece(n0 + 1, n0 + 1, d1 * e1 / theta, d2 * e2 / theta))
+    return tuple(pieces)
+
+
+def _reverse_pieces(r1: float, r2: float, theta: float) -> tuple[Piece, ...]:
+    if theta == 0.0:
+        return _threshold_pieces(r1, r2, 0, 0.0)
+    d1, d2 = discounts(r1, r2, theta)
+    return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / theta, d2 / theta))
+
+
+def law_pieces(r1: float, r2: float, strategy: Strategy) -> tuple[Piece, ...]:
+    """The pieces of the closed-form law of ``strategy``.
+
+    Raises:
+        ValueError: For JoinVector strategies, which have no closed form;
+            the balance and simulation oracles cover them.
+    """
+    if isinstance(strategy, AlwaysJoin):
+        return _JOIN_PIECES
+    if isinstance(strategy, AlwaysBalk):
+        return _threshold_pieces(r1, r2, 0, 0.0)
+    if isinstance(strategy, PureThreshold):
+        return _threshold_pieces(r1, r2, strategy.n0, 0.0)
+    if isinstance(strategy, MixedThreshold):
+        return _threshold_pieces(r1, r2, strategy.n0, strategy.theta)
+    if isinstance(strategy, ReverseThreshold):
+        # from n0 >= 1 on, the empty system is never left in steady state
+        return _reverse_pieces(r1, r2, strategy.theta if strategy.n0 == 0 else 0.0)
+    if isinstance(strategy, JoinVector):
+        raise ValueError("join vectors have no closed form; "
+                         "use the balance or simulation oracle")
+    raise TypeError(f"not a strategy: {strategy!r}")
+
+
+def piece_at(pieces: tuple[Piece, ...], n: int) -> Piece | None:
+    """The piece holding level ``n``, or None where the law has no mass."""
+    for piece in pieces:
+        if piece.first <= n <= piece.last:
+            return piece
+    return None
 
 
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Evaluation handle for a stationary (queue length, environment) law.
 
-    The representation is an explicit head block for levels below
-    ``geometric_from`` plus, optionally, a geometric mixture
-    ``g1[e]*r1**n + g2[e]*r2**n`` valid for every level from
-    ``geometric_from`` on. Finite-support laws carry no geometric part and
-    expose ``support_bound``; infinite-support laws report ``None`` there
-    and answer tail queries in closed form.
-
-    Attributes:
-        head: ``head[n] = (mass(n, 1), mass(n, 2))`` for n < geometric_from.
-        geometric_from: First level covered by the geometric part.
-        g1: Per-environment coefficients of the r1 branch, or None.
-        g2: Per-environment coefficients of the r2 branch, or None.
-        r1: Larger geometric ratio, or None for finite support.
-        r2: Smaller geometric ratio, or None for finite support.
-        clipped: Count of head entries clipped from tiny negatives to zero.
+    The law is at most three ``pieces`` of the always-join mixture of
+    ``spec``; levels outside every piece carry no mass. ``pmf`` and
+    ``tail`` are closed forms, O(1) at any level.
     """
 
-    head: tuple[tuple[float, float], ...]
-    geometric_from: int
-    g1: tuple[float, float] | None
-    g2: tuple[float, float] | None
-    r1: float | None
-    r2: float | None
-    clipped: int = 0
+    spec: SpectralData
+    pieces: tuple[Piece, ...]
 
     @property
     def support_bound(self) -> int | None:
         """Largest level with positive mass, or None for a geometric tail."""
-        if self.g1 is not None:
-            return None
-        return len(self.head) - 1
+        last = self.pieces[-1].last
+        return None if last == math.inf else last
+
+    def _levels(self, piece: Piece, start: int, count: float, env: int) -> float:
+        """Mass of ``env`` on ``count`` levels of ``piece`` from ``start`` on."""
+        s = self.spec
+        a, b = s.coefficients(env)
+        return s.r1 ** start * scaled_mixture(s.r1, s.r2, a, b, start,
+                                              piece.d1 * _level_sum(s.r1, count),
+                                              piece.d2 * _level_sum(s.r2, count))
 
     def pmf(self, n: int, env: int) -> float:
         """Stationary mass of state (n, env), env in {1, 2}."""
         if n < 0 or env not in (1, 2):
             raise ValueError(f"bad state ({n}, {env})")
-        e = env - 1
-        if n < self.geometric_from:
-            return self.head[n][e]
-        if self.g1 is None:
+        piece = piece_at(self.pieces, n)
+        if piece is None:
             return 0.0
-        value = self.g1[e] * self.r1 ** n + self.g2[e] * self.r2 ** n
-        clipped, _ = _clip_mass(value, f"pmf({n}, {env})")
-        return clipped
+        return _clip_mass(self._levels(piece, n, 1, env), f"pmf({n}, {env})")
 
     def tail(self, m: int, env: int) -> float:
         """Closed-form tail mass: sum of pmf(n, env) over n >= m."""
         if m < 0 or env not in (1, 2):
             raise ValueError(f"bad tail query ({m}, {env})")
-        e = env - 1
-        total = sum(self.head[n][e] for n in range(m, self.geometric_from))
-        if self.g1 is not None:
-            start = max(m, self.geometric_from)
-            total += self.g1[e] * self.r1 ** start / (1.0 - self.r1)
-            total += self.g2[e] * self.r2 ** start / (1.0 - self.r2)
-        clipped, _ = _clip_mass(total, f"tail({m}, {env})")
-        return clipped
+        total = 0.0
+        for piece in self.pieces:
+            start = max(m, piece.first)
+            if start <= piece.last:
+                total += self._levels(piece, start, piece.last + 1 - start, env)
+        return _clip_mass(total, f"tail({m}, {env})")
 
     def env_marginal(self, env: int) -> float:
         """Marginal stationary probability of environment ``env``."""
@@ -180,38 +262,9 @@ class StationaryDistribution:
         return self.tail(0, 1) + self.tail(0, 2)
 
 
-def _head_block(rows: list[tuple[float, float]]) -> tuple[tuple[tuple[float, float], ...], int]:
-    clipped = 0
-    cleaned: list[tuple[float, float]] = []
-    for i, (m1, m2) in enumerate(rows):
-        c1, k1 = _clip_mass(m1, f"level {i}, env 1")
-        c2, k2 = _clip_mass(m2, f"level {i}, env 2")
-        clipped += k1 + k2
-        cleaned.append((c1, c2))
-    return tuple(cleaned), clipped
-
-
 def stationary_always_join(model: ValidatedModel, spec: SpectralData) -> StationaryDistribution:
     """Stationary law when every customer joins: the pure geometric mixture."""
-    return StationaryDistribution(
-        head=(), geometric_from=0,
-        g1=(spec.a1, spec.a2), g2=(spec.b1, spec.b2),
-        r1=spec.r1, r2=spec.r2,
-    )
-
-
-def _balk_distribution(model: ValidatedModel) -> StationaryDistribution:
-    head, clipped = _head_block([model.env_stationary])
-    return StationaryDistribution(head=head, geometric_from=1,
-                                  g1=None, g2=None, r1=None, r2=None, clipped=clipped)
-
-
-def _discounted_tail(spec: SpectralData, env: int, n: int, theta: float) -> float:
-    """Closed form of sum_{i>=n} (1-theta)**(i-n) * p(i, env)."""
-    a, b = spec.coefficients(env)
-    w = 1.0 - theta
-    return (a * spec.r1 ** n / (1.0 - w * spec.r1)
-            + b * spec.r2 ** n / (1.0 - w * spec.r2))
+    return StationaryDistribution(spec, _JOIN_PIECES)
 
 
 def stationary_threshold(model: ValidatedModel, spec: SpectralData,
@@ -227,26 +280,7 @@ def stationary_threshold(model: ValidatedModel, spec: SpectralData,
         raise ValueError(f"threshold level must be nonnegative, got {n0}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if n0 == 0 and theta == 0.0:
-        return _balk_distribution(model)
-    rows: list[tuple[float, float]] = []
-    for n in range(n0):
-        a1n = spec.a1 * spec.r1 ** n + spec.b1 * spec.r2 ** n
-        a2n = spec.a2 * spec.r1 ** n + spec.b2 * spec.r2 ** n
-        rows.append((a1n, a2n))
-    rows.append((_discounted_tail(spec, 1, n0, theta),
-                 _discounted_tail(spec, 2, n0, theta)))
-    if theta > 0.0:
-        w = 1.0 - theta
-        overflow = []
-        for env in (1, 2):
-            plain = _discounted_tail(spec, env, n0 + 1, 0.0)  # undiscounted tail
-            discounted = w * _discounted_tail(spec, env, n0 + 1, theta)
-            overflow.append(plain - discounted)
-        rows.append((overflow[0], overflow[1]))
-    head, clipped = _head_block(rows)
-    return StationaryDistribution(head=head, geometric_from=len(head),
-                                  g1=None, g2=None, r1=None, r2=None, clipped=clipped)
+    return StationaryDistribution(spec, _threshold_pieces(spec.r1, spec.r2, n0, theta))
 
 
 def stationary_reverse(model: ValidatedModel, spec: SpectralData,
@@ -263,40 +297,15 @@ def stationary_reverse(model: ValidatedModel, spec: SpectralData,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if theta == 0.0:
-        return _balk_distribution(model)
-    w = 1.0 - theta
-    head, clipped = _head_block([(
-        _discounted_tail(spec, 1, 0, theta),
-        _discounted_tail(spec, 2, 0, theta),
-    )])
-    g1 = (theta * spec.a1 / (1.0 - w * spec.r1), theta * spec.a2 / (1.0 - w * spec.r1))
-    g2 = (theta * spec.b1 / (1.0 - w * spec.r2), theta * spec.b2 / (1.0 - w * spec.r2))
-    return StationaryDistribution(head=head, geometric_from=1,
-                                  g1=g1, g2=g2, r1=spec.r1, r2=spec.r2, clipped=clipped)
+    return StationaryDistribution(spec, _reverse_pieces(spec.r1, spec.r2, theta))
 
 
 def stationary_distribution(model: ValidatedModel, spec: SpectralData,
                             strategy: Strategy) -> StationaryDistribution:
-    """Dispatch the closed-form stationary law for any supported strategy.
+    """The closed-form stationary law for any supported strategy.
 
     Raises:
         ValueError: For JoinVector strategies, whose stationary law has no
             closed form here; use the balance-equation oracle instead.
     """
-    if isinstance(strategy, AlwaysJoin):
-        return stationary_always_join(model, spec)
-    if isinstance(strategy, AlwaysBalk):
-        return _balk_distribution(model)
-    if isinstance(strategy, PureThreshold):
-        return stationary_threshold(model, spec, strategy.n0, 0.0)
-    if isinstance(strategy, MixedThreshold):
-        return stationary_threshold(model, spec, strategy.n0, strategy.theta)
-    if isinstance(strategy, ReverseThreshold):
-        if strategy.n0 >= 1:
-            return _balk_distribution(model)
-        return stationary_reverse(model, spec, strategy.theta)
-    if isinstance(strategy, JoinVector):
-        raise ValueError("join vectors have no closed-form stationary law; "
-                         "use the truncated balance oracle")
-    raise TypeError(f"not a strategy: {strategy!r}")
+    return StationaryDistribution(spec, law_pieces(spec.r1, spec.r2, strategy))

@@ -6,6 +6,7 @@ against the truncated balance-equation solver before freezing.
 """
 
 import math
+import time
 
 import pytest
 
@@ -14,13 +15,16 @@ from clearbalk import (
     AlwaysJoin,
     JoinVector,
     MixedThreshold,
+    ModelParams,
     PureThreshold,
     ReverseThreshold,
+    RewardCost,
     spectral_quantities,
     stationary_always_join,
     stationary_distribution,
     stationary_reverse,
     stationary_threshold,
+    validate_params,
 )
 from conftest import random_model
 
@@ -169,3 +173,97 @@ def test_bad_queries_raise(pstar):
         dist.pmf(0, 3)
     with pytest.raises(ValueError):
         dist.tail(0, 0)
+
+
+def _head_row_reference(model, spec, strategy):
+    """The explicit head-row construction of the laws, kept as a reference.
+
+    Returns (rows, geometric): rows[n] = (p(n, 1), p(n, 2)) below
+    len(rows), then p(n, e) = g1[e]*r1**n + g2[e]*r2**n from len(rows) on
+    when ``geometric`` = (g1, g2), and zero mass when it is None.
+    """
+    r1, r2 = spec.r1, spec.r2
+
+    def discounted_tail(env, n, theta):
+        a, b = spec.coefficients(env)
+        w = 1.0 - theta
+        return a * r1 ** n / (1.0 - w * r1) + b * r2 ** n / (1.0 - w * r2)
+
+    if isinstance(strategy, AlwaysJoin):
+        return [], ((spec.a1, spec.a2), (spec.b1, spec.b2))
+    if isinstance(strategy, ReverseThreshold):
+        theta = strategy.theta if strategy.n0 == 0 else 0.0
+        if theta > 0.0:
+            w = 1.0 - theta
+            head = [(discounted_tail(1, 0, theta), discounted_tail(2, 0, theta))]
+            g1 = (theta * spec.a1 / (1.0 - w * r1), theta * spec.a2 / (1.0 - w * r1))
+            g2 = (theta * spec.b1 / (1.0 - w * r2), theta * spec.b2 / (1.0 - w * r2))
+            return head, (g1, g2)
+        strategy = AlwaysBalk()
+    if isinstance(strategy, AlwaysBalk):
+        return [model.env_stationary], None
+    n0 = strategy.n0
+    theta = strategy.theta if isinstance(strategy, MixedThreshold) else 0.0
+    rows = [(spec.a1 * r1 ** n + spec.b1 * r2 ** n, spec.a2 * r1 ** n + spec.b2 * r2 ** n)
+            for n in range(n0)]
+    rows.append((discounted_tail(1, n0, theta), discounted_tail(2, n0, theta)))
+    if theta > 0.0:
+        w = 1.0 - theta
+        rows.append(tuple(discounted_tail(env, n0 + 1, 0.0)
+                          - w * discounted_tail(env, n0 + 1, theta) for env in (1, 2)))
+    return rows, None
+
+
+def test_piecewise_laws_match_head_row_reference(rng):
+    for _ in range(200):
+        model = random_model(rng)
+        spec = spectral_quantities(model)
+        n0 = int(rng.integers(0, 9))
+        theta = float(rng.uniform(0.05, 0.95))
+        for strategy in (AlwaysJoin(), AlwaysBalk(), PureThreshold(n0),
+                         MixedThreshold(n0, theta), ReverseThreshold(0, theta),
+                         ReverseThreshold(0, 1.0), ReverseThreshold(2, theta)):
+            rows, geometric = _head_row_reference(model, spec, strategy)
+            dist = stationary_distribution(model, spec, strategy)
+
+            def ref_pmf(n, e):
+                if n < len(rows):
+                    return rows[n][e]
+                if geometric is None:
+                    return 0.0
+                return geometric[0][e] * spec.r1 ** n + geometric[1][e] * spec.r2 ** n
+
+            def ref_tail(m, e):
+                total = sum(row[e] for row in rows[m:])
+                if geometric is not None:
+                    start = max(m, len(rows))
+                    total += geometric[0][e] * spec.r1 ** start / (1.0 - spec.r1)
+                    total += geometric[1][e] * spec.r2 ** start / (1.0 - spec.r2)
+                return total
+
+            for n in range(n0 + 3):
+                for env in (1, 2):
+                    assert dist.pmf(n, env) == pytest.approx(ref_pmf(n, env - 1), rel=1e-12)
+                    assert dist.tail(n, env) == pytest.approx(ref_tail(n, env - 1), rel=1e-12)
+
+
+def test_far_threshold_law_in_constant_time():
+    # slow clearing, 1 - r1 of order 1e-9, so r1**n0 stays of order one
+    model = validate_params(ModelParams(2.0, 1.0, 1e-9, 3e-9, 1.0, 2.0), RewardCost(1.0, 1.0))
+    spec = spectral_quantities(model)
+    n0 = 10 ** 9
+    start = time.perf_counter()
+    dist = stationary_threshold(model, spec, n0, 0.5)
+    aj = stationary_always_join(model, spec)
+    for env in (1, 2):
+        assert dist.pmf(n0 - 1, env) == aj.pmf(n0 - 1, env)
+        assert aj.pmf(n0, env) > 0.0
+        # the two piles carry the always-join tail from n0 on
+        assert dist.pmf(n0, env) + dist.pmf(n0 + 1, env) == pytest.approx(
+            aj.tail(n0, env), rel=1e-12)
+        assert dist.tail(n0, env) == pytest.approx(aj.tail(n0, env), rel=1e-12)
+        assert dist.tail(n0 // 2, env) == pytest.approx(aj.tail(n0 // 2, env), rel=1e-12)
+        assert dist.pmf(n0 + 2, env) == dist.tail(n0 + 2, env) == 0.0
+    assert len(dist.pieces) == 3
+    assert dist.support_bound == n0 + 1
+    assert time.perf_counter() - start < 0.05
