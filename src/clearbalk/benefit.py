@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import UnreachableState
 from .model import RewardCost, ValidatedModel
-from .spectral import SpectralData, discounts, law_pieces, piece_at, scaled_mixture
+from .spectral import SpectralData, branch_power, discounts, law_pieces, piece_at, scaled_mixture
 from .strategies import Strategy
 
 
@@ -47,7 +47,8 @@ class BenefitCoefficients:
     per-environment splits ``arrival_r1[e-1] = lambda_e * A_e`` and
     ``arrival_r2[e-1] = lambda_e * B_e`` are kept so arrival-conditioned
     (Palm) environment probabilities can be formed for any state without
-    revisiting the spectral data.
+    revisiting the spectral data. The aggregates are evaluated from the
+    roots ``z1``, ``z2``, with r = 1/(1 - z), which stay accurate as r1 -> 1.
     """
 
     a: float
@@ -58,6 +59,8 @@ class BenefitCoefficients:
     beta: float
     r1: float
     r2: float
+    z1: float
+    z2: float
     reward: float
     cost: float
     arrival_r1: tuple[float, float]
@@ -93,7 +96,7 @@ def benefit_coefficients(model: ValidatedModel, spec: SpectralData,
         a=a, b=b, d=d, e=e,
         alpha=rc.reward * d - rc.cost * a,
         beta=rc.reward * e - rc.cost * b,
-        r1=spec.r1, r2=spec.r2,
+        r1=spec.r1, r2=spec.r2, z1=spec.z1, z2=spec.z2,
         reward=rc.reward, cost=rc.cost,
         arrival_r1=arrival_r1, arrival_r2=arrival_r2,
     )
@@ -107,17 +110,17 @@ def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
     G(n, theta)/r1**n. Ratios of such sums equal the unscaled ratios and
     stay finite at levels where r1**n itself underflows (small r1).
     """
-    return scaled_mixture(coef.r1, coef.r2, c1, c2, n, *discounts(coef.r1, coef.r2, theta))
+    return scaled_mixture(coef.z1, coef.z2, c1, c2, n, *discounts(coef.z1, coef.z2, theta))
 
 
 def f_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
     """Discounted net-benefit aggregate F(n, theta) in closed form."""
-    return coef.r1 ** n * scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
+    return branch_power(coef.z1, n) * scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
 
 
 def g_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
     """Discounted arrival-mass aggregate G(n, theta); strictly positive."""
-    return coef.r1 ** n * scaled_aggregate(coef, coef.d, coef.e, n, theta)
+    return branch_power(coef.z1, n) * scaled_aggregate(coef, coef.d, coef.e, n, theta)
 
 
 def _benefit(coef: BenefitCoefficients, n: int, theta: float) -> float:
@@ -165,12 +168,12 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
     """
     if n < 0:
         raise ValueError(f"queue length must be nonnegative, got {n}")
-    piece = piece_at(law_pieces(coef.r1, coef.r2, strategy), n)
+    piece = piece_at(law_pieces(coef.z1, coef.z2, strategy), n)
     if piece is None:
         raise UnreachableState(f"level {n} has zero stationary mass under {strategy!r}")
 
     def aggregate(c1: float, c2: float) -> float:
-        return scaled_mixture(coef.r1, coef.r2, c1, c2, n, piece.d1, piece.d2)
+        return scaled_mixture(coef.z1, coef.z2, c1, c2, n, piece.d1, piece.d2)
 
     w1, w2 = (aggregate(coef.arrival_r1[e], coef.arrival_r2[e]) for e in (0, 1))
     palm = (w1 / (w1 + w2), w2 / (w1 + w2))

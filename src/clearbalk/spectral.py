@@ -26,9 +26,14 @@ d2. With delta(theta) = 1 - (1-theta)*r for each branch:
   delta(theta), levels 1.. with delta(theta)/theta.
 
 ``scaled_mixture`` is the one evaluation kernel: masses, tails, F, G and
-Palm weights are all calls of it with a piece's divisors. Tail sums are
-closed geometric forms, never series truncations; the truncation-based
-evaluation lives in the oracle package so the two routes stay independent.
+Palm weights are all calls of it with a piece's divisors. The divisors and
+powers come from the roots, never from a rounded r: delta(theta) is
+(theta - z)/(1 - z) and log r is -log1p(-z). As clearing slows, r1 -> 1
+and 1 - r1 computed from the rounded r1 keeps none of its digits once it
+nears the rounding unit; from the roots it stays accurate to a few units.
+Tail sums are closed geometric forms, never series truncations; the
+truncation-based evaluation lives in the oracle package so the two routes
+stay independent.
 """
 
 from __future__ import annotations
@@ -116,29 +121,34 @@ def _clip_mass(value: float, where: str) -> float:
     raise ConsistencyError(f"negative stationary mass {value!r} at {where}")
 
 
-def discounts(r1: float, r2: float, theta: float) -> tuple[float, float]:
+def branch_power(z: float, n: int) -> float:
+    """r**n for the branch r = 1/(1 - z), as exp(-n*log1p(-z))."""
+    return math.exp(-n * math.log1p(-z))
+
+
+def discounts(z1: float, z2: float, theta: float) -> tuple[float, float]:
     """delta(theta) = 1 - (1-theta)*r for the r1 and the r2 branch."""
-    w = 1.0 - theta
-    return 1.0 - w * r1, 1.0 - w * r2
+    return (theta - z1) / (1.0 - z1), (theta - z2) / (1.0 - z2)
 
 
-def scaled_mixture(r1: float, r2: float, c1: float, c2: float, n: int,
+def scaled_mixture(z1: float, z2: float, c1: float, c2: float, n: int,
                    d1: float, d2: float) -> float:
     """(c1*r1**n/d1 + c2*r2**n/d2) / r1**n.
 
     Divided by r1**n, the value stays finite where r1**n underflows, and
     ratios of two such values equal the unscaled ratios.
     """
-    return c1 / d1 + c2 * (r2 / r1) ** n / d2
+    return c1 / d1 + c2 * math.exp(n * (math.log1p(-z1) - math.log1p(-z2))) / d2
 
 
-def _level_sum(r: float, count: float) -> float:
+def _level_sum(z: float, count: float) -> float:
     """1/(1 + r + ... + r**(count-1)): the divisor that sums ``count`` levels."""
     if count == 1:
         return 1.0
+    plain = -z / (1.0 - z)  # 1 - r
     if count == math.inf:
-        return 1.0 - r
-    return (1.0 - r) / (1.0 - r ** count)
+        return plain
+    return plain / -math.expm1(-count * math.log1p(-z))
 
 
 @dataclass(frozen=True)
@@ -158,24 +168,24 @@ class Piece:
 _JOIN_PIECES = (Piece(0, math.inf, 1.0, 1.0),)
 
 
-def _threshold_pieces(r1: float, r2: float, n0: int, theta: float) -> tuple[Piece, ...]:
-    d1, d2 = discounts(r1, r2, theta)
+def _threshold_pieces(z1: float, z2: float, n0: int, theta: float) -> tuple[Piece, ...]:
+    d1, d2 = discounts(z1, z2, theta)
     pieces = [Piece(0, n0 - 1, 1.0, 1.0)] if n0 > 0 else []
     pieces.append(Piece(n0, n0, d1, d2))
     if theta > 0.0:
-        e1, e2 = discounts(r1, r2, 0.0)
+        e1, e2 = discounts(z1, z2, 0.0)
         pieces.append(Piece(n0 + 1, n0 + 1, d1 * e1 / theta, d2 * e2 / theta))
     return tuple(pieces)
 
 
-def _reverse_pieces(r1: float, r2: float, theta: float) -> tuple[Piece, ...]:
+def _reverse_pieces(z1: float, z2: float, theta: float) -> tuple[Piece, ...]:
     if theta == 0.0:
-        return _threshold_pieces(r1, r2, 0, 0.0)
-    d1, d2 = discounts(r1, r2, theta)
+        return _threshold_pieces(z1, z2, 0, 0.0)
+    d1, d2 = discounts(z1, z2, theta)
     return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / theta, d2 / theta))
 
 
-def law_pieces(r1: float, r2: float, strategy: Strategy) -> tuple[Piece, ...]:
+def law_pieces(z1: float, z2: float, strategy: Strategy) -> tuple[Piece, ...]:
     """The pieces of the closed-form law of ``strategy``.
 
     Raises:
@@ -185,14 +195,14 @@ def law_pieces(r1: float, r2: float, strategy: Strategy) -> tuple[Piece, ...]:
     if isinstance(strategy, AlwaysJoin):
         return _JOIN_PIECES
     if isinstance(strategy, AlwaysBalk):
-        return _threshold_pieces(r1, r2, 0, 0.0)
+        return _threshold_pieces(z1, z2, 0, 0.0)
     if isinstance(strategy, PureThreshold):
-        return _threshold_pieces(r1, r2, strategy.n0, 0.0)
+        return _threshold_pieces(z1, z2, strategy.n0, 0.0)
     if isinstance(strategy, MixedThreshold):
-        return _threshold_pieces(r1, r2, strategy.n0, strategy.theta)
+        return _threshold_pieces(z1, z2, strategy.n0, strategy.theta)
     if isinstance(strategy, ReverseThreshold):
         # from n0 >= 1 on, the empty system is never left in steady state
-        return _reverse_pieces(r1, r2, strategy.theta if strategy.n0 == 0 else 0.0)
+        return _reverse_pieces(z1, z2, strategy.theta if strategy.n0 == 0 else 0.0)
     if isinstance(strategy, JoinVector):
         raise ValueError("join vectors have no closed form; "
                          "use the balance or simulation oracle")
@@ -229,9 +239,9 @@ class StationaryDistribution:
         """Mass of ``env`` on ``count`` levels of ``piece`` from ``start`` on."""
         s = self.spec
         a, b = s.coefficients(env)
-        return s.r1 ** start * scaled_mixture(s.r1, s.r2, a, b, start,
-                                              piece.d1 * _level_sum(s.r1, count),
-                                              piece.d2 * _level_sum(s.r2, count))
+        return branch_power(s.z1, start) * scaled_mixture(
+            s.z1, s.z2, a, b, start,
+            piece.d1 * _level_sum(s.z1, count), piece.d2 * _level_sum(s.z2, count))
 
     def pmf(self, n: int, env: int) -> float:
         """Stationary mass of state (n, env), env in {1, 2}."""
@@ -280,7 +290,7 @@ def stationary_threshold(model: ValidatedModel, spec: SpectralData,
         raise ValueError(f"threshold level must be nonnegative, got {n0}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return StationaryDistribution(spec, _threshold_pieces(spec.r1, spec.r2, n0, theta))
+    return StationaryDistribution(spec, _threshold_pieces(spec.z1, spec.z2, n0, theta))
 
 
 def stationary_reverse(model: ValidatedModel, spec: SpectralData,
@@ -297,7 +307,7 @@ def stationary_reverse(model: ValidatedModel, spec: SpectralData,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return StationaryDistribution(spec, _reverse_pieces(spec.r1, spec.r2, theta))
+    return StationaryDistribution(spec, _reverse_pieces(spec.z1, spec.z2, theta))
 
 
 def stationary_distribution(model: ValidatedModel, spec: SpectralData,
@@ -308,4 +318,4 @@ def stationary_distribution(model: ValidatedModel, spec: SpectralData,
         ValueError: For JoinVector strategies, whose stationary law has no
             closed form here; use the balance-equation oracle instead.
     """
-    return StationaryDistribution(spec, law_pieces(spec.r1, spec.r2, strategy))
+    return StationaryDistribution(spec, law_pieces(spec.z1, spec.z2, strategy))

@@ -263,7 +263,24 @@ def test_far_threshold_law_in_constant_time():
             aj.tail(n0, env), rel=1e-12)
         assert dist.tail(n0, env) == pytest.approx(aj.tail(n0, env), rel=1e-12)
         assert dist.tail(n0 // 2, env) == pytest.approx(aj.tail(n0 // 2, env), rel=1e-12)
+        assert dist.tail(0, env) == pytest.approx(model.env_stationary[env - 1], rel=1e-12)
         assert dist.pmf(n0 + 2, env) == dist.tail(n0 + 2, env) == 0.0
     assert len(dist.pieces) == 3
     assert dist.support_bound == n0 + 1
     assert time.perf_counter() - start < 0.05
+
+
+def test_env_marginals_hold_at_extreme_rates(rng):
+    # rates over 16 decades reach 1 - r1 near the rounding unit, where
+    # divisors taken from a rounded r1 lose every digit
+    for _ in range(3000):
+        model = random_model(rng, 1e-8, 1e8)
+        spec = spectral_quantities(model)
+        n0 = int(rng.integers(0, 9))
+        theta = float(rng.uniform(0.05, 0.95))
+        for strategy in (AlwaysJoin(), AlwaysBalk(), PureThreshold(n0),
+                         MixedThreshold(n0, theta), ReverseThreshold(0, theta)):
+            dist = stationary_distribution(model, spec, strategy)
+            for env in (1, 2):
+                assert dist.env_marginal(env) == pytest.approx(
+                    model.env_stationary[env - 1], rel=1e-12)
