@@ -153,10 +153,8 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
                    strategy: Strategy, n: int) -> BenefitValue:
     """Net benefit of joining at observed queue length n against ``strategy``.
 
-    The ratio F/G and the arrival-conditioned environment pair are taken
-    on the piece of the strategy's stationary law that holds level n,
-    with that piece's divisors; the conditional sojourn follows from the
-    pair.
+    F/G and the arrival-conditioned environment pair are evaluated with the
+    divisors of the piece of the strategy's law that holds level n.
 
     Raises:
         UnreachableState: If the state has zero stationary mass under the

@@ -10,7 +10,9 @@ All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
 use exit codes 0 (success), 2 (input error), 3 (internal consistency
 failure, or any other package error, such as an equilibrium bound past
-the search cap; the one-line message names the error class).
+the search cap; the one-line message names the error class). A ``sweep``
+point that fails still gets its row, marked ``error:<class>``, and the
+command then exits 3.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ from .strategies import JoinVector, Strategy, format_strategy, parse_strategy
 _CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
 
 _SWEEP_PARAMS = ("R", "C", "lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
+
+_SWEEP_COLUMNS = ("param", "value", "case", "subcase", "n_l", "n_u",
+                  "equilibria", "v_fu", "h_upper_0", "h_limit")
 
 
 class _InputError(Exception):
@@ -401,25 +406,31 @@ def cmd_sweep(args) -> int:
         raise _InputError(f"--steps must be at least 2, got {args.steps}")
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     step = (args.stop - args.start) / (args.steps - 1)
-    rows = [_sweep_row(model.params, rc, args.param, args.start + i * step, tolerance)
-            for i in range(args.steps)]
+    rows, failures = [], []
+    for i in range(args.steps):
+        value = args.start + i * step
+        try:
+            rows.append(_sweep_row(model.params, rc, args.param, value, tolerance))
+        except (NonPositiveRate, NonPositiveRewardCost):
+            raise
+        except ClearbalkError as exc:
+            # one failed point keeps its row and the rest of the grid
+            failures.append(exc)
+            rows.append({**dict.fromkeys(_SWEEP_COLUMNS), "param": args.param,
+                         "value": value, "equilibria": f"error:{type(exc).__name__}"})
 
     fmt = args.format or "csv"
     if fmt == "json":
         _emit(_json_text(rows), args.out)
-        return 0
-    header = ("param", "value", "case", "subcase", "n_l", "n_u",
-              "equilibria", "v_fu", "h_upper_0", "h_limit")
-    table = [header]
-    for row in rows:
-        table.append((
-            row["param"], _fmt(row["value"]), row["case"], row["subcase"],
-            "" if row["n_l"] is None else str(row["n_l"]),
-            "" if row["n_u"] is None else str(row["n_u"]),
-            row["equilibria"], _fmt(row["v_fu"]),
-            _fmt(row["h_upper_0"]), _fmt(row["h_limit"]),
-        ))
-    _emit(_cells_text(table, fmt), args.out)
+    else:
+        floats = ("value", "v_fu", "h_upper_0", "h_limit")
+        table = [tuple("" if row[k] is None else _fmt(row[k]) if k in floats else str(row[k])
+                       for k in _SWEEP_COLUMNS) for row in rows]
+        _emit(_cells_text([_SWEEP_COLUMNS] + table, fmt), args.out)
+    if failures:
+        print(f"numerical failure: {type(failures[0]).__name__}: {failures[0]} "
+              f"({len(failures)} of {args.steps} grid points)", file=sys.stderr)
+        return 3
     return 0
 
 

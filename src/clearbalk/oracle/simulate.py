@@ -81,18 +81,21 @@ class SimEstimates(Wire):
     net_benefit_by_level: np.ndarray
     net_benefit_by_level_se: np.ndarray
 
-    def pmf(self, n: int, env: int) -> float:
-        """Estimated stationary mass of (n, env); lump row excluded."""
+    def _cell(self, n: int, env: int) -> tuple[int, int]:
+        """Row and column of a tracked (n, env); the lump row is not one."""
         if not 1 <= env <= 2:
             raise ValueError(f"environment must be 1 or 2, got {env}")
         if n < 0 or n > self.track_levels:
             raise ValueError(f"level {n} is outside the tracked range")
-        return float(self.masses[n, env - 1])
+        return n, env - 1
+
+    def pmf(self, n: int, env: int) -> float:
+        """Estimated stationary mass of (n, env); lump row excluded."""
+        return float(self.masses[self._cell(n, env)])
 
     def pmf_se(self, n: int, env: int) -> float:
-        if not 1 <= env <= 2:
-            raise ValueError(f"environment must be 1 or 2, got {env}")
-        return float(self.masses_se[n, env - 1])
+        """Standard error of ``pmf(n, env)`` across replications."""
+        return float(self.masses_se[self._cell(n, env)])
 
 
 def _path_blocks(model: ValidatedModel, rng: np.random.Generator, horizon: float):

@@ -26,14 +26,12 @@ d2. With delta(theta) = 1 - (1-theta)*r for each branch:
   delta(theta), levels 1.. with delta(theta)/theta.
 
 ``scaled_mixture`` is the one evaluation kernel: masses, tails, F, G and
-Palm weights are all calls of it with a piece's divisors. The divisors and
-powers come from the roots, never from a rounded r: delta(theta) is
-(theta - z)/(1 - z) and log r is -log1p(-z). As clearing slows, r1 -> 1
-and 1 - r1 computed from the rounded r1 keeps none of its digits once it
-nears the rounding unit; from the roots it stays accurate to a few units.
-Tail sums are closed geometric forms, never series truncations; the
-truncation-based evaluation lives in the oracle package so the two routes
-stay independent.
+Palm weights are all calls of it with a piece's divisors. Divisors and
+powers come from the roots, as delta(theta) = (theta - z)/(1 - z) and
+log r = -log1p(-z): as clearing slows, r1 -> 1, and 1 - r1 taken from the
+rounded r1 loses every digit near the rounding unit. Tail sums are closed
+geometric forms, never series truncations; the truncation-based
+evaluation lives in the oracle package so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -178,13 +176,6 @@ def _threshold_pieces(z1: float, z2: float, n0: int, theta: float) -> tuple[Piec
     return tuple(pieces)
 
 
-def _reverse_pieces(z1: float, z2: float, theta: float) -> tuple[Piece, ...]:
-    if theta == 0.0:
-        return _threshold_pieces(z1, z2, 0, 0.0)
-    d1, d2 = discounts(z1, z2, theta)
-    return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / theta, d2 / theta))
-
-
 def law_pieces(z1: float, z2: float, strategy: Strategy) -> tuple[Piece, ...]:
     """The pieces of the closed-form law of ``strategy``.
 
@@ -194,15 +185,17 @@ def law_pieces(z1: float, z2: float, strategy: Strategy) -> tuple[Piece, ...]:
     """
     if isinstance(strategy, AlwaysJoin):
         return _JOIN_PIECES
-    if isinstance(strategy, AlwaysBalk):
+    if isinstance(strategy, ReverseThreshold) and strategy.n0 == 0 and strategy.theta > 0.0:
+        theta = strategy.theta
+        d1, d2 = discounts(z1, z2, theta)
+        return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / theta, d2 / theta))
+    if isinstance(strategy, (AlwaysBalk, ReverseThreshold)):
+        # the other reverse thresholds never leave the empty system
         return _threshold_pieces(z1, z2, 0, 0.0)
     if isinstance(strategy, PureThreshold):
         return _threshold_pieces(z1, z2, strategy.n0, 0.0)
     if isinstance(strategy, MixedThreshold):
         return _threshold_pieces(z1, z2, strategy.n0, strategy.theta)
-    if isinstance(strategy, ReverseThreshold):
-        # from n0 >= 1 on, the empty system is never left in steady state
-        return _reverse_pieces(z1, z2, strategy.theta if strategy.n0 == 0 else 0.0)
     if isinstance(strategy, JoinVector):
         raise ValueError("join vectors have no closed form; "
                          "use the balance or simulation oracle")
@@ -235,10 +228,11 @@ class StationaryDistribution:
         last = self.pieces[-1].last
         return None if last == math.inf else last
 
-    def _levels(self, piece: Piece, start: int, count: float, env: int) -> float:
-        """Mass of ``env`` on ``count`` levels of ``piece`` from ``start`` on."""
+    def _levels(self, piece: Piece, start: int, stop: float, env: int) -> float:
+        """Mass of ``env`` on the levels start..stop-1 of ``piece``."""
         s = self.spec
         a, b = s.coefficients(env)
+        count = stop - start
         return branch_power(s.z1, start) * scaled_mixture(
             s.z1, s.z2, a, b, start,
             piece.d1 * _level_sum(s.z1, count), piece.d2 * _level_sum(s.z2, count))
@@ -250,17 +244,14 @@ class StationaryDistribution:
         piece = piece_at(self.pieces, n)
         if piece is None:
             return 0.0
-        return _clip_mass(self._levels(piece, n, 1, env), f"pmf({n}, {env})")
+        return _clip_mass(self._levels(piece, n, n + 1, env), f"pmf({n}, {env})")
 
     def tail(self, m: int, env: int) -> float:
         """Closed-form tail mass: sum of pmf(n, env) over n >= m."""
         if m < 0 or env not in (1, 2):
             raise ValueError(f"bad tail query ({m}, {env})")
-        total = 0.0
-        for piece in self.pieces:
-            start = max(m, piece.first)
-            if start <= piece.last:
-                total += self._levels(piece, start, piece.last + 1 - start, env)
+        total = sum((self._levels(piece, max(m, piece.first), piece.last + 1, env)
+                     for piece in self.pieces if m <= piece.last), 0.0)
         return _clip_mass(total, f"tail({m}, {env})")
 
     def env_marginal(self, env: int) -> float:
@@ -279,35 +270,18 @@ def stationary_always_join(model: ValidatedModel, spec: SpectralData) -> Station
 
 def stationary_threshold(model: ValidatedModel, spec: SpectralData,
                          n0: int, theta: float) -> StationaryDistribution:
-    """Stationary law under the mixed threshold strategy at ``n0``.
-
-    Levels below n0 keep the all-join masses. Level n0 receives the
-    (1-theta)-discounted tail, level n0+1 the complementary overflow mass
-    (absent when theta = 0, which is the pure threshold case), and nothing
-    lies above. With n0 = 0 and theta = 0 this degenerates to always-balk.
-    """
-    if n0 < 0:
-        raise ValueError(f"threshold level must be nonnegative, got {n0}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return StationaryDistribution(spec, _threshold_pieces(spec.z1, spec.z2, n0, theta))
+    """Stationary law under the mixed threshold (n0, theta); theta = 0 is pure."""
+    return stationary_distribution(model, spec, MixedThreshold(n0, theta))
 
 
 def stationary_reverse(model: ValidatedModel, spec: SpectralData,
                        theta: float) -> StationaryDistribution:
-    """Stationary law under the reverse threshold at level 0.
+    """Stationary law under the reverse threshold (0, theta).
 
-    theta = 0 gives always-balk, theta = 1 always-join. For interior theta
-    level 0 collects the full (1-theta)-discounted series and each level
-    n >= 1 keeps theta times its discounted tail, which is again a
-    two-term geometric mixture, so tail queries stay closed-form.
-
-    Reverse thresholds with n0 >= 1 never leave the empty system in steady
-    state; route them here as theta = 0.
+    theta = 0 gives always-balk, the law of every reverse threshold from
+    n0 >= 1 on, and theta = 1 gives always-join.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return StationaryDistribution(spec, _reverse_pieces(spec.z1, spec.z2, theta))
+    return stationary_distribution(model, spec, ReverseThreshold(0, theta))
 
 
 def stationary_distribution(model: ValidatedModel, spec: SpectralData,

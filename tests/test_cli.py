@@ -393,3 +393,35 @@ def test_flags_only_on_subcommands_that_read_them(config, capsys, argv):
         main(argv[:1] + ["--config", config()] + argv[1:])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_keeps_the_grid_when_one_point_fails(config, capsys, fmt):
+    # R = 519 puts n_u past the search cap; 519.5 and 520 are subcase III
+    path = config(**PAST_CAP_CONFIG)
+    assert main(["sweep", "--config", path, "--param", "R", "--from", "519",
+                 "--to", "520", "--steps", "3", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: ScanLimitExceeded: ")
+    assert captured.err.rstrip().endswith("(1 of 3 grid points)")
+    if fmt == "csv":
+        rows = list(csv.reader(captured.out.splitlines()))
+        assert len(rows) == 4
+        assert rows[1][:2] == ["R", "519"]
+        assert rows[1][6] == "error:ScanLimitExceeded"
+        assert rows[1][2:6] + rows[1][7:] == [""] * 7
+        assert [r[3] for r in rows[2:]] == ["III", "III"]
+    else:
+        data = json.loads(captured.out)
+        assert [row["value"] for row in data] == [519.0, 519.5, 520.0]
+        assert data[0]["equilibria"] == "error:ScanLimitExceeded"
+        assert all(data[0][k] is None for k in data[0]
+                   if k not in ("param", "value", "equilibria"))
+        assert [row["subcase"] for row in data[1:]] == ["III", "III"]
+
+
+def test_sweep_rejects_a_nonpositive_rate_as_input(config, capsys):
+    assert main(["sweep", "--config", config(), "--param", "mu1",
+                 "--from", "-1", "--to", "1", "--steps", "3"]) == 2
+    assert "mu1" in capsys.readouterr().err

@@ -124,6 +124,12 @@ def test_pmf_range_checks(pstar):
         est.pmf(0, 3)
     with pytest.raises(ValueError):
         est.pmf_se(0, 0)
+    # the standard errors check their level the way the masses do
+    for n in (-1, 7, 8):
+        with pytest.raises(ValueError, match="outside the tracked range"):
+            est.pmf(n, 1)
+        with pytest.raises(ValueError, match="outside the tracked range"):
+            est.pmf_se(n, 1)
 
 
 @pytest.mark.parametrize("kw", [

@@ -225,6 +225,7 @@ def test_piecewise_laws_match_head_row_reference(rng):
                          ReverseThreshold(0, 1.0), ReverseThreshold(2, theta)):
             rows, geometric = _head_row_reference(model, spec, strategy)
             dist = stationary_distribution(model, spec, strategy)
+            assert len(dist.pieces) <= 3
 
             def ref_pmf(n, e):
                 if n < len(rows):
