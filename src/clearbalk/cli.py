@@ -412,7 +412,7 @@ def cmd_sweep(args) -> int:
         try:
             rows.append(_sweep_row(model.params, rc, args.param, value, tolerance))
         except (NonPositiveRate, NonPositiveRewardCost):
-            raise
+            raise  # a bad rate or reward is an input error (exit 2)
         except ClearbalkError as exc:
             # one failed point keeps its row and the rest of the grid
             failures.append(exc)
