@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import UnreachableState
 from .model import RewardCost, ValidatedModel
-from .spectral import SpectralData, branch_power, discounts, law_pieces, piece_at, scaled_mixture
+from .spectral import SpectralData, branch_power, law_pieces, piece_at, scaled_mixture
 from .strategies import Strategy
 
 
@@ -47,8 +47,8 @@ class BenefitCoefficients:
     per-environment splits ``arrival_r1[e-1] = lambda_e * A_e`` and
     ``arrival_r2[e-1] = lambda_e * B_e`` are kept so arrival-conditioned
     (Palm) environment probabilities can be formed for any state without
-    revisiting the spectral data. The aggregates are evaluated from the
-    roots ``z1``, ``z2``, with r = 1/(1 - z), which stay accurate as r1 -> 1.
+    revisiting the spectral data. The roots ``z1``, ``z2`` (r = 1/(1 - z))
+    and ``log_ratio`` = log(r2/r1) keep the aggregates accurate as r1 -> 1.
     """
 
     a: float
@@ -61,6 +61,7 @@ class BenefitCoefficients:
     r2: float
     z1: float
     z2: float
+    log_ratio: float
     reward: float
     cost: float
     arrival_r1: tuple[float, float]
@@ -96,7 +97,7 @@ def benefit_coefficients(model: ValidatedModel, spec: SpectralData,
         a=a, b=b, d=d, e=e,
         alpha=rc.reward * d - rc.cost * a,
         beta=rc.reward * e - rc.cost * b,
-        r1=spec.r1, r2=spec.r2, z1=spec.z1, z2=spec.z2,
+        r1=spec.r1, r2=spec.r2, z1=spec.z1, z2=spec.z2, log_ratio=spec.log_ratio,
         reward=rc.reward, cost=rc.cost,
         arrival_r1=arrival_r1, arrival_r2=arrival_r2,
     )
@@ -110,7 +111,11 @@ def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
     G(n, theta)/r1**n. Ratios of such sums equal the unscaled ratios and
     stay finite at levels where r1**n itself underflows (small r1).
     """
-    return scaled_mixture(coef.z1, coef.z2, c1, c2, n, *discounts(coef.z1, coef.z2, theta))
+    # spectral.discounts written out: calling it from here made
+    # compute_equilibria, whose sign tests run through here, ~15% slower
+    z1, z2 = coef.z1, coef.z2
+    return scaled_mixture(coef.log_ratio, c1, c2, n,
+                          (theta - z1) / (1.0 - z1), (theta - z2) / (1.0 - z2))
 
 
 def f_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
@@ -171,7 +176,7 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
         raise UnreachableState(f"level {n} has zero stationary mass under {strategy!r}")
 
     def aggregate(c1: float, c2: float) -> float:
-        return scaled_mixture(coef.z1, coef.z2, c1, c2, n, piece.d1, piece.d2)
+        return scaled_mixture(coef.log_ratio, c1, c2, n, piece.d1, piece.d2)
 
     w1, w2 = (aggregate(coef.arrival_r1[e], coef.arrival_r2[e]) for e in (0, 1))
     palm = (w1 / (w1 + w2), w2 / (w1 + w2))

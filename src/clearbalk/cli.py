@@ -10,9 +10,8 @@ All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
 use exit codes 0 (success), 2 (input error), 3 (internal consistency
 failure, or any other package error, such as an equilibrium bound past
-the search cap; the one-line message names the error class). A ``sweep``
-point that fails still gets its row, marked ``error:<class>``, and the
-command then exits 3.
+the search cap; the one-line message names the error class, and ``sweep``
+still writes the row of each failed grid point, as ``error:<class>``).
 """
 
 from __future__ import annotations

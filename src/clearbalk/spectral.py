@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .model import ValidatedModel
@@ -60,8 +61,9 @@ class SpectralData:
     """Characteristic roots, geometric ratios, and mixture coefficients.
 
     ``z1`` is the root taking the positive square root of the discriminant,
-    so z2 < z1 < 0 and the ratios satisfy 0 < r2 < r1 < 1. ``a1, b1``
-    (resp. ``a2, b2``) are the environment-1 (resp. 2) mixture coefficients.
+    so z2 < z1 < 0 and the ratios satisfy 0 < r2 < r1 < 1, with
+    ``log_ratio`` = log(r2/r1) taken from the roots. ``a1, b1`` (resp.
+    ``a2, b2``) are the environment-1 (resp. 2) mixture coefficients.
     """
 
     delta: float
@@ -69,6 +71,7 @@ class SpectralData:
     z2: float
     r1: float
     r2: float
+    log_ratio: float
     a1: float
     b1: float
     a2: float
@@ -108,6 +111,7 @@ def spectral_quantities(model: ValidatedModel) -> SpectralData:
     a2 = (p.mu2 * l1 * z1 + k) * pe2 / (sq * (1.0 - z1))
     b2 = -(p.mu2 * l1 * z2 + k) * pe2 / (sq * (1.0 - z2))
     return SpectralData(delta=delta, z1=z1, z2=z2, r1=r1, r2=r2,
+                        log_ratio=math.log1p(-z1) - math.log1p(-z2),
                         a1=a1, b1=b1, a2=a2, b2=b2)
 
 
@@ -129,28 +133,25 @@ def discounts(z1: float, z2: float, theta: float) -> tuple[float, float]:
     return (theta - z1) / (1.0 - z1), (theta - z2) / (1.0 - z2)
 
 
-def scaled_mixture(z1: float, z2: float, c1: float, c2: float, n: int,
+def scaled_mixture(log_ratio: float, c1: float, c2: float, n: int,
                    d1: float, d2: float) -> float:
-    """(c1*r1**n/d1 + c2*r2**n/d2) / r1**n.
+    """(c1*r1**n/d1 + c2*r2**n/d2) / r1**n, given log_ratio = log(r2/r1).
 
     Divided by r1**n, the value stays finite where r1**n underflows, and
     ratios of two such values equal the unscaled ratios.
     """
-    return c1 / d1 + c2 * math.exp(n * (math.log1p(-z1) - math.log1p(-z2))) / d2
+    return c1 / d1 + c2 * math.exp(n * log_ratio) / d2
 
 
 def _level_sum(z: float, count: float) -> float:
     """1/(1 + r + ... + r**(count-1)): the divisor that sums ``count`` levels."""
     if count == 1:
         return 1.0
-    plain = -z / (1.0 - z)  # 1 - r
-    if count == math.inf:
-        return plain
-    return plain / -math.expm1(-count * math.log1p(-z))
+    # 1 - r over 1 - r**count; expm1(-inf) = -1 covers an unbounded piece
+    return -z / (1.0 - z) / -math.expm1(-count * math.log1p(-z))
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """Levels ``first``..``last`` of a law (``last`` may be ``math.inf``).
 
     On these levels every quantity linear in the masses is its always-join
@@ -161,9 +162,6 @@ class Piece:
     last: float
     d1: float
     d2: float
-
-
-_JOIN_PIECES = (Piece(0, math.inf, 1.0, 1.0),)
 
 
 def _threshold_pieces(z1: float, z2: float, n0: int, theta: float) -> tuple[Piece, ...]:
@@ -184,11 +182,10 @@ def law_pieces(z1: float, z2: float, strategy: Strategy) -> tuple[Piece, ...]:
             the balance and simulation oracles cover them.
     """
     if isinstance(strategy, AlwaysJoin):
-        return _JOIN_PIECES
+        return (Piece(0, math.inf, 1.0, 1.0),)
     if isinstance(strategy, ReverseThreshold) and strategy.n0 == 0 and strategy.theta > 0.0:
-        theta = strategy.theta
-        d1, d2 = discounts(z1, z2, theta)
-        return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / theta, d2 / theta))
+        d1, d2 = discounts(z1, z2, strategy.theta)
+        return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / strategy.theta, d2 / strategy.theta))
     if isinstance(strategy, (AlwaysBalk, ReverseThreshold)):
         # the other reverse thresholds never leave the empty system
         return _threshold_pieces(z1, z2, 0, 0.0)
@@ -234,7 +231,7 @@ class StationaryDistribution:
         a, b = s.coefficients(env)
         count = stop - start
         return branch_power(s.z1, start) * scaled_mixture(
-            s.z1, s.z2, a, b, start,
+            s.log_ratio, a, b, start,
             piece.d1 * _level_sum(s.z1, count), piece.d2 * _level_sum(s.z2, count))
 
     def pmf(self, n: int, env: int) -> float:
@@ -265,7 +262,7 @@ class StationaryDistribution:
 
 def stationary_always_join(model: ValidatedModel, spec: SpectralData) -> StationaryDistribution:
     """Stationary law when every customer joins: the pure geometric mixture."""
-    return StationaryDistribution(spec, _JOIN_PIECES)
+    return stationary_distribution(model, spec, AlwaysJoin())
 
 
 def stationary_threshold(model: ValidatedModel, spec: SpectralData,

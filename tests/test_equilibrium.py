@@ -139,7 +139,8 @@ def test_scan_limit_guard():
     # the analytic limit reports negative, so n_u is never found
     coef = BenefitCoefficients(
         a=2.0, b=0.0, d=1.0, e=0.1, alpha=0.5, beta=0.1,
-        r1=0.9, r2=0.5, z1=-1.0 / 9.0, z2=-1.0, reward=1.0, cost=1.0,
+        r1=0.9, r2=0.5, z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0),
+        reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
     with pytest.raises(ScanLimitExceeded):
@@ -155,7 +156,8 @@ def test_scan_limit_names_orientation(orientation, alpha, beta, a):
     # limit has the opposite one, in either orientation
     coef = BenefitCoefficients(
         a=a, b=0.0, d=1.0, e=0.1, alpha=alpha, beta=beta,
-        r1=0.9, r2=0.5, z1=-1.0 / 9.0, z2=-1.0, reward=1.0, cost=1.0,
+        r1=0.9, r2=0.5, z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0),
+        reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
     message = f"upper-{orientation.value} bound lies above the search cap {SCAN_LIMIT}"
