@@ -22,9 +22,8 @@ sign questions about conditional benefits reduce to sign questions about
 F. The two envelopes H_upper(n) = F(n,1)/G(n,1) and
 H_lower(n) = F(n,0)/G(n,0) are the benefits of joining at n when the
 population joins up to n (exclusive) and through n (inclusive),
-respectively. ``net_benefit_ao`` evaluates the same ratio on the piece of
-the strategy's stationary law that holds the observed level (see
-``spectral``), with that piece's divisors in place of 1-(1-theta)*r.
+respectively. ``net_benefit_ao`` takes the same ratio with the divisors of
+the piece of the strategy's law (see ``spectral``) that holds level n.
 """
 
 from __future__ import annotations

@@ -56,17 +56,14 @@ _CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
 
 _SWEEP_PARAMS = ("R", "C", "lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
 
-_SWEEP_COLUMNS = ("param", "value", "case", "subcase", "n_l", "n_u",
-                  "equilibria", "v_fu", "h_upper_0", "h_limit")
-
 
 class _InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
-def _fmt(value: float) -> str:
-    """Float cell with 12 significant digits; 'inf' for infinities."""
-    return f"{value:.12g}"
+def _fmt(value: float | None) -> str:
+    """Float cell with 12 significant digits; 'inf' for infinities, '' for None."""
+    return "" if value is None else f"{value:.12g}"
 
 
 def _json_text(payload) -> str:
@@ -405,6 +402,8 @@ def cmd_sweep(args) -> int:
         raise _InputError(f"--steps must be at least 2, got {args.steps}")
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     step = (args.stop - args.start) / (args.steps - 1)
+    header = ("param", "value", "case", "subcase", "n_l", "n_u",
+              "equilibria", "v_fu", "h_upper_0", "h_limit")
     rows, failures = [], []
     for i in range(args.steps):
         value = args.start + i * step
@@ -413,24 +412,28 @@ def cmd_sweep(args) -> int:
         except (NonPositiveRate, NonPositiveRewardCost):
             raise  # a bad rate or reward is an input error (exit 2)
         except ClearbalkError as exc:
-            # one failed point keeps its row and the rest of the grid
             failures.append(exc)
-            rows.append({**dict.fromkeys(_SWEEP_COLUMNS), "param": args.param,
+            rows.append({**dict.fromkeys(header), "param": args.param,
                          "value": value, "equilibria": f"error:{type(exc).__name__}"})
 
     fmt = args.format or "csv"
     if fmt == "json":
         _emit(_json_text(rows), args.out)
     else:
-        floats = ("value", "v_fu", "h_upper_0", "h_limit")
-        table = [tuple("" if row[k] is None else _fmt(row[k]) if k in floats else str(row[k])
-                       for k in _SWEEP_COLUMNS) for row in rows]
-        _emit(_cells_text([_SWEEP_COLUMNS] + table, fmt), args.out)
+        table = [header]
+        for row in rows:
+            table.append((
+                row["param"], _fmt(row["value"]), row["case"] or "", row["subcase"] or "",
+                "" if row["n_l"] is None else str(row["n_l"]),
+                "" if row["n_u"] is None else str(row["n_u"]),
+                row["equilibria"], _fmt(row["v_fu"]),
+                _fmt(row["h_upper_0"]), _fmt(row["h_limit"]),
+            ))
+        _emit(_cells_text(table, fmt), args.out)
     if failures:
         print(f"numerical failure: {type(failures[0]).__name__}: {failures[0]} "
               f"({len(failures)} of {args.steps} grid points)", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if failures else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

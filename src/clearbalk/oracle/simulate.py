@@ -82,7 +82,6 @@ class SimEstimates(Wire):
     net_benefit_by_level_se: np.ndarray
 
     def _cell(self, n: int, env: int) -> tuple[int, int]:
-        """Row and column of a tracked (n, env); the lump row is not one."""
         if not 1 <= env <= 2:
             raise ValueError(f"environment must be 1 or 2, got {env}")
         if n < 0 or n > self.track_levels:

@@ -222,8 +222,7 @@ class StationaryDistribution:
     @property
     def support_bound(self) -> int | None:
         """Largest level with positive mass, or None for a geometric tail."""
-        last = self.pieces[-1].last
-        return None if last == math.inf else last
+        return None if self.pieces[-1].last == math.inf else self.pieces[-1].last
 
     def _levels(self, piece: Piece, start: int, stop: float, env: int) -> float:
         """Mass of ``env`` on the levels start..stop-1 of ``piece``."""
