@@ -46,8 +46,10 @@ class BenefitCoefficients:
     per-environment splits ``arrival_r1[e-1] = lambda_e * A_e`` and
     ``arrival_r2[e-1] = lambda_e * B_e`` are kept so arrival-conditioned
     (Palm) environment probabilities can be formed for any state without
-    revisiting the spectral data. The roots ``z1``, ``z2`` (r = 1/(1 - z))
-    and ``log_ratio`` = log(r2/r1) keep the aggregates accurate as r1 -> 1.
+    revisiting the spectral data. The ratios enter only through the roots
+    ``z1``, ``z2`` (r = 1/(1 - z)) and ``log_ratio`` = log(r2/r1), which
+    keep the aggregates accurate as r1 -> 1, where the rounded r1 and r2
+    would not.
     """
 
     a: float
@@ -56,8 +58,6 @@ class BenefitCoefficients:
     e: float
     alpha: float
     beta: float
-    r1: float
-    r2: float
     z1: float
     z2: float
     log_ratio: float
@@ -83,7 +83,10 @@ class BenefitValue:
 
 def benefit_coefficients(model: ValidatedModel, spec: SpectralData,
                          rc: RewardCost) -> BenefitCoefficients:
-    """Assemble A, B, D, E and the cached alpha/beta for a reward structure."""
+    """Assemble A, B, D, E and the cached alpha/beta for a reward structure.
+
+    Pure arithmetic, so it also runs elementwise on numpy columns (``grid``).
+    """
     p = model.params
     s1, s2 = model.mean_clearing
     arrival_r1 = (p.lambda1 * spec.a1, p.lambda2 * spec.a2)
@@ -96,7 +99,7 @@ def benefit_coefficients(model: ValidatedModel, spec: SpectralData,
         a=a, b=b, d=d, e=e,
         alpha=rc.reward * d - rc.cost * a,
         beta=rc.reward * e - rc.cost * b,
-        r1=spec.r1, r2=spec.r2, z1=spec.z1, z2=spec.z2, log_ratio=spec.log_ratio,
+        z1=spec.z1, z2=spec.z2, log_ratio=spec.log_ratio,
         reward=rc.reward, cost=rc.cost,
         arrival_r1=arrival_r1, arrival_r2=arrival_r2,
     )
@@ -148,7 +151,7 @@ def h_upper_limit(coef: BenefitCoefficients) -> float:
 
     r1 > r2 makes the r1 branch dominate, so the conditional sojourn tends
     to a/d. Computing the limit analytically avoids iterating n upward into
-    floating-point underflow.
+    floating-point underflow. Elementwise on numpy columns too (``grid``).
     """
     return coef.reward - coef.cost * coef.a / coef.d
 

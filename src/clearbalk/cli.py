@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -26,13 +25,12 @@ import math
 import sys
 from pathlib import Path
 
-from .benefit import benefit_coefficients, h_upper, h_upper_limit, net_benefit_ao
+from .benefit import benefit_coefficients, net_benefit_ao
 from .codec import decode
 from .dominant import (
     KNIFE_TOLERANCE,
     DominantStrategySet,
     Regime,
-    critical_values,
     dominant_almost_unobservable,
     dominant_fully_observable,
     dominant_fully_unobservable,
@@ -46,6 +44,7 @@ from .errors import (
     StrategyParseError,
     UnreachableState,
 )
+from .grid import SWEEP_FIELDS, sweep_columns
 from .model import ModelParams, RewardCost, validate_params
 from .oracle.balance import solve_truncated_balance
 from .oracle.simulate import simulate
@@ -55,6 +54,8 @@ from .strategies import JoinVector, Strategy, format_strategy, parse_strategy
 _CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
 
 _SWEEP_PARAMS = ("R", "C", "lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
+
+_SWEEP_FLOATS = ("value", "v_fu", "h_upper_0", "h_limit")
 
 
 class _InputError(Exception):
@@ -130,14 +131,26 @@ def _parse_span(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _tolerance(text: str) -> float:
     """``--tolerance``: a finite float >= 0; argparse names the flag on rejection."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _float_or_nan(text)
     if not 0.0 <= value < math.inf:   # also false for NaN
         raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """``--from``/``--to``: a finite float; argparse names the flag on rejection."""
+    value = _float_or_nan(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -362,74 +375,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
-               value: float, tolerance: float) -> dict:
-    if param == "R":
-        params, rc = base_params, RewardCost(value, base_rc.cost)
-    elif param == "C":
-        params, rc = base_params, RewardCost(base_rc.reward, value)
-    else:
-        params = dataclasses.replace(base_params, **{param: value})
-        rc = base_rc
-    model = validate_params(params, rc)
-    spec = spectral_quantities(model)
-    coef = benefit_coefficients(model, spec, rc)
-    report = compute_equilibria(model, spec, coef, rc, verify=False,
-                                tolerance=tolerance)
-    crit = critical_values(model)
-    if report.equilibria and report.equilibria[0].strategy is None:
-        listed = "family"
-    else:
-        listed = ";".join(format_strategy(i.strategy) for i in report.equilibria)
-    bounds = {} if report.bounds is None else report.bounds.to_dict()
-    return {
-        "param": param,
-        "value": value,
-        "case": report.case.kind.value,
-        "subcase": report.subcase.value,
-        "n_l": bounds.get("n_l"),
-        "n_u": bounds.get("n_u"),
-        "equilibria": listed,
-        "v_fu": crit.v_fu,
-        "h_upper_0": h_upper(coef, 0),
-        "h_limit": h_upper_limit(coef),
-    }
-
-
 def cmd_sweep(args) -> int:
     model, rc = _load_config(args.config)
     if args.steps < 2:
         raise _InputError(f"--steps must be at least 2, got {args.steps}")
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
-    step = (args.stop - args.start) / (args.steps - 1)
-    header = ("param", "value", "case", "subcase", "n_l", "n_u",
-              "equilibria", "v_fu", "h_upper_0", "h_limit")
-    rows, failures = [], []
-    for i in range(args.steps):
-        value = args.start + i * step
-        try:
-            rows.append(_sweep_row(model.params, rc, args.param, value, tolerance))
-        except (NonPositiveRate, NonPositiveRewardCost):
-            raise  # a bad rate or reward is an input error (exit 2)
-        except ClearbalkError as exc:
-            failures.append(exc)
-            rows.append({**dict.fromkeys(header), "param": args.param,
-                         "value": value, "equilibria": f"error:{type(exc).__name__}"})
-
+    columns, failures = sweep_columns(model.params, rc, args.param, args.start, args.stop,
+                                      args.steps, tolerance)
     fmt = args.format or "csv"
     if fmt == "json":
-        _emit(_json_text(rows), args.out)
+        _emit(_json_text([dict(zip(columns, row)) for row in zip(*columns.values())]),
+              args.out)
     else:
-        table = [header]
-        for row in rows:
-            table.append((
-                row["param"], _fmt(row["value"]), row["case"] or "", row["subcase"] or "",
-                "" if row["n_l"] is None else str(row["n_l"]),
-                "" if row["n_u"] is None else str(row["n_u"]),
-                row["equilibria"], _fmt(row["v_fu"]),
-                _fmt(row["h_upper_0"]), _fmt(row["h_limit"]),
-            ))
-        _emit(_cells_text(table, fmt), args.out)
+        cells = [list(map(_fmt, column)) if name in _SWEEP_FLOATS
+                 else ["" if v is None else str(v) for v in column]
+                 for name, column in columns.items()]
+        _emit(_cells_text([SWEEP_FIELDS, *zip(*cells)], fmt), args.out)
     if failures:
         print(f"numerical failure: {type(failures[0]).__name__}: {failures[0]} "
               f"({len(failures)} of {args.steps} grid points)", file=sys.stderr)
@@ -487,8 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common, tolerant],
                        help="equilibrium classification along a parameter grid")
     p.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
+    p.add_argument("--from", dest="start", type=_finite, required=True)
+    p.add_argument("--to", dest="stop", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

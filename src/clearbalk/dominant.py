@@ -85,13 +85,18 @@ def critical_values(model: ValidatedModel) -> CriticalValues:
     The almost-unobservable critical values are the per-environment mean
     clearing times themselves.
     """
+    s1, s2 = model.mean_clearing
+    return CriticalValues(v_fu=fully_unobservable_value(model),
+                          v_au_min=min(s1, s2), v_au_max=max(s1, s2))
+
+
+def fully_unobservable_value(model: ValidatedModel) -> float:
+    """V_fu alone; pure arithmetic, so elementwise on numpy columns too."""
     p = model.params
     k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
     weight_den = p.lambda1 * p.q21 + p.lambda2 * p.q12
-    v_fu = ((p.lambda1 * p.q21 * p.mu2 + p.lambda2 * p.q12 * p.mu1) / (weight_den * k)
+    return ((p.lambda1 * p.q21 * p.mu2 + p.lambda2 * p.q12 * p.mu1) / (weight_den * k)
             + (p.q21 + p.q12) / k)
-    s1, s2 = model.mean_clearing
-    return CriticalValues(v_fu=v_fu, v_au_min=min(s1, s2), v_au_max=max(s1, s2))
 
 
 def _compare(ratio: float, critical: float, tolerance: float) -> int:

@@ -156,33 +156,43 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
         return bounds(Subcase.III, math.inf, math.inf, math.inf, math.inf)
     n_u = search_first(lambda n: sign(n, 1.0) < 0, SCAN_LIMIT)
     if n_u > SCAN_LIMIT:
-        raise ScanLimitExceeded(
-            f"upper-{orientation.value} bound lies above the search cap {SCAN_LIMIT}")
+        raise past_cap(orientation)
     n_l = bisect_first(lambda n: sign(n, 0.0) <= 0, 0, n_u)
     n_l_plus = n_l if sign(n_l, 0.0) < 0 else n_l + 1
     n_u_minus = n_u if sign(n_u - 1, 1.0) > 0 else n_u - 1
     return bounds(Subcase.II, n_l, n_u, n_l_plus, n_u_minus)
 
 
+def past_cap(orientation: Orientation) -> ScanLimitExceeded:
+    """The error of an upper bound n_u that lies above ``SCAN_LIMIT``."""
+    return ScanLimitExceeded(
+        f"upper-{orientation.value} bound lies above the search cap {SCAN_LIMIT}")
+
+
 def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
     """Joining probability theta(n0) solving F(n0, theta) = 0.
 
-    Clearing the denominators makes F linear in u = 1 - theta, giving the
-    closed form u = F(n0, 1) / (alpha*r1**n0*r2 + beta*r2**n0*r1). Both
-    terms are divided by r1**n0, so the ratio is evaluated as
-    (alpha + beta*s) / (alpha*r2 + beta*s*r1) with s = (r2/r1)**n0, which
-    cannot underflow.
+    Divided by r1**n0, F(n0, theta) is alpha*(1-z1)/(theta-z1) +
+    beta*s*(1-z2)/(theta-z2) with s = (r2/r1)**n0 = exp(n0*log_ratio).
+    Clearing the denominators leaves an equation linear in theta:
+
+        theta = [alpha*(1-z1)*z2 + beta*s*(1-z2)*z1] / [alpha*(1-z1) + beta*s*(1-z2)]
+
+    Taken from the roots, it keeps the digits that the rounded r1 and r2
+    lose as clearing slows (r1 -> 1), and s cannot underflow to a 0/0.
 
     Raises:
         NoInteriorRoot: If the computed theta does not lie strictly inside
             (0, 1), which signals that n0 is outside the admissible mixed
             range.
     """
-    ratio = (coef.r2 / coef.r1) ** n0
-    denom = coef.alpha * coef.r2 + coef.beta * ratio * coef.r1
+    z1, z2 = coef.z1, coef.z2
+    w1 = coef.alpha * (1.0 - z1)
+    w2 = coef.beta * math.exp(n0 * coef.log_ratio) * (1.0 - z2)
+    denom = w1 + w2
     if denom == 0.0:
         raise NoInteriorRoot(f"F(n={n0}, theta) has no interior root (degenerate)")
-    theta = 1.0 - (coef.alpha + coef.beta * ratio) / denom
+    theta = (w1 * z2 + w2 * z1) / denom
     slack = 1e-12
     if not slack < theta < 1.0 - slack:
         raise NoInteriorRoot(f"computed theta {theta!r} is outside (0, 1) at n0={n0}")
@@ -244,68 +254,19 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     attached.
     """
     case = congestion_case(model)
-
-    items: list[EquilibriumItem] = []
-    bounds: ThresholdBounds | None = None
-    social: Strategy | None = None
-    root_knife = False
-
-    if case.kind is CaseKind.CASE_A:
-        bounds = threshold_bounds(coef, Orientation.THRESHOLD, tolerance)
-        if bounds.subcase is Subcase.I:
-            items.append(EquilibriumItem(AlwaysBalk(), "pure"))
-        elif bounds.subcase is Subcase.III:
-            items.append(EquilibriumItem(AlwaysJoin(), "pure"))
-        else:
-            for n0 in range(int(bounds.n_l), int(bounds.n_u) + 1):
-                items.append(EquilibriumItem(PureThreshold(n0), "pure"))
-            for n0 in range(int(bounds.n_l_plus), int(bounds.n_u_minus)):
-                try:
-                    theta = mixing_probability(coef, n0)
-                except NoInteriorRoot:
-                    # interior root pushed onto 0 or 1 by rounding: the
-                    # mixed candidate collapses onto an adjacent pure one
-                    root_knife = True
-                    continue
-                items.append(EquilibriumItem(MixedThreshold(n0, theta), "mixed"))
-            social = PureThreshold(int(bounds.n_u))
-    elif case.kind is CaseKind.CASE_B:
-        bounds = threshold_bounds(coef, Orientation.REVERSE, tolerance)
-        if bounds.subcase is Subcase.I:
-            items.append(EquilibriumItem(AlwaysJoin(), "reverse"))
-        elif bounds.subcase is Subcase.III:
-            items.append(EquilibriumItem(AlwaysBalk(), "reverse"))
-        elif bounds.n_u_minus == 0:
-            items.append(EquilibriumItem(AlwaysJoin(), "reverse"))
-        elif bounds.n_l_plus >= 1:
-            items.append(EquilibriumItem(AlwaysBalk(), "reverse"))
-        else:
-            try:
-                theta = mixing_probability(coef, 0)
-                items.append(EquilibriumItem(ReverseThreshold(0, theta), "reverse"))
-            except NoInteriorRoot:
-                # root rounded onto an endpoint: report the nearer pure
-                root_knife = True
-                join_side = abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0))
-                edge = AlwaysJoin() if join_side else AlwaysBalk()
-                items.append(EquilibriumItem(edge, "reverse"))
-    else:
+    if case.kind is CaseKind.CASE_C:
         tester = _SignTester(coef, tolerance)
         sign = tester.sign_f(0, 1.0)
-        if sign < 0:
-            subcase = Subcase.I
-            items.append(EquilibriumItem(AlwaysBalk(), "pure"))
-        elif sign > 0:
-            subcase = Subcase.III
-            items.append(EquilibriumItem(AlwaysJoin(), "pure"))
-        else:
-            subcase = Subcase.II
-            items.append(EquilibriumItem(
-                None, "family",
-                note="every threshold and reverse-threshold strategy is an equilibrium"))
-        knife = tester.band_hit
-    if bounds is not None:
-        subcase, knife = bounds.subcase, bounds.knife_edge or root_knife
+        subcase = Subcase.I if sign < 0 else Subcase.III if sign > 0 else Subcase.II
+        bounds, knife = None, tester.band_hit
+    else:
+        orientation = (Orientation.THRESHOLD if case.kind is CaseKind.CASE_A
+                       else Orientation.REVERSE)
+        bounds = threshold_bounds(coef, orientation, tolerance)
+        subcase, knife = bounds.subcase, bounds.knife_edge
+    items, root_knife = equilibrium_members(case.kind, subcase, coef, bounds)
+    social = (PureThreshold(int(bounds.n_u))
+              if case.kind is CaseKind.CASE_A and subcase is Subcase.II else None)
 
     if verify:
         items = [item if item.strategy is None else dataclasses.replace(
@@ -316,5 +277,46 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
         case=case, subcase=subcase, bounds=bounds,
         equilibria=tuple(items),
         social_optimum=social, social_coincides=social is None,
-        knife_edge=knife, tolerance=tolerance,
+        knife_edge=knife or root_knife, tolerance=tolerance,
     )
+
+
+def equilibrium_members(kind: CaseKind, subcase: Subcase, coef: BenefitCoefficients,
+                        bounds: ThresholdBounds | None) -> tuple[list[EquilibriumItem], bool]:
+    """The equilibrium set of a classified model, and whether a mixed root
+    rounded onto 0 or 1 (a knife edge).
+
+    Only subcase II of cases A and B reads ``coef`` and ``bounds``.
+    """
+    if kind is CaseKind.CASE_B:
+        if subcase is Subcase.I or (subcase is Subcase.II and bounds.n_u_minus == 0):
+            return [EquilibriumItem(AlwaysJoin(), "reverse")], False
+        if subcase is Subcase.III or bounds.n_l_plus >= 1:
+            return [EquilibriumItem(AlwaysBalk(), "reverse")], False
+        try:
+            theta = mixing_probability(coef, 0)
+        except NoInteriorRoot:
+            # root rounded onto an endpoint: report the nearer pure
+            join_side = abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0))
+            return [EquilibriumItem(AlwaysJoin() if join_side else AlwaysBalk(), "reverse")], True
+        return [EquilibriumItem(ReverseThreshold(0, theta), "reverse")], False
+    if subcase is not Subcase.II:
+        return [EquilibriumItem(AlwaysBalk() if subcase is Subcase.I else AlwaysJoin(),
+                                "pure")], False
+    if kind is CaseKind.CASE_C:
+        return [EquilibriumItem(
+            None, "family",
+            note="every threshold and reverse-threshold strategy is an equilibrium")], False
+    items = [EquilibriumItem(PureThreshold(n0), "pure")
+             for n0 in range(int(bounds.n_l), int(bounds.n_u) + 1)]
+    root_knife = False
+    for n0 in range(int(bounds.n_l_plus), int(bounds.n_u_minus)):
+        try:
+            theta = mixing_probability(coef, n0)
+        except NoInteriorRoot:
+            # interior root pushed onto 0 or 1 by rounding: the
+            # mixed candidate collapses onto an adjacent pure one
+            root_knife = True
+            continue
+        items.append(EquilibriumItem(MixedThreshold(n0, theta), "mixed"))
+    return items, root_knife

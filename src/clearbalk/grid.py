@@ -1,0 +1,256 @@
+"""A one-parameter sweep evaluated as numpy columns, one pass per closed form.
+
+``sweep_columns`` gives the cells of ``clearbalk sweep``. The six rates,
+R and C are columns, and every closed form runs once over the grid in the
+operation order of its scalar counterpart (``validate_params``,
+``congestion_case``, ``spectral_quantities``, ``benefit_coefficients``,
+``threshold_bounds``, ``critical_values``). numpy's +, -, *, / and sqrt
+round as Python floats do, so a point's cells are those of the scalar
+path. Where numpy's functions differ from libm the libm route is kept:
+the discriminant squares with pow(x, 2), which differs from x*x in the
+last bit on about 0.1% of inputs, and log_ratio is ``math.log1p``. Three
+exceptions: (r2/r1)**n in the bound search is ``np.exp``, whose last bit
+can move a banded sign only where F/G lies within a few units in the last
+place of the band's edge; integer rates are taken as floats; and where the
+scalar path raises ZeroDivisionError or OverflowError (rates near the ends
+of the float range) the cells read inf or nan.
+
+The bounds of the subcase-II points come from a lockstep ``search_first``
+and ``bisect_first``: each numpy pass probes the next level of every point
+still searching, about 2*log2(n_u) passes in all. Each such point's
+equilibrium set is listed by ``equilibrium_members`` on its coefficients
+as Python floats, so mixing probabilities are the scalar ones.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+
+from .benefit import BenefitCoefficients, benefit_coefficients, h_upper_limit
+from .dominant import fully_unobservable_value
+from .equilibrium import (
+    SCAN_LIMIT,
+    Orientation,
+    Subcase,
+    ThresholdBounds,
+    equilibrium_members,
+    past_cap,
+)
+from .errors import ClearbalkError
+from .model import (
+    CASE_TOLERANCE,
+    CaseKind,
+    ModelParams,
+    RewardCost,
+    ValidatedModel,
+    derive_model,
+    validate_params,
+)
+from .spectral import SpectralData
+from .strategies import format_strategy
+
+#: The fields of a sweep row, in CSV column order.
+SWEEP_FIELDS = ("param", "value", "case", "subcase", "n_l", "n_u",
+                "equilibria", "v_fu", "h_upper_0", "h_limit")
+
+_RATES = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
+_KINDS = (CaseKind.CASE_A, CaseKind.CASE_B, CaseKind.CASE_C)
+_SUBCASES = (Subcase.I, Subcase.II, Subcase.III)
+_KIND_NAMES = tuple(kind.value for kind in _KINDS)
+_SUBCASE_NAMES = tuple(subcase.value for subcase in _SUBCASES)
+
+
+def _inputs(fields: dict) -> tuple[ModelParams, RewardCost]:
+    """The rates and the reward structure in a mapping of the six rates, R and C."""
+    return ModelParams(*(fields[name] for name in _RATES)), RewardCost(fields["R"], fields["C"])
+
+
+def _cells(kind: CaseKind, subcase: Subcase, coef: BenefitCoefficients | None = None,
+           bounds: ThresholdBounds | None = None) -> tuple:
+    """(n_l, n_u, equilibria) of a point; ``coef`` and ``bounds`` are read
+    in subcase II of cases A and B only."""
+    items, _ = equilibrium_members(kind, subcase, coef, bounds)
+    listed = ("family" if items[0].strategy is None
+              else ";".join(format_strategy(item.strategy) for item in items))
+    if bounds is not None:
+        return bounds.n_l, bounds.n_u, listed
+    # the bounds' wire form: none in case C, 0 in subcase I, "inf" in III
+    level = None if kind is CaseKind.CASE_C else 0 if subcase is Subcase.I else "inf"
+    return level, level, listed
+
+
+def _spectral(model: ValidatedModel) -> SpectralData:
+    """``spectral_quantities`` on columns."""
+    p = model.params
+    l1, l2 = p.lambda1, p.lambda2
+    linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
+    gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
+    delta = np.array([g ** 2 for g in gap.tolist()]) + 4.0 * l1 * l2 * p.q12 * p.q21
+    sq = np.sqrt(delta)
+    k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
+    z2 = -(linear + sq) / (2.0 * l1 * l2)
+    z1 = k / (l1 * l2 * z2)
+    pe1, pe2 = model.env_stationary
+    return SpectralData(
+        delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
+        log_ratio=np.array([math.log1p(-a) - math.log1p(-b)
+                            for a, b in zip(z1.tolist(), z2.tolist())]),
+        a1=(p.mu1 * l2 * z1 + k) * pe1 / (sq * (1.0 - z1)),
+        b1=-(p.mu1 * l2 * z2 + k) * pe1 / (sq * (1.0 - z2)),
+        a2=(p.mu2 * l1 * z1 + k) * pe2 / (sq * (1.0 - z1)),
+        b2=-(p.mu2 * l1 * z2 + k) * pe2 / (sq * (1.0 - z2)))
+
+
+def _case_codes(model: ValidatedModel) -> np.ndarray:
+    """``congestion_case`` on columns, as indices into ``_KINDS``."""
+    p = model.params
+    mu_diff = p.mu1 - p.mu2
+    rho_diff = model.rho1 - model.rho2
+    zero = ((abs(mu_diff) <= CASE_TOLERANCE * np.maximum(p.mu1, p.mu2))
+            | (abs(rho_diff) <= CASE_TOLERANCE * np.maximum(model.rho1, model.rho2)))
+    return np.where(zero, 2, np.where(mu_diff * rho_diff < 0.0, 0, 1))
+
+
+def _ratio(coef: BenefitCoefficients, rows, n, theta: float) -> np.ndarray:
+    """F(n, theta)/G(n, 1) at ``rows``, each side divided by r1**n as in ``_SignTester``."""
+    z1, z2 = coef.z1[rows], coef.z2[rows]
+    power = np.exp(n * coef.log_ratio[rows])
+    f = (coef.alpha[rows] / ((theta - z1) / (1.0 - z1))
+         + coef.beta[rows] * power / ((theta - z2) / (1.0 - z2)))
+    g = (coef.d[rows] / ((1.0 - z1) / (1.0 - z1))
+         + coef.e[rows] * power / ((1.0 - z2) / (1.0 - z2)))
+    return f / g
+
+
+def _band(value: np.ndarray, tolerance: float) -> np.ndarray:
+    """The banded sign of ``_SignTester``: 0 inside the band, else -1 or 1 (-1 for NaN)."""
+    return np.where(abs(value) <= tolerance, 0, np.where(value > 0.0, 1, -1))
+
+
+def _search_first(pred, limit: int, size: int) -> np.ndarray:
+    """``search_first`` at ``size`` points at once.
+
+    ``pred(n, rows)`` tests level ``n[j]`` at point ``rows[j]``.
+    """
+    hi = np.ones(size, dtype=np.int64)
+    rows = np.arange(size)
+    while rows.size:
+        rows = rows[hi[rows] < limit]
+        rows = rows[~pred(hi[rows], rows)]
+        hi[rows] = np.minimum(2 * hi[rows], limit)
+    return _bisect_first(pred, hi // 2, hi + 1)
+
+
+def _bisect_first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``bisect_first`` at many points at once, over ``[lo[i], hi[i])``."""
+    lo, hi = lo.copy(), hi.copy()
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        found = pred(mid, rows)
+        hi[rows[found]] = mid[found]
+        lo[rows[~found]] = mid[~found] + 1
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
+
+
+def _points(coef: BenefitCoefficients, rows: np.ndarray) -> list[BenefitCoefficients]:
+    """The coefficients of the points ``rows``, as Python floats."""
+    fields = [getattr(coef, f.name) for f in dataclasses.fields(coef)]
+    columns = [list(zip(*(c[rows].tolist() for c in v))) if isinstance(v, tuple)
+               else v[rows].tolist() for v in fields]
+    return [BenefitCoefficients(*values) for values in zip(*columns)]
+
+
+def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
+                  stop: float, steps: int,
+                  tolerance: float) -> tuple[dict[str, list], list[ClearbalkError]]:
+    """The sweep of ``param`` over ``steps`` points from ``start`` to ``stop``,
+    as one list per field of ``SWEEP_FIELDS``, and the errors of the points
+    that failed, in grid order.
+
+    The grid values are ``start + i*step``, the floats of a scalar loop. A
+    point whose bound n_u lies above ``SCAN_LIMIT`` keeps its value, with
+    the equilibria cell ``error:ScanLimitExceeded`` and None elsewhere.
+
+    Raises:
+        NonPositiveRate, NonPositiveRewardCost: For the first grid value
+            that ``validate_params`` rejects, with its message.
+    """
+    fields = {**dataclasses.asdict(params), "R": rc.reward, "C": rc.cost}
+    step = (stop - start) / (steps - 1)
+    values = start + np.arange(steps) * step
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        fields[param] = values[bad.argmax()].item()
+        validate_params(*_inputs(fields))
+    columns = {name: np.full(steps, float(value)) for name, value in fields.items()}
+    columns[param] = values
+    with np.errstate(all="ignore"):
+        rates, rewards = _inputs(columns)
+        model = derive_model(rates)
+        coef = benefit_coefficients(model, _spectral(model), rewards)
+        kind = _case_codes(model)
+        h0 = _ratio(coef, slice(None), 0, 1.0)
+        h_limit = h_upper_limit(coef)
+        v_fu = fully_unobservable_value(model)
+        # the reverse orientation (case B) is the threshold one with F negated
+        orient = np.where(kind == 0, 1, -1)
+        at_zero, at_limit = _band(h0, tolerance), _band(h_limit, tolerance)
+        subcase = np.where(kind == 2, at_zero + 1,
+                           np.where(orient * at_zero < 0, 0,
+                                    np.where(orient * at_limit >= 0, 2, 1)))
+        search = np.flatnonzero((kind != 2) & (subcase == 1))
+        bounds = _bounds(coef, orient, search, tolerance, (at_zero == 0) | (at_limit == 0))
+
+    keys = list(zip(kind.tolist(), subcase.tolist()))
+    # every point outside the search shares its cells with its (case, subcase)
+    fixed = {(k, sub): _cells(_KINDS[k], _SUBCASES[sub])
+             for k, sub in set(keys) if k == 2 or sub != 1}
+    cells = [fixed.get(key) for key in keys]
+    failed, failures = [], []
+    for i, b, point in zip(search.tolist(), bounds, _points(coef, search)):
+        if b.n_u > SCAN_LIMIT:
+            failed.append(i)
+            failures.append(past_cap(b.orientation))
+            cells[i] = (None, None, f"error:{type(failures[-1]).__name__}")
+        else:
+            cells[i] = _cells(_KINDS[keys[i][0]], Subcase.II, point, b)
+    out = dict(zip(SWEEP_FIELDS, (
+        [param] * steps, values.tolist(), [_KIND_NAMES[k] for k, _ in keys],
+        [_SUBCASE_NAMES[sub] for _, sub in keys], *map(list, zip(*cells)),
+        v_fu.tolist(), h0.tolist(), h_limit.tolist())))
+    for i in failed:
+        for name in ("case", "subcase", "v_fu", "h_upper_0", "h_limit"):
+            out[name][i] = None
+    return out, failures
+
+
+def _bounds(coef: BenefitCoefficients, orient: np.ndarray, search: np.ndarray,
+            tolerance: float, band_hit: np.ndarray) -> list[ThresholdBounds]:
+    """``threshold_bounds`` of the subcase-II points ``search``, in lockstep.
+
+    ``band_hit`` marks the points whose subcase tests hit the sign band. A
+    point whose n_u lies above ``SCAN_LIMIT`` gets n_u = SCAN_LIMIT + 1.
+    """
+    orient, band_hit = orient[search], band_hit[search]
+
+    def sign(n, rows, theta):
+        band = _band(_ratio(coef, search[rows], n, theta), tolerance)
+        band_hit[rows] |= band == 0
+        return orient[rows] * band
+
+    n_u = _search_first(lambda n, rows: sign(n, rows, 1.0) < 0, SCAN_LIMIT, search.size)
+    n_l = _bisect_first(lambda n, rows: sign(n, rows, 0.0) <= 0,
+                        np.zeros_like(n_u), np.where(n_u > SCAN_LIMIT, 0, n_u))
+    every = slice(None)
+    n_l_plus = np.where(sign(n_l, every, 0.0) < 0, n_l, n_l + 1)
+    n_u_minus = np.where(sign(n_u - 1, every, 1.0) > 0, n_u, n_u - 1)
+    return [ThresholdBounds(Orientation.THRESHOLD if o > 0 else Orientation.REVERSE,
+                            Subcase.II, *levels, knife_edge=hit)
+            for o, *levels, hit in zip(orient.tolist(), n_l.tolist(), n_u.tolist(),
+                                       n_l_plus.tolist(), n_u_minus.tolist(),
+                                       band_hit.tolist())]

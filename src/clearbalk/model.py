@@ -142,7 +142,15 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
                 or not math.isfinite(value) or value <= 0.0:
             raise NonPositiveRewardCost(
                 f"{name} must be strictly positive and finite, got {value!r}")
+    return derive_model(raw)
 
+
+def derive_model(raw: ModelParams) -> ValidatedModel:
+    """The derived quantities of ``validate_params``, without its checks.
+
+    Pure arithmetic, so it also runs elementwise on rates that are numpy
+    columns (see ``grid``).
+    """
     switch_total = raw.q12 + raw.q21
     env_stationary = (raw.q21 / switch_total, raw.q12 / switch_total)
     k = raw.mu1 * raw.mu2 + raw.mu1 * raw.q21 + raw.mu2 * raw.q12

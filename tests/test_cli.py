@@ -421,6 +421,19 @@ def test_sweep_keeps_the_grid_when_one_point_fails(config, capsys, fmt):
         assert [row["subcase"] for row in data[1:]] == ["III", "III"]
 
 
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_sweep_span_must_be_finite(config, capsys, flag, value):
+    # the = form, since argparse reads a bare -inf as an option
+    span = {"--from": "0.6", "--to": "0.8", flag: value}
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", config(), "--param", "R", "--steps", "3",
+              *(f"{name}={text}" for name, text in span.items())])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite, got '{value}'" in err
+
+
 def test_sweep_rejects_a_nonpositive_rate_as_input(config, capsys):
     assert main(["sweep", "--config", config(), "--param", "mu1",
                  "--from", "-1", "--to", "1", "--steps", "3"]) == 2

@@ -139,7 +139,7 @@ def test_scan_limit_guard():
     # the analytic limit reports negative, so n_u is never found
     coef = BenefitCoefficients(
         a=2.0, b=0.0, d=1.0, e=0.1, alpha=0.5, beta=0.1,
-        r1=0.9, r2=0.5, z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0),
+        z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0),
         reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
@@ -156,7 +156,7 @@ def test_scan_limit_names_orientation(orientation, alpha, beta, a):
     # limit has the opposite one, in either orientation
     coef = BenefitCoefficients(
         a=a, b=0.0, d=1.0, e=0.1, alpha=alpha, beta=beta,
-        r1=0.9, r2=0.5, z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0),
+        z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0),
         reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
@@ -362,6 +362,19 @@ def test_mixing_probability_matches_bisection():
             assert item.strategy.theta == pytest.approx(_bisect_root(ctx.coef, n0), abs=1e-9)
             compared += 1
     assert compared >= 30
+
+
+def test_mixing_probability_is_an_indifference_point_under_slow_clearing():
+    # 1 - r1 = 3.0e-12: theta from the rounded r1 and r2 left F(1, theta)/G(1, theta)
+    # at -9.8e-3; the root form leaves rounding only
+    params = ModelParams(lambda1=1177889.2, lambda2=2926.42, mu1=6.0576e-7,
+                         mu2=0.119754, q12=2.91887e-6, q21=7.09318e-6)
+    ctx = Ctx(params, RewardCost(255757.6, 1.0))
+    assert 1.0 - ctx.spec.r1 < 1e-11
+    for n0 in (0, 1):
+        theta = mixing_probability(ctx.coef, n0)
+        ratio = f_eval(ctx.coef, n0, theta) / g_eval(ctx.coef, n0, theta)
+        assert abs(ratio) <= 1e-12
 
 
 def _welfare_rate(model, rc, strategy):
