@@ -58,10 +58,7 @@ from .spectral import (
     SpectralData,
     StationaryDistribution,
     spectral_quantities,
-    stationary_always_join,
     stationary_distribution,
-    stationary_reverse,
-    stationary_threshold,
 )
 from .dominant import (
     CriticalValues,
@@ -139,10 +136,7 @@ __all__ = [
     "SpectralData",
     "StationaryDistribution",
     "spectral_quantities",
-    "stationary_always_join",
     "stationary_distribution",
-    "stationary_reverse",
-    "stationary_threshold",
     "CriticalValues",
     "DominanceKind",
     "DominantStrategySet",

@@ -8,7 +8,8 @@ benefit per observed level), ``simulate`` (discrete-event estimates),
 
 All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
-use exit codes 0 (success), 2 (input error), 3 (internal consistency
+use exit codes 0 (success), 2 (input error: argparse reports a bad flag,
+the handler a bad config, strategy or format), 3 (internal consistency
 failure, or any other package error, such as an equilibrium bound past
 the search cap; the one-line message names the error class, and ``sweep``
 still writes the row of each failed grid point, as ``error:<class>``).
@@ -49,7 +50,7 @@ from .model import ModelParams, RewardCost, validate_params
 from .oracle.balance import solve_truncated_balance
 from .oracle.simulate import simulate
 from .spectral import spectral_quantities, stationary_distribution
-from .strategies import JoinVector, Strategy, format_strategy, parse_strategy
+from .strategies import JoinVector, format_strategy, parse_strategy
 
 _CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
 
@@ -82,9 +83,25 @@ def _cells_text(cells: list[tuple[str, ...]], fmt: str) -> str:
                    for row in cells)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _render(args, formats: tuple[str, ...], payload, cells) -> None:
+    """Write a report in ``args.format``, which must be one of ``formats``.
+
+    ``formats[0]`` is the default. ``payload()`` gives the JSON value and
+    ``cells()`` the table: rows of string cells, header first, written as
+    a table or CSV, or the laid-out text of a report with no CSV form.
+    Only the form being written is built.
+    """
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise _InputError(f"format {fmt} is not supported for {args.command} reports")
+    if fmt == "json":
+        text = _json_text(payload())
+    else:
+        text = cells()
+        if not isinstance(text, str):
+            text = _cells_text(text, fmt)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -94,7 +111,7 @@ def _load_config(path: str):
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise _InputError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int past the digit limit
         raise _InputError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise _InputError("config must be a JSON object")
@@ -104,10 +121,6 @@ def _load_config(path: str):
     extra = sorted(k for k in raw if k not in _CONFIG_FIELDS)
     if extra:
         raise _InputError("config has unknown field(s): " + ", ".join(extra))
-    for field in _CONFIG_FIELDS:
-        value = raw[field]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _InputError(f"config field {field} must be a number, got {value!r}")
     params = ModelParams(lambda1=raw["lambda1"], lambda2=raw["lambda2"],
                          mu1=raw["mu1"], mu2=raw["mu2"],
                          q12=raw["q12"], q21=raw["q21"])
@@ -116,42 +129,22 @@ def _load_config(path: str):
     return model, rc
 
 
-def _parse_span(text: str) -> list[int]:
-    """Level span grammar: a single level 'n' or an inclusive range 'a..b'."""
-    try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise _InputError(f"bad level span {text!r}; expected 'n' or 'a..b'")
-    if lo < 0 or hi < lo:
-        raise _InputError(f"bad level span {text!r}; need 0 <= a <= b")
-    return list(range(lo, hi + 1))
+def _flag(convert, ok, need: str):
+    """An argparse ``type=``: ``convert(text)``, refused unless ``ok`` holds.
 
-
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
-def _tolerance(text: str) -> float:
-    """``--tolerance``: a finite float >= 0; argparse names the flag on rejection."""
-    value = _float_or_nan(text)
-    if not 0.0 <= value < math.inf:   # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
-    return value
-
-
-def _finite(text: str) -> float:
-    """``--from``/``--to``: a finite float; argparse names the flag on rejection."""
-    value = _float_or_nan(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+    On a refusal argparse names the flag and exits with status 2. A range
+    test written as a chained comparison is false for NaN, so it refuses
+    "nan" too.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    return parse
 
 
 def _decision_text(join: float | None) -> str:
@@ -214,13 +207,6 @@ def _equilibrium_table(report: EquilibriumReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(args, report, table, what: str) -> None:
-    """A report as a table (the default) or as JSON; CSV is refused."""
-    if args.format == "csv":
-        raise _InputError(f"format csv is not supported for {what} reports")
-    _emit(_json_text(report.to_dict()) if args.format == "json" else table(report), args.out)
-
-
 def _run_equilibrium(args) -> int:
     model, rc = _load_config(args.config)
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
@@ -228,7 +214,7 @@ def _run_equilibrium(args) -> int:
     coef = benefit_coefficients(model, spec, rc)
     report = compute_equilibria(model, spec, coef, rc, verify=True,
                                 tolerance=tolerance)
-    _emit_report(args, report, _equilibrium_table, "equilibrium")
+    _render(args, ("table", "json"), report.to_dict, lambda: _equilibrium_table(report))
     failed = [item for item in report.equilibria
               if item.verification is not None and not item.verification.passed]
     if failed:
@@ -250,42 +236,35 @@ def cmd_analyze(args) -> int:
         "fo": dominant_fully_observable,
     }[args.info_level]
     report = runner(model, rc, tolerance)
-    _emit_report(args, report, _dominant_table, "analyze")
+    _render(args, ("table", "json"), report.to_dict, lambda: _dominant_table(report))
     return 0
-
-
-def _stationary_rows(model, strategy: Strategy, max_n: int):
-    """(rows, tail) where rows[n] = (p(n,1), p(n,2)) and tail covers > max_n."""
-    if isinstance(strategy, JoinVector):
-        law = solve_truncated_balance(model, strategy)
-    else:
-        law = stationary_distribution(model, spectral_quantities(model), strategy)
-    rows = [(law.pmf(n, 1), law.pmf(n, 2)) for n in range(max_n + 1)]
-    return rows, (law.tail(max_n + 1, 1), law.tail(max_n + 1, 2))
 
 
 def cmd_stationary(args) -> int:
     model, rc = _load_config(args.config)
     strategy = parse_strategy(args.strategy)
-    if args.max_n < 0:
-        raise _InputError(f"--max-n must be nonnegative, got {args.max_n}")
-    rows, tail = _stationary_rows(model, strategy, args.max_n)
-    fmt = args.format or "table"
-    if fmt == "json":
-        payload = {
+    if isinstance(strategy, JoinVector):
+        law = solve_truncated_balance(model, strategy)
+    else:
+        law = stationary_distribution(model, spectral_quantities(model), strategy)
+    rows = [(n, law.pmf(n, 1), law.pmf(n, 2)) for n in range(args.max_n + 1)]
+    tail = (law.tail(args.max_n + 1, 1), law.tail(args.max_n + 1, 2))
+
+    def payload():
+        return {
             "strategy": format_strategy(strategy),
             "max_level": args.max_n,
-            "rows": [{"n": n, "env1": r[0], "env2": r[1], "total": r[0] + r[1]}
-                     for n, r in enumerate(rows)],
+            "rows": [{"n": n, "env1": m1, "env2": m2, "total": m1 + m2}
+                     for n, m1, m2 in rows],
             "tail": {"env1": tail[0], "env2": tail[1], "total": tail[0] + tail[1]},
         }
-        _emit(_json_text(payload), args.out)
-        return 0
-    cells = [("n", "env1", "env2", "total")]
-    for n, (m1, m2) in enumerate(rows):
-        cells.append((str(n), _fmt(m1), _fmt(m2), _fmt(m1 + m2)))
-    cells.append(("tail", _fmt(tail[0]), _fmt(tail[1]), _fmt(tail[0] + tail[1])))
-    _emit(_cells_text(cells, fmt), args.out)
+
+    def cells():
+        return [("n", "env1", "env2", "total"),
+                *((str(n), _fmt(m1), _fmt(m2), _fmt(m1 + m2))
+                  for n, m1, m2 in [*rows, ("tail", *tail)])]
+
+    _render(args, ("table", "json", "csv"), payload, cells)
     return 0
 
 
@@ -295,12 +274,11 @@ def cmd_benefit(args) -> int:
     if isinstance(strategy, JoinVector):
         raise _InputError("benefit has no closed form for join vectors; "
                           "use the simulate command")
-    levels = _parse_span(args.levels)
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, rc)
     rows = []
     unreachable = []
-    for n in levels:
+    for n in range(args.levels[0], args.levels[-1] + 1):
         try:
             bv = net_benefit_ao(model, coef, strategy, n)
             rows.append((n, bv.value, bv.palm[0], bv.sojourn))
@@ -308,22 +286,19 @@ def cmd_benefit(args) -> int:
             rows.append((n, None, None, None))
             unreachable.append(n)
 
-    fmt = args.format or "table"
-    if fmt == "json":
-        payload = {
+    def payload():
+        return {
             "strategy": format_strategy(strategy),
             "rows": [{"n": n, "net_benefit": v, "palm_env1": p, "sojourn": s}
                      for n, v, p, s in rows],
         }
-        _emit(_json_text(payload), args.out)
-    else:
-        cells = [("n", "net_benefit", "palm_env1", "sojourn")]
-        for n, v, p, s in rows:
-            if v is None:
-                cells.append((str(n), "-", "-", "-"))
-            else:
-                cells.append((str(n), _fmt(v), _fmt(p), _fmt(s)))
-        _emit(_cells_text(cells, fmt), args.out)
+
+    def cells():
+        return [("n", "net_benefit", "palm_env1", "sojourn"),
+                *((str(n), "-", "-", "-") if v is None else (str(n), _fmt(v), _fmt(p), _fmt(s))
+                  for n, v, p, s in rows)]
+
+    _render(args, ("table", "json", "csv"), payload, cells)
     if unreachable:
         span = ", ".join(str(n) for n in unreachable)
         print(f"warning: level(s) {span} unreachable under "
@@ -334,63 +309,51 @@ def cmd_benefit(args) -> int:
 def cmd_simulate(args) -> int:
     model, rc = _load_config(args.config)
     strategy = parse_strategy(args.strategy)
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        raise _InputError(f"--horizon must be positive and finite, got {args.horizon}")
-    if args.replications < 1:
-        raise _InputError(f"--replications must be >= 1, got {args.replications}")
-    if args.seed < 0:
-        raise _InputError(f"--seed must be nonnegative, got {args.seed}")
     estimates = simulate(model, rc, strategy, horizon=args.horizon,
                          seed=args.seed, replications=args.replications)
-    fmt = args.format or "json"
-    if fmt == "json":
-        _emit(_json_text(estimates.to_dict()), args.out)
-        return 0
-    if fmt == "csv":
-        raise _InputError("format csv is not supported for simulate reports")
 
-    reference = None
-    if not isinstance(strategy, JoinVector):
-        spec = spectral_quantities(model)
-        reference = stationary_distribution(model, spec, strategy)
-    cells = [("n", "sim env1", "se", "ref env1", "sim env2", "se", "ref env2")]
-    shown = min(10, estimates.track_levels)
-    for n in range(shown + 1):
-        ref1 = _fmt(reference.pmf(n, 1)) if reference is not None else "-"
-        ref2 = _fmt(reference.pmf(n, 2)) if reference is not None else "-"
-        cells.append((str(n),
-                      _fmt(estimates.pmf(n, 1)), _fmt(estimates.pmf_se(n, 1)), ref1,
-                      _fmt(estimates.pmf(n, 2)), _fmt(estimates.pmf_se(n, 2)), ref2))
-    lines = []
-    s1, s2 = model.mean_clearing
-    for e, ref_s in ((0, s1), (1, s2)):
-        mean = estimates.sojourn_by_env[e]
-        se = estimates.sojourn_by_env_se[e]
-        mean_text = "-" if math.isnan(mean) else _fmt(float(mean))
-        se_text = "-" if math.isnan(se) else _fmt(float(se))
-        lines.append(f"sojourn env {e + 1}: sim {mean_text} (se {se_text}), "
-                     f"expected {_fmt(ref_s)}")
-    lines.append(f"events: {estimates.event_count}")
-    _emit(_cells_text(cells, fmt) + "\n".join(lines) + "\n", args.out)
+    def cells():
+        reference = None
+        if not isinstance(strategy, JoinVector):
+            reference = stationary_distribution(model, spectral_quantities(model), strategy)
+        rows = [("n", "sim env1", "se", "ref env1", "sim env2", "se", "ref env2")]
+        for n in range(min(10, estimates.track_levels) + 1):
+            ref1 = _fmt(reference.pmf(n, 1)) if reference is not None else "-"
+            ref2 = _fmt(reference.pmf(n, 2)) if reference is not None else "-"
+            rows.append((str(n),
+                         _fmt(estimates.pmf(n, 1)), _fmt(estimates.pmf_se(n, 1)), ref1,
+                         _fmt(estimates.pmf(n, 2)), _fmt(estimates.pmf_se(n, 2)), ref2))
+        lines = []
+        for e, ref_s in enumerate(model.mean_clearing):
+            mean = estimates.sojourn_by_env[e]
+            se = estimates.sojourn_by_env_se[e]
+            mean_text = "-" if math.isnan(mean) else _fmt(float(mean))
+            se_text = "-" if math.isnan(se) else _fmt(float(se))
+            lines.append(f"sojourn env {e + 1}: sim {mean_text} (se {se_text}), "
+                         f"expected {_fmt(ref_s)}")
+        lines.append(f"events: {estimates.event_count}")
+        return _cells_text(rows, "table") + "\n".join(lines) + "\n"
+
+    _render(args, ("json", "table"), estimates.to_dict, cells)
     return 0
 
 
 def cmd_sweep(args) -> int:
     model, rc = _load_config(args.config)
-    if args.steps < 2:
-        raise _InputError(f"--steps must be at least 2, got {args.steps}")
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     columns, failures = sweep_columns(model.params, rc, args.param, args.start, args.stop,
                                       args.steps, tolerance)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        _emit(_json_text([dict(zip(columns, row)) for row in zip(*columns.values())]),
-              args.out)
-    else:
-        cells = [list(map(_fmt, column)) if name in _SWEEP_FLOATS
-                 else ["" if v is None else str(v) for v in column]
-                 for name, column in columns.items()]
-        _emit(_cells_text([SWEEP_FIELDS, *zip(*cells)], fmt), args.out)
+
+    def payload():
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+    def cells():
+        text = [list(map(_fmt, column)) if name in _SWEEP_FLOATS
+                else ["" if v is None else str(v) for v in column]
+                for name, column in columns.items()]
+        return [SWEEP_FIELDS, *zip(*text)]
+
+    _render(args, ("csv", "json", "table"), payload, cells)
     if failures:
         print(f"numerical failure: {type(failures[0]).__name__}: {failures[0]} "
               f"({len(failures)} of {args.steps} grid points)", file=sys.stderr)
@@ -405,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["table", "json", "csv"],
                         help="output format (default depends on the subcommand)")
     tolerant = argparse.ArgumentParser(add_help=False)
-    tolerant.add_argument("--tolerance", type=_tolerance,
+    tolerant.add_argument("--tolerance", type=_flag(float, lambda v: 0.0 <= v < math.inf,
+                                                    "finite and nonnegative"),
                           help="override the sign-test tolerance")
 
     parser = argparse.ArgumentParser(
@@ -427,30 +391,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", parents=[common],
                        help="stationary distribution under a strategy")
     p.add_argument("--strategy", required=True, help="strategy descriptor")
-    p.add_argument("--max-n", type=int, default=10, help="largest level to print")
+    p.add_argument("--max-n", type=_flag(int, lambda v: v >= 0, "a nonnegative integer"),
+                   default=10, help="largest level to print")
     p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("benefit", parents=[common],
                        help="conditional net benefit of joining per level")
     p.add_argument("--strategy", required=True, help="strategy descriptor")
-    p.add_argument("--levels", default="0..5", help="level span: 'n' or 'a..b'")
+    p.add_argument("--levels", default="0..5", help="level span: 'n' or 'a..b'",
+                   type=_flag(lambda text: [int(x) for x in text.split("..", 1)],
+                              lambda span: 0 <= span[0] <= span[-1],
+                              "'n' or 'a..b' with 0 <= a <= b"))
     p.set_defaults(func=cmd_benefit)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="discrete-event simulation estimates")
     p.add_argument("--strategy", required=True, help="strategy descriptor")
-    p.add_argument("--horizon", type=float, default=1e5,
-                   help="simulated time per replication")
-    p.add_argument("--replications", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--horizon", type=_flag(float, lambda v: 0.0 < v < math.inf,
+                                           "positive and finite"),
+                   default=1e5, help="simulated time per replication")
+    p.add_argument("--replications", type=_flag(int, lambda v: v >= 1, "a positive integer"),
+                   default=16)
+    p.add_argument("--seed", type=_flag(int, lambda v: v >= 0, "a nonnegative integer"),
+                   default=0, help="master RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common, tolerant],
                        help="equilibrium classification along a parameter grid")
     p.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
-    p.add_argument("--from", dest="start", type=_finite, required=True)
-    p.add_argument("--to", dest="stop", type=_finite, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    finite = _flag(float, math.isfinite, "finite")
+    p.add_argument("--from", dest="start", type=finite, required=True)
+    p.add_argument("--to", dest="stop", type=finite, required=True)
+    p.add_argument("--steps", type=_flag(int, lambda v: v >= 2, "an integer of at least 2"),
+                   required=True)
     p.set_defaults(func=cmd_sweep)
     return parser
 

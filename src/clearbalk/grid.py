@@ -7,13 +7,12 @@ operation order of its scalar counterpart (``validate_params``,
 ``threshold_bounds``, ``critical_values``). numpy's +, -, *, / and sqrt
 round as Python floats do, so a point's cells are those of the scalar
 path. Where numpy's functions differ from libm the libm route is kept:
-the discriminant squares with pow(x, 2), which differs from x*x in the
-last bit on about 0.1% of inputs, and log_ratio is ``math.log1p``. Three
-exceptions: (r2/r1)**n in the bound search is ``np.exp``, whose last bit
-can move a banded sign only where F/G lies within a few units in the last
-place of the band's edge; integer rates are taken as floats; and where the
-scalar path raises ZeroDivisionError or OverflowError (rates near the ends
-of the float range) the cells read inf or nan.
+log_ratio is ``math.log1p``. Three exceptions: (r2/r1)**n in the bound
+search is ``np.exp``, whose last bit can move a banded sign only where
+F/G lies within a few units in the last place of the band's edge;
+integer rates are taken as floats; and where the scalar path raises
+ZeroDivisionError or OverflowError (rates near the ends of the float
+range) the cells read inf or nan.
 
 The bounds of the subcase-II points come from a lockstep ``search_first``
 and ``bisect_first``: each numpy pass probes the next level of every point
@@ -88,7 +87,7 @@ def _spectral(model: ValidatedModel) -> SpectralData:
     l1, l2 = p.lambda1, p.lambda2
     linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
     gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
-    delta = np.array([g ** 2 for g in gap.tolist()]) + 4.0 * l1 * l2 * p.q12 * p.q21
+    delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
     sq = np.sqrt(delta)
     k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
     z2 = -(linear + sq) / (2.0 * l1 * l2)

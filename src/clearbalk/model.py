@@ -32,7 +32,7 @@ label and keeps the raw product for auditing near-boundary inputs.
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NonPositiveRate, NonPositiveRewardCost
@@ -110,11 +110,16 @@ class CaseLabel:
     product: float
 
 
-def _require_positive_rate(name: str, value: float) -> None:
+def _require_positive(error: type[Exception], name: str, value) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a finite number > 0.
+
+    The bounds compare exactly, so an int too large for a float is refused
+    here as not finite instead of overflowing in the arithmetic.
+    """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise NonPositiveRate(f"rate {name} must be a number, got {value!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise NonPositiveRate(f"rate {name} must be strictly positive and finite, got {value}")
+        raise error(f"{name} must be a number, got {value!r}")
+    if not 0.0 < value <= sys.float_info.max:   # also false for NaN
+        raise error(f"{name} must be strictly positive and finite, got {value!r}")
 
 
 def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
@@ -129,19 +134,16 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
         environment distribution, and the mean clearing times.
 
     Raises:
-        NonPositiveRate: If any rate is nonpositive or not finite. A zero
-            switch rate would degenerate the alternating environment, so it
-            is rejected rather than special-cased.
-        NonPositiveRewardCost: If reward or cost is nonpositive or not finite.
+        NonPositiveRate: If any rate is not a number, nonpositive or not
+            finite. A zero switch rate would degenerate the alternating
+            environment, so it is rejected rather than special-cased.
+        NonPositiveRewardCost: If reward or cost is not a number,
+            nonpositive or not finite.
     """
     for name in ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21"):
-        _require_positive_rate(name, getattr(raw, name))
+        _require_positive(NonPositiveRate, f"rate {name}", getattr(raw, name))
     for name in ("reward", "cost"):
-        value = getattr(rc, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value) or value <= 0.0:
-            raise NonPositiveRewardCost(
-                f"{name} must be strictly positive and finite, got {value!r}")
+        _require_positive(NonPositiveRewardCost, name, getattr(rc, name))
     return derive_model(raw)
 
 

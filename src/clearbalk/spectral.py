@@ -98,7 +98,8 @@ def spectral_quantities(model: ValidatedModel) -> SpectralData:
     p = model.params
     l1, l2 = p.lambda1, p.lambda2
     linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
-    delta = (l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)) ** 2 + 4.0 * l1 * l2 * p.q12 * p.q21
+    gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
+    delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
     sq = math.sqrt(delta)
     k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
     z2 = -(linear + sq) / (2.0 * l1 * l2)
@@ -257,27 +258,6 @@ class StationaryDistribution:
     def total_mass(self) -> float:
         """Closed-form total mass; equals 1 up to rounding."""
         return self.tail(0, 1) + self.tail(0, 2)
-
-
-def stationary_always_join(model: ValidatedModel, spec: SpectralData) -> StationaryDistribution:
-    """Stationary law when every customer joins: the pure geometric mixture."""
-    return stationary_distribution(model, spec, AlwaysJoin())
-
-
-def stationary_threshold(model: ValidatedModel, spec: SpectralData,
-                         n0: int, theta: float) -> StationaryDistribution:
-    """Stationary law under the mixed threshold (n0, theta); theta = 0 is pure."""
-    return stationary_distribution(model, spec, MixedThreshold(n0, theta))
-
-
-def stationary_reverse(model: ValidatedModel, spec: SpectralData,
-                       theta: float) -> StationaryDistribution:
-    """Stationary law under the reverse threshold (0, theta).
-
-    theta = 0 gives always-balk, the law of every reverse threshold from
-    n0 >= 1 on, and theta = 1 gives always-join.
-    """
-    return stationary_distribution(model, spec, ReverseThreshold(0, theta))
 
 
 def stationary_distribution(model: ValidatedModel, spec: SpectralData,

@@ -26,7 +26,7 @@ from clearbalk import (
     h_upper_limit,
     net_benefit_ao,
     spectral_quantities,
-    stationary_always_join,
+    stationary_distribution,
 )
 from conftest import Ctx, case_a_model, case_b_model, case_c_model, random_model
 
@@ -161,7 +161,7 @@ def test_dispatch_always_join(pstar):
 
 def test_dispatch_palm_matches_stationary_law(pstar):
     spec = spectral_quantities(pstar.model)
-    dist = stationary_always_join(pstar.model, spec)
+    dist = stationary_distribution(pstar.model, spec, AlwaysJoin())
     p = pstar.model.params
     for n in (0, 1, 4):
         w1 = p.lambda1 * dist.pmf(n, 1)

@@ -299,9 +299,11 @@ def test_simulate_csv_rejected(config, capsys):
 def test_simulate_rejects_bad_arguments(config, capsys, flag, value):
     argv = ["simulate", "--config", config(), "--strategy", "always-join",
             "--horizon", "100", "--replications", "2"]
-    assert main(argv + [flag, value]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(argv + [flag, value])
+    assert info.value.code == 2
     err = capsys.readouterr().err
-    assert flag in err
+    assert f"argument {flag}: must be" in err
     assert "Traceback" not in err
 
 
@@ -310,6 +312,19 @@ def test_analyze_csv_rejected(config, capsys):
                  "--format", "csv"]) == 2
     assert main(["equilibrium", "--config", config(), "--format", "csv"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--info-level", "fu"],
+    ["analyze", "--info-level", "ao"],
+    ["equilibrium"],
+    ["simulate", "--strategy", "always-join", "--horizon", "100", "--replications", "2"],
+])
+def test_csv_refused_where_the_report_is_not_tabular(config, capsys, argv):
+    assert main(argv[:1] + ["--config", config()] + argv[1:] + ["--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: format csv is not supported for {argv[0]} reports\n"
 
 
 def test_sweep_csv_subcase_transitions(config, capsys):
@@ -334,9 +349,33 @@ def test_sweep_json_payload(config, capsys):
 
 
 def test_sweep_needs_two_steps(config, capsys):
-    assert main(["sweep", "--config", config(), "--param", "R",
-                 "--from", "0.6", "--to", "0.8", "--steps", "1"]) == 2
-    assert "steps" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", config(), "--param", "R",
+              "--from", "0.6", "--to", "0.8", "--steps", "1"])
+    assert info.value.code == 2
+    assert "argument --steps: must be an integer of at least 2, got '1'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["stationary", "--strategy", "always-join", "--max-n", "-1"], "--max-n"),
+    (["benefit", "--strategy", "always-join", "--levels", "3..1"], "--levels"),
+    (["benefit", "--strategy", "always-join", "--levels", "x"], "--levels"),
+    (["benefit", "--strategy", "always-join", "--levels", "-1"], "--levels"),
+])
+def test_level_flags_are_checked_by_argparse(config, capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--config", config()] + argv[1:])
+    assert info.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+
+
+def test_level_span_flag_reads_one_level_or_a_range(config, capsys):
+    for levels, shown in (("2", ["2"]), ("1..3", ["1", "2", "3"])):
+        assert main(["benefit", "--config", config(), "--strategy", "always-join",
+                     "--levels", levels]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == shown
 
 
 @pytest.mark.parametrize("mutation,needle", [
@@ -345,6 +384,9 @@ def test_sweep_needs_two_steps(config, capsys):
     (dict(mu1="fast"), "mu1"),
     (dict(mu1=-1.0), "mu1"),
     (dict(R=0.0), "reward"),
+    (dict(lambda1=10 ** 400), "rate lambda1 must be strictly positive and finite"),
+    (dict(R=10 ** 400), "reward must be strictly positive and finite"),
+    (dict(R="high"), "reward must be a number, got 'high'"),
 ])
 def test_config_validation(config, capsys, mutation, needle):
     path = config(**mutation)
@@ -357,6 +399,17 @@ def test_config_not_json(tmp_path, capsys):
     path.write_text("{")
     assert main(["analyze", "--config", str(path), "--info-level", "fu"]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+def test_config_int_past_the_digit_limit(tmp_path, capsys):
+    # json refuses ints of more than 4,300 digits with a plain ValueError on
+    # Pythons that have the limit; the rest parse it and find it not finite
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(BASE_CONFIG).replace("2.0", "1" + "0" * 5000, 1))
+    assert main(["analyze", "--config", str(path), "--info-level", "fu"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_config_not_found(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README quick start, runs against the package sources."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -18,3 +20,15 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_shows_what_it_prints():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {})
+    lines = printed.getvalue().splitlines()
+    assert lines
+    for line in lines:
+        assert f"# {line}" in block

@@ -20,10 +20,7 @@ from clearbalk import (
     ReverseThreshold,
     RewardCost,
     spectral_quantities,
-    stationary_always_join,
     stationary_distribution,
-    stationary_reverse,
-    stationary_threshold,
     validate_params,
 )
 from conftest import random_model
@@ -53,10 +50,18 @@ def test_p0_collapses_to_single_geometric(p0):
     assert (spec.r1, spec.r2) == pytest.approx((0.5, 0.25), rel=1e-14)
     assert spec.b1 == pytest.approx(0.0, abs=1e-15)
     assert spec.b2 == pytest.approx(0.0, abs=1e-15)
-    dist = stationary_always_join(p0.model, spec)
+    dist = stationary_distribution(p0.model, spec, AlwaysJoin())
     for n in range(8):
         assert dist.pmf(n, 1) == pytest.approx(0.25 * 0.5 ** n, rel=1e-13)
         assert dist.pmf(n, 2) == pytest.approx(0.25 * 0.5 ** n, rel=1e-13)
+
+
+def test_discriminant_squares_the_gap_correctly_rounded():
+    # here pow(gap, 2) gives 592.141901289156 and gap * gap 592.1419012891561
+    l1, l2, mu1, mu2, q12, q21 = 0.396, 3.882, 6.105, 0.998, 0.366, 0.988
+    model = validate_params(ModelParams(l1, l2, mu1, mu2, q12, q21), RewardCost(1.0, 1.0))
+    gap = l2 * (mu1 + q12) - l1 * (mu2 + q21)
+    assert spectral_quantities(model).delta == gap * gap + 4 * l1 * l2 * q12 * q21
 
 
 def test_ratio_ordering_random(rng):
@@ -68,7 +73,7 @@ def test_ratio_ordering_random(rng):
 
 
 def test_always_join_masses_and_tails(pstar):
-    dist = stationary_always_join(pstar.model, pstar.spec)
+    dist = stationary_distribution(pstar.model, pstar.spec, AlwaysJoin())
     assert dist.pmf(0, 1) == pytest.approx(3.0 / 11.0, rel=1e-13)
     assert dist.pmf(1, 1) == pytest.approx(0.16804407713498623, rel=1e-13)
     assert dist.tail(2, 1) == pytest.approx(0.22589531680440771, rel=1e-13)
@@ -81,15 +86,15 @@ def test_env_marginals_recover_environment_law(rng):
     for _ in range(25):
         model = random_model(rng)
         spec = spectral_quantities(model)
-        dist = stationary_always_join(model, spec)
+        dist = stationary_distribution(model, spec, AlwaysJoin())
         pe1, pe2 = model.env_stationary
         assert dist.env_marginal(1) == pytest.approx(pe1, rel=1e-10)
         assert dist.env_marginal(2) == pytest.approx(pe2, rel=1e-10)
 
 
 def test_threshold_law_head_and_lump(pstar):
-    dist = stationary_threshold(pstar.model, pstar.spec, 2, 0.0)
-    aj = stationary_always_join(pstar.model, pstar.spec)
+    dist = stationary_distribution(pstar.model, pstar.spec, MixedThreshold(2, 0.0))
+    aj = stationary_distribution(pstar.model, pstar.spec, AlwaysJoin())
     for n in (0, 1):
         assert dist.pmf(n, 1) == aj.pmf(n, 1)
         assert dist.pmf(n, 2) == aj.pmf(n, 2)
@@ -102,7 +107,7 @@ def test_threshold_law_head_and_lump(pstar):
 
 
 def test_mixed_threshold_overflow_masses(pstar):
-    dist = stationary_threshold(pstar.model, pstar.spec, 2, 6.0 / 7.0)
+    dist = stationary_distribution(pstar.model, pstar.spec, MixedThreshold(2, 6.0 / 7.0))
     assert dist.pmf(2, 1) == pytest.approx(0.10606060606060606, rel=1e-12)
     assert dist.pmf(3, 1) == pytest.approx(0.11983471074380165, rel=1e-12)
     assert dist.pmf(2, 2) == pytest.approx(0.028925619834710744, rel=1e-12)
@@ -112,7 +117,7 @@ def test_mixed_threshold_overflow_masses(pstar):
 
 
 def test_reverse_interior_masses(pstar):
-    dist = stationary_reverse(pstar.model, pstar.spec, 0.5)
+    dist = stationary_distribution(pstar.model, pstar.spec, ReverseThreshold(0, 0.5))
     assert dist.pmf(0, 1) == pytest.approx(0.39080459770114943, rel=1e-12)
     assert dist.pmf(2, 1) == pytest.approx(0.068110572812767170, rel=1e-12)
     assert dist.pmf(0, 2) == pytest.approx(0.25287356321839080, rel=1e-12)
@@ -122,11 +127,11 @@ def test_reverse_interior_masses(pstar):
 
 
 def test_reverse_endpoints(pstar):
-    balk = stationary_reverse(pstar.model, pstar.spec, 0.0)
+    balk = stationary_distribution(pstar.model, pstar.spec, ReverseThreshold(0, 0.0))
     assert balk.pmf(0, 1) == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert balk.pmf(1, 1) == 0.0
-    full = stationary_reverse(pstar.model, pstar.spec, 1.0)
-    aj = stationary_always_join(pstar.model, pstar.spec)
+    full = stationary_distribution(pstar.model, pstar.spec, ReverseThreshold(0, 1.0))
+    aj = stationary_distribution(pstar.model, pstar.spec, AlwaysJoin())
     for n in range(6):
         for e in (1, 2):
             assert full.pmf(n, e) == pytest.approx(aj.pmf(n, e), rel=1e-12)
@@ -166,7 +171,7 @@ def test_random_laws_are_proper(rng):
 
 
 def test_bad_queries_raise(pstar):
-    dist = stationary_always_join(pstar.model, pstar.spec)
+    dist = stationary_distribution(pstar.model, pstar.spec, AlwaysJoin())
     with pytest.raises(ValueError):
         dist.pmf(-1, 1)
     with pytest.raises(ValueError):
@@ -254,8 +259,8 @@ def test_far_threshold_law_in_constant_time():
     spec = spectral_quantities(model)
     n0 = 10 ** 9
     start = time.perf_counter()
-    dist = stationary_threshold(model, spec, n0, 0.5)
-    aj = stationary_always_join(model, spec)
+    dist = stationary_distribution(model, spec, MixedThreshold(n0, 0.5))
+    aj = stationary_distribution(model, spec, AlwaysJoin())
     for env in (1, 2):
         assert dist.pmf(n0 - 1, env) == aj.pmf(n0 - 1, env)
         assert aj.pmf(n0, env) > 0.0
