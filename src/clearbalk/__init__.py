@@ -25,6 +25,7 @@ Typical use::
 from .errors import (
     ClearbalkError,
     ConsistencyError,
+    FloatRangeError,
     NoInteriorRoot,
     NonPositiveRate,
     NonPositiveRewardCost,
@@ -109,6 +110,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClearbalkError",
     "ConsistencyError",
+    "FloatRangeError",
     "NoInteriorRoot",
     "NonPositiveRate",
     "NonPositiveRewardCost",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import UnreachableState
 from .model import RewardCost, ValidatedModel
-from .spectral import SpectralData, branch_power, law_pieces, piece_at, scaled_mixture
+from .spectral import SpectralData, branch_power, discounts, law_pieces, piece_at, scaled_mixture
 from .strategies import Strategy
 
 
@@ -113,11 +113,7 @@ def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
     G(n, theta)/r1**n. Ratios of such sums equal the unscaled ratios and
     stay finite at levels where r1**n itself underflows (small r1).
     """
-    # spectral.discounts written out: calling it from here made
-    # compute_equilibria, whose sign tests run through here, ~15% slower
-    z1, z2 = coef.z1, coef.z2
-    return scaled_mixture(coef.log_ratio, c1, c2, n,
-                          (theta - z1) / (1.0 - z1), (theta - z2) / (1.0 - z2))
+    return scaled_mixture(coef.log_ratio, c1, c2, n, *discounts(coef.z1, coef.z2, theta))
 
 
 def f_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:

@@ -9,10 +9,10 @@ benefit per observed level), ``simulate`` (discrete-event estimates),
 All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
 use exit codes 0 (success), 2 (input error: argparse reports a bad flag,
-the handler a bad config, strategy or format), 3 (internal consistency
-failure, or any other package error, such as an equilibrium bound past
-the search cap; the one-line message names the error class, and ``sweep``
-still writes the row of each failed grid point, as ``error:<class>``).
+descriptor or format before any work, the handler a bad config), 3 (internal
+consistency failure, or any other package error, such as an equilibrium
+bound past the search cap; the one-line message names the error class, and
+``sweep`` still writes the row of each failed grid point, as ``error:<class>``).
 """
 
 from __future__ import annotations
@@ -46,15 +46,11 @@ from .errors import (
     UnreachableState,
 )
 from .grid import SWEEP_FIELDS, sweep_columns
-from .model import ModelParams, RewardCost, validate_params
+from .model import CONFIG_FIELDS, config_inputs, validate_params
 from .oracle.balance import solve_truncated_balance
 from .oracle.simulate import simulate
 from .spectral import spectral_quantities, stationary_distribution
-from .strategies import JoinVector, format_strategy, parse_strategy
-
-_CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
-
-_SWEEP_PARAMS = ("R", "C", "lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
+from .strategies import JoinVector, Strategy, format_strategy, parse_strategy
 
 _SWEEP_FLOATS = ("value", "v_fu", "h_upper_0", "h_limit")
 
@@ -83,23 +79,19 @@ def _cells_text(cells: list[tuple[str, ...]], fmt: str) -> str:
                    for row in cells)
 
 
-def _render(args, formats: tuple[str, ...], payload, cells) -> None:
-    """Write a report in ``args.format``, which must be one of ``formats``.
+def _render(args, payload, cells) -> None:
+    """Write a report in ``args.format``, which ``main`` has checked.
 
-    ``formats[0]`` is the default. ``payload()`` gives the JSON value and
-    ``cells()`` the table: rows of string cells, header first, written as
-    a table or CSV, or the laid-out text of a report with no CSV form.
-    Only the form being written is built.
+    ``payload()`` gives the JSON value and ``cells()`` the table: rows of
+    string cells, header first, written as a table or CSV, or the laid-out
+    text of a report with no CSV form. Only the form being written is built.
     """
-    fmt = args.format or formats[0]
-    if fmt not in formats:
-        raise _InputError(f"format {fmt} is not supported for {args.command} reports")
-    if fmt == "json":
+    if args.format == "json":
         text = _json_text(payload())
     else:
         text = cells()
         if not isinstance(text, str):
-            text = _cells_text(text, fmt)
+            text = _cells_text(text, args.format)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -115,18 +107,14 @@ def _load_config(path: str):
         raise _InputError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise _InputError("config must be a JSON object")
-    missing = [f for f in _CONFIG_FIELDS if f not in raw]
+    missing = [f for f in CONFIG_FIELDS if f not in raw]
     if missing:
         raise _InputError("config is missing required field(s): " + ", ".join(missing))
-    extra = sorted(k for k in raw if k not in _CONFIG_FIELDS)
+    extra = sorted(k for k in raw if k not in CONFIG_FIELDS)
     if extra:
         raise _InputError("config has unknown field(s): " + ", ".join(extra))
-    params = ModelParams(lambda1=raw["lambda1"], lambda2=raw["lambda2"],
-                         mu1=raw["mu1"], mu2=raw["mu2"],
-                         q12=raw["q12"], q21=raw["q21"])
-    rc = RewardCost(reward=raw["R"], cost=raw["C"])
-    model = validate_params(params, rc)
-    return model, rc
+    params, rc = config_inputs(raw)
+    return validate_params(params, rc), rc
 
 
 def _flag(convert, ok, need: str):
@@ -145,6 +133,13 @@ def _flag(convert, ok, need: str):
             raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
         return value
     return parse
+
+
+def _strategy(text: str) -> Strategy:
+    try:
+        return parse_strategy(text)
+    except StrategyParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _decision_text(join: float | None) -> str:
@@ -214,7 +209,7 @@ def _run_equilibrium(args) -> int:
     coef = benefit_coefficients(model, spec, rc)
     report = compute_equilibria(model, spec, coef, rc, verify=True,
                                 tolerance=tolerance)
-    _render(args, ("table", "json"), report.to_dict, lambda: _equilibrium_table(report))
+    _render(args, report.to_dict, lambda: _equilibrium_table(report))
     failed = [item for item in report.equilibria
               if item.verification is not None and not item.verification.passed]
     if failed:
@@ -236,23 +231,22 @@ def cmd_analyze(args) -> int:
         "fo": dominant_fully_observable,
     }[args.info_level]
     report = runner(model, rc, tolerance)
-    _render(args, ("table", "json"), report.to_dict, lambda: _dominant_table(report))
+    _render(args, report.to_dict, lambda: _dominant_table(report))
     return 0
 
 
 def cmd_stationary(args) -> int:
     model, rc = _load_config(args.config)
-    strategy = parse_strategy(args.strategy)
-    if isinstance(strategy, JoinVector):
-        law = solve_truncated_balance(model, strategy)
+    if isinstance(args.strategy, JoinVector):
+        law = solve_truncated_balance(model, args.strategy)
     else:
-        law = stationary_distribution(model, spectral_quantities(model), strategy)
+        law = stationary_distribution(model, spectral_quantities(model), args.strategy)
     rows = [(n, law.pmf(n, 1), law.pmf(n, 2)) for n in range(args.max_n + 1)]
     tail = (law.tail(args.max_n + 1, 1), law.tail(args.max_n + 1, 2))
 
     def payload():
         return {
-            "strategy": format_strategy(strategy),
+            "strategy": format_strategy(args.strategy),
             "max_level": args.max_n,
             "rows": [{"n": n, "env1": m1, "env2": m2, "total": m1 + m2}
                      for n, m1, m2 in rows],
@@ -264,14 +258,13 @@ def cmd_stationary(args) -> int:
                 *((str(n), _fmt(m1), _fmt(m2), _fmt(m1 + m2))
                   for n, m1, m2 in [*rows, ("tail", *tail)])]
 
-    _render(args, ("table", "json", "csv"), payload, cells)
+    _render(args, payload, cells)
     return 0
 
 
 def cmd_benefit(args) -> int:
     model, rc = _load_config(args.config)
-    strategy = parse_strategy(args.strategy)
-    if isinstance(strategy, JoinVector):
+    if isinstance(args.strategy, JoinVector):
         raise _InputError("benefit has no closed form for join vectors; "
                           "use the simulate command")
     spec = spectral_quantities(model)
@@ -280,7 +273,7 @@ def cmd_benefit(args) -> int:
     unreachable = []
     for n in range(args.levels[0], args.levels[-1] + 1):
         try:
-            bv = net_benefit_ao(model, coef, strategy, n)
+            bv = net_benefit_ao(model, coef, args.strategy, n)
             rows.append((n, bv.value, bv.palm[0], bv.sojourn))
         except UnreachableState:
             rows.append((n, None, None, None))
@@ -288,7 +281,7 @@ def cmd_benefit(args) -> int:
 
     def payload():
         return {
-            "strategy": format_strategy(strategy),
+            "strategy": format_strategy(args.strategy),
             "rows": [{"n": n, "net_benefit": v, "palm_env1": p, "sojourn": s}
                      for n, v, p, s in rows],
         }
@@ -298,24 +291,23 @@ def cmd_benefit(args) -> int:
                 *((str(n), "-", "-", "-") if v is None else (str(n), _fmt(v), _fmt(p), _fmt(s))
                   for n, v, p, s in rows)]
 
-    _render(args, ("table", "json", "csv"), payload, cells)
+    _render(args, payload, cells)
     if unreachable:
         span = ", ".join(str(n) for n in unreachable)
         print(f"warning: level(s) {span} unreachable under "
-              f"{format_strategy(strategy)}; reported as '-'", file=sys.stderr)
+              f"{format_strategy(args.strategy)}; reported as '-'", file=sys.stderr)
     return 0
 
 
 def cmd_simulate(args) -> int:
     model, rc = _load_config(args.config)
-    strategy = parse_strategy(args.strategy)
-    estimates = simulate(model, rc, strategy, horizon=args.horizon,
+    estimates = simulate(model, rc, args.strategy, horizon=args.horizon,
                          seed=args.seed, replications=args.replications)
 
     def cells():
         reference = None
-        if not isinstance(strategy, JoinVector):
-            reference = stationary_distribution(model, spectral_quantities(model), strategy)
+        if not isinstance(args.strategy, JoinVector):
+            reference = stationary_distribution(model, spectral_quantities(model), args.strategy)
         rows = [("n", "sim env1", "se", "ref env1", "sim env2", "se", "ref env2")]
         for n in range(min(10, estimates.track_levels) + 1):
             ref1 = _fmt(reference.pmf(n, 1)) if reference is not None else "-"
@@ -334,7 +326,7 @@ def cmd_simulate(args) -> int:
         lines.append(f"events: {estimates.event_count}")
         return _cells_text(rows, "table") + "\n".join(lines) + "\n"
 
-    _render(args, ("json", "table"), estimates.to_dict, cells)
+    _render(args, estimates.to_dict, cells)
     return 0
 
 
@@ -353,7 +345,7 @@ def cmd_sweep(args) -> int:
                 for name, column in columns.items()]
         return [SWEEP_FIELDS, *zip(*text)]
 
-    _render(args, ("csv", "json", "table"), payload, cells)
+    _render(args, payload, cells)
     if failures:
         print(f"numerical failure: {type(failures[0]).__name__}: {failures[0]} "
               f"({len(failures)} of {args.steps} grid points)", file=sys.stderr)
@@ -363,7 +355,7 @@ def cmd_sweep(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
-                        help="JSON config with lambda1, lambda2, mu1, mu2, q12, q21, R, C")
+                        help="JSON config with " + ", ".join(CONFIG_FIELDS))
     common.add_argument("--out", help="write the report to this file instead of stdout")
     common.add_argument("--format", choices=["table", "json", "csv"],
                         help="output format (default depends on the subcommand)")
@@ -382,31 +374,31 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dominant strategies (fu/au/fo) or equilibrium set (ao)")
     p.add_argument("--info-level", choices=["fu", "au", "fo", "ao"], required=True,
                    help="information regime")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, formats=("table", "json"))
 
     p = sub.add_parser("equilibrium", parents=[common, tolerant],
                        help="alias for analyze --info-level ao")
-    p.set_defaults(func=_run_equilibrium)
+    p.set_defaults(func=_run_equilibrium, formats=("table", "json"))
 
     p = sub.add_parser("stationary", parents=[common],
                        help="stationary distribution under a strategy")
-    p.add_argument("--strategy", required=True, help="strategy descriptor")
+    p.add_argument("--strategy", type=_strategy, required=True, help="strategy descriptor")
     p.add_argument("--max-n", type=_flag(int, lambda v: v >= 0, "a nonnegative integer"),
                    default=10, help="largest level to print")
-    p.set_defaults(func=cmd_stationary)
+    p.set_defaults(func=cmd_stationary, formats=("table", "json", "csv"))
 
     p = sub.add_parser("benefit", parents=[common],
                        help="conditional net benefit of joining per level")
-    p.add_argument("--strategy", required=True, help="strategy descriptor")
+    p.add_argument("--strategy", type=_strategy, required=True, help="strategy descriptor")
     p.add_argument("--levels", default="0..5", help="level span: 'n' or 'a..b'",
                    type=_flag(lambda text: [int(x) for x in text.split("..", 1)],
                               lambda span: 0 <= span[0] <= span[-1],
                               "'n' or 'a..b' with 0 <= a <= b"))
-    p.set_defaults(func=cmd_benefit)
+    p.set_defaults(func=cmd_benefit, formats=("table", "json", "csv"))
 
     p = sub.add_parser("simulate", parents=[common],
                        help="discrete-event simulation estimates")
-    p.add_argument("--strategy", required=True, help="strategy descriptor")
+    p.add_argument("--strategy", type=_strategy, required=True, help="strategy descriptor")
     p.add_argument("--horizon", type=_flag(float, lambda v: 0.0 < v < math.inf,
                                            "positive and finite"),
                    default=1e5, help="simulated time per replication")
@@ -414,25 +406,29 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=16)
     p.add_argument("--seed", type=_flag(int, lambda v: v >= 0, "a nonnegative integer"),
                    default=0, help="master RNG seed")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, formats=("json", "table"))
 
     p = sub.add_parser("sweep", parents=[common, tolerant],
                        help="equilibrium classification along a parameter grid")
-    p.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
+    p.add_argument("--param", required=True, choices=CONFIG_FIELDS)
     finite = _flag(float, math.isfinite, "finite")
     p.add_argument("--from", dest="start", type=finite, required=True)
     p.add_argument("--to", dest="stop", type=finite, required=True)
     p.add_argument("--steps", type=_flag(int, lambda v: v >= 2, "an integer of at least 2"),
                    required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, formats=("csv", "json", "table"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    args.format = args.format or args.formats[0]
+    if args.format not in args.formats:
+        parser.error(f"argument --format: {args.format} is not supported by {args.command}")
     try:
         return args.func(args)
-    except (_InputError, NonPositiveRate, NonPositiveRewardCost, StrategyParseError) as exc:
+    except (_InputError, NonPositiveRate, NonPositiveRewardCost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -92,8 +92,7 @@ def critical_values(model: ValidatedModel) -> CriticalValues:
 
 def fully_unobservable_value(model: ValidatedModel) -> float:
     """V_fu alone; pure arithmetic, so elementwise on numpy columns too."""
-    p = model.params
-    k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
+    p, k = model.params, model.k
     weight_den = p.lambda1 * p.q21 + p.lambda2 * p.q12
     return ((p.lambda1 * p.q21 * p.mu2 + p.lambda2 * p.q12 * p.mu1) / (weight_den * k)
             + (p.q21 + p.q12) / k)

@@ -37,6 +37,10 @@ class ScanLimitExceeded(ClearbalkError):
     """An equilibrium bound lies above its search cap; input is numerically pathological."""
 
 
+class FloatRangeError(ClearbalkError):
+    """A derived quantity overflows or underflows the range of normal floats."""
+
+
 class SingularSystem(ClearbalkError):
     """The truncated balance system could not be solved uniquely."""
 

@@ -7,12 +7,11 @@ operation order of its scalar counterpart (``validate_params``,
 ``threshold_bounds``, ``critical_values``). numpy's +, -, *, / and sqrt
 round as Python floats do, so a point's cells are those of the scalar
 path. Where numpy's functions differ from libm the libm route is kept:
-log_ratio is ``math.log1p``. Three exceptions: (r2/r1)**n in the bound
+log_ratio is ``math.log1p``. One exception: (r2/r1)**n in the bound
 search is ``np.exp``, whose last bit can move a banded sign only where
-F/G lies within a few units in the last place of the band's edge;
-integer rates are taken as floats; and where the scalar path raises
-ZeroDivisionError or OverflowError (rates near the ends of the float
-range) the cells read inf or nan.
+F/G lies within a few units in the last place of the band's edge. A
+point whose quantities leave the float range gets the ``FloatRangeError``
+that ``validate_params`` or ``spectral_quantities`` raises there.
 
 The bounds of the subcase-II points come from a lockstep ``search_first``
 and ``bisect_first``: each numpy pass probes the next level of every point
@@ -38,33 +37,29 @@ from .equilibrium import (
     equilibrium_members,
     past_cap,
 )
-from .errors import ClearbalkError
+from .errors import ClearbalkError, FloatRangeError
 from .model import (
     CASE_TOLERANCE,
+    CONFIG_FIELDS,
     CaseKind,
     ModelParams,
     RewardCost,
     ValidatedModel,
+    config_inputs,
     derive_model,
     validate_params,
 )
-from .spectral import SpectralData
+from .spectral import SpectralData, spectral_quantities
 from .strategies import format_strategy
 
 #: The fields of a sweep row, in CSV column order.
 SWEEP_FIELDS = ("param", "value", "case", "subcase", "n_l", "n_u",
                 "equilibria", "v_fu", "h_upper_0", "h_limit")
 
-_RATES = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
 _KINDS = (CaseKind.CASE_A, CaseKind.CASE_B, CaseKind.CASE_C)
 _SUBCASES = (Subcase.I, Subcase.II, Subcase.III)
 _KIND_NAMES = tuple(kind.value for kind in _KINDS)
 _SUBCASE_NAMES = tuple(subcase.value for subcase in _SUBCASES)
-
-
-def _inputs(fields: dict) -> tuple[ModelParams, RewardCost]:
-    """The rates and the reward structure in a mapping of the six rates, R and C."""
-    return ModelParams(*(fields[name] for name in _RATES)), RewardCost(fields["R"], fields["C"])
 
 
 def _cells(kind: CaseKind, subcase: Subcase, coef: BenefitCoefficients | None = None,
@@ -83,13 +78,12 @@ def _cells(kind: CaseKind, subcase: Subcase, coef: BenefitCoefficients | None = 
 
 def _spectral(model: ValidatedModel) -> SpectralData:
     """``spectral_quantities`` on columns."""
-    p = model.params
+    p, k = model.params, model.k
     l1, l2 = p.lambda1, p.lambda2
     linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
     gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
     delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
     sq = np.sqrt(delta)
-    k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
     z2 = -(linear + sq) / (2.0 * l1 * l2)
     z1 = k / (l1 * l2 * z2)
     pe1, pe2 = model.env_stationary
@@ -172,26 +166,27 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
     that failed, in grid order.
 
     The grid values are ``start + i*step``, the floats of a scalar loop. A
-    point whose bound n_u lies above ``SCAN_LIMIT`` keeps its value, with
-    the equilibria cell ``error:ScanLimitExceeded`` and None elsewhere.
+    point that fails keeps its value, with the equilibria cell
+    ``error:<class>`` and None elsewhere.
 
     Raises:
         NonPositiveRate, NonPositiveRewardCost: For the first grid value
             that ``validate_params`` rejects, with its message.
     """
-    fields = {**dataclasses.asdict(params), "R": rc.reward, "C": rc.cost}
+    fields = dict(zip(CONFIG_FIELDS, (*vars(params).values(), rc.reward, rc.cost)))
     step = (stop - start) / (steps - 1)
     values = start + np.arange(steps) * step
     bad = ~(np.isfinite(values) & (values > 0.0))
     if bad.any():
         fields[param] = values[bad.argmax()].item()
-        validate_params(*_inputs(fields))
+        validate_params(*config_inputs(fields))
     columns = {name: np.full(steps, float(value)) for name, value in fields.items()}
     columns[param] = values
     with np.errstate(all="ignore"):
-        rates, rewards = _inputs(columns)
+        rates, rewards = config_inputs(columns)
         model = derive_model(rates)
-        coef = benefit_coefficients(model, _spectral(model), rewards)
+        spec = _spectral(model)
+        coef = benefit_coefficients(model, spec, rewards)
         kind = _case_codes(model)
         h0 = _ratio(coef, slice(None), 0, 1.0)
         h_limit = h_upper_limit(coef)
@@ -202,30 +197,38 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         subcase = np.where(kind == 2, at_zero + 1,
                            np.where(orient * at_zero < 0, 0,
                                     np.where(orient * at_limit >= 0, 2, 1)))
-        search = np.flatnonzero((kind != 2) & (subcase == 1))
+        # where validate_params or spectral_quantities raises FloatRangeError
+        checked = abs(np.array([rates.lambda1 * rates.lambda2, spec.delta, spec.z2, spec.z1]))
+        normal = (checked >= np.finfo(float).tiny) & (checked <= np.finfo(float).max)
+        out_of_range = (model.k == 0.0) | ~normal.all(axis=0)
+        search = np.flatnonzero((kind != 2) & (subcase == 1) & ~out_of_range)
         bounds = _bounds(coef, orient, search, tolerance, (at_zero == 0) | (at_limit == 0))
 
+    errors = {}   # the error of each failed point, by grid index
+    for i in np.flatnonzero(out_of_range).tolist():
+        try:
+            spectral_quantities(validate_params(*config_inputs(fields | {param: values[i]})))
+        except FloatRangeError as exc:
+            errors[i] = exc
     keys = list(zip(kind.tolist(), subcase.tolist()))
     # every point outside the search shares its cells with its (case, subcase)
     fixed = {(k, sub): _cells(_KINDS[k], _SUBCASES[sub])
              for k, sub in set(keys) if k == 2 or sub != 1}
-    cells = [fixed.get(key) for key in keys]
-    failed, failures = [], []
+    cells = [fixed.get(key, (None, None, None)) for key in keys]
     for i, b, point in zip(search.tolist(), bounds, _points(coef, search)):
         if b.n_u > SCAN_LIMIT:
-            failed.append(i)
-            failures.append(past_cap(b.orientation))
-            cells[i] = (None, None, f"error:{type(failures[-1]).__name__}")
+            errors[i] = past_cap(b.orientation)
         else:
             cells[i] = _cells(_KINDS[keys[i][0]], Subcase.II, point, b)
     out = dict(zip(SWEEP_FIELDS, (
         [param] * steps, values.tolist(), [_KIND_NAMES[k] for k, _ in keys],
         [_SUBCASE_NAMES[sub] for _, sub in keys], *map(list, zip(*cells)),
         v_fu.tolist(), h0.tolist(), h_limit.tolist())))
-    for i in failed:
-        for name in ("case", "subcase", "v_fu", "h_upper_0", "h_limit"):
+    for i, error in errors.items():
+        for name in SWEEP_FIELDS[2:]:
             out[name][i] = None
-    return out, failures
+        out["equilibria"][i] = f"error:{type(error).__name__}"
+    return out, [errors[i] for i in sorted(errors)]
 
 
 def _bounds(coef: BenefitCoefficients, orient: np.ndarray, search: np.ndarray,

@@ -35,10 +35,13 @@ import enum
 import sys
 from dataclasses import dataclass
 
-from .errors import NonPositiveRate, NonPositiveRewardCost
+from .errors import FloatRangeError, NonPositiveRate, NonPositiveRewardCost
 
 #: Relative tolerance for classifying the congestion product as zero.
 CASE_TOLERANCE = 1e-12
+
+#: The fields of a config: the six rates of ``ModelParams``, then R and C.
+CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,7 @@ class ValidatedModel:
         params: The validated raw rates.
         rho1: Congestion ratio lambda1/mu1.
         rho2: Congestion ratio lambda2/mu2.
+        k: K = mu1*mu2 + mu1*q21 + mu2*q12, the divisor of ``mean_clearing``.
         env_stationary: Stationary environment distribution (p_E(1), p_E(2)).
         mean_clearing: Mean times to the next clearing (E[S_1], E[S_2]).
     """
@@ -90,6 +94,7 @@ class ValidatedModel:
     params: ModelParams
     rho1: float
     rho2: float
+    k: float
     env_stationary: tuple[float, float]
     mean_clearing: tuple[float, float]
 
@@ -108,6 +113,12 @@ class CaseLabel:
 
     kind: CaseKind
     product: float
+
+
+def config_inputs(fields) -> tuple[ModelParams, RewardCost]:
+    """The rates and the reward structure in a mapping of ``CONFIG_FIELDS``."""
+    *rates, reward, cost = (fields[name] for name in CONFIG_FIELDS)
+    return ModelParams(*rates), RewardCost(reward, cost)
 
 
 def _require_positive(error: type[Exception], name: str, value) -> None:
@@ -130,8 +141,8 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
         rc: Reward/cost pair; both must be strictly positive and finite.
 
     Returns:
-        A ValidatedModel carrying congestion ratios, the stationary
-        environment distribution, and the mean clearing times.
+        A ValidatedModel carrying the rates as floats, the congestion ratios,
+        the stationary environment distribution and the mean clearing times.
 
     Raises:
         NonPositiveRate: If any rate is not a number, nonpositive or not
@@ -139,12 +150,14 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
             environment, so it is rejected rather than special-cased.
         NonPositiveRewardCost: If reward or cost is not a number,
             nonpositive or not finite.
+        FloatRangeError: If K underflows to 0.
     """
-    for name in ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21"):
+    for name in CONFIG_FIELDS[:6]:
         _require_positive(NonPositiveRate, f"rate {name}", getattr(raw, name))
     for name in ("reward", "cost"):
         _require_positive(NonPositiveRewardCost, name, getattr(rc, name))
-    return derive_model(raw)
+    # as floats, so that no int arithmetic reaches a closed form
+    return derive_model(ModelParams(*map(float, vars(raw).values())))
 
 
 def derive_model(raw: ModelParams) -> ValidatedModel:
@@ -156,11 +169,15 @@ def derive_model(raw: ModelParams) -> ValidatedModel:
     switch_total = raw.q12 + raw.q21
     env_stationary = (raw.q21 / switch_total, raw.q12 / switch_total)
     k = raw.mu1 * raw.mu2 + raw.mu1 * raw.q21 + raw.mu2 * raw.q12
-    mean_clearing = ((raw.mu2 + raw.q21 + raw.q12) / k, (raw.mu1 + raw.q21 + raw.q12) / k)
+    try:
+        mean_clearing = ((raw.mu2 + raw.q21 + raw.q12) / k, (raw.mu1 + raw.q21 + raw.q12) / k)
+    except ZeroDivisionError:
+        raise FloatRangeError("K = mu1*mu2 + mu1*q21 + mu2*q12 underflows to 0.0") from None
     return ValidatedModel(
         params=raw,
         rho1=raw.lambda1 / raw.mu1,
         rho2=raw.lambda2 / raw.mu2,
+        k=k,
         env_stationary=env_stationary,
         mean_clearing=mean_clearing,
     )

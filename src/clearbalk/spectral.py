@@ -37,10 +37,11 @@ evaluation lives in the oracle package so the two routes stay independent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, FloatRangeError
 from .model import ValidatedModel
 from .strategies import (
     AlwaysBalk,
@@ -86,6 +87,13 @@ class SpectralData:
         raise ValueError(f"environment must be 1 or 2, got {env}")
 
 
+def _normal(name: str, value: float) -> float:
+    """``value``, unless it is 0, subnormal, infinite or NaN."""
+    if sys.float_info.min <= abs(value) <= sys.float_info.max:
+        return value
+    raise FloatRangeError(f"{name} is {value!r}, outside the range of normal floats")
+
+
 def spectral_quantities(model: ValidatedModel) -> SpectralData:
     """Compute the discriminant, roots, ratios, and mixture coefficients.
 
@@ -94,16 +102,17 @@ def spectral_quantities(model: ValidatedModel) -> SpectralData:
     and the discriminant is strictly positive (a square plus a positive
     term). The smaller root is computed directly and the larger one through
     the product identity z1*z2 = K/(l1*l2), which avoids cancellation.
+    FloatRangeError names the first of l1*l2, delta, z2, z1 not a normal float.
     """
-    p = model.params
+    p, k = model.params, model.k
     l1, l2 = p.lambda1, p.lambda2
+    _normal("lambda1*lambda2", l1 * l2)
     linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
     gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
-    delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
+    delta = _normal("the discriminant", gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21)
     sq = math.sqrt(delta)
-    k = p.mu1 * p.mu2 + p.mu1 * p.q21 + p.mu2 * p.q12
-    z2 = -(linear + sq) / (2.0 * l1 * l2)
-    z1 = k / (l1 * l2 * z2)
+    z2 = _normal("the root z2", -(linear + sq) / (2.0 * l1 * l2))
+    z1 = _normal("the root z1", k / (l1 * l2 * z2))
     r1 = 1.0 / (1.0 - z1)
     r2 = 1.0 / (1.0 - z2)
     pe1, pe2 = model.env_stationary

@@ -177,24 +177,16 @@ def format_strategy(strategy: Strategy) -> str:
     raise TypeError(f"not a strategy: {strategy!r}")
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise StrategyParseError(f"{what} must be an integer, got {text!r}") from exc
-    if value < 0:
-        raise StrategyParseError(f"{what} must be nonnegative, got {value}")
-    return value
-
-
-def _parse_prob(text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise StrategyParseError(f"{what} must be a number, got {text!r}") from exc
-    if not math.isfinite(value) or value < 0.0 or value > 1.0:
-        raise StrategyParseError(f"{what} must lie in [0, 1], got {text!r}")
-    return value
+#: Each descriptor head: its class and the converter of each ``:``-separated
+#: field. The one field of ``vector`` holds its ``,``-separated entries.
+_DESCRIPTORS = {
+    "always-join": (AlwaysJoin, ()),
+    "always-balk": (AlwaysBalk, ()),
+    "threshold": (PureThreshold, (int,)),
+    "mixed-threshold": (MixedThreshold, (int, float)),
+    "reverse": (ReverseThreshold, (int, float)),
+    "vector": (JoinVector, (lambda entries: tuple(map(float, entries.split(","))),)),
+}
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -202,39 +194,20 @@ def parse_strategy(text: str) -> Strategy:
 
     Grammar: ``always-join`` | ``always-balk`` | ``threshold:<n0>`` |
     ``mixed-threshold:<n0>:<theta>`` | ``reverse:<n0>:<theta>`` |
-    ``vector:<p0>,<p1>,...``.
+    ``vector:<p0>,<p1>,...``; ``_DESCRIPTORS`` reads the fields.
 
     Raises:
         StrategyParseError: If the string does not match the grammar or a
-            numeric field is out of range.
+            field is out of range.
     """
-    text = text.strip()
-    if text == "always-join":
-        return AlwaysJoin()
-    if text == "always-balk":
-        return AlwaysBalk()
-    head, sep, rest = text.partition(":")
-    if not sep:
+    head, sep, rest = text.strip().partition(":")
+    if head not in _DESCRIPTORS:
         raise StrategyParseError(f"unknown strategy descriptor {text!r}")
-    if head == "threshold":
-        return PureThreshold(_parse_int(rest, "threshold level"))
-    if head == "mixed-threshold":
-        n0_text, sep2, theta_text = rest.partition(":")
-        if not sep2:
-            raise StrategyParseError(
-                f"mixed-threshold needs <n0>:<theta>, got {text!r}")
-        return MixedThreshold(_parse_int(n0_text, "threshold level"),
-                              _parse_prob(theta_text, "theta"))
-    if head == "reverse":
-        n0_text, sep2, theta_text = rest.partition(":")
-        if not sep2:
-            raise StrategyParseError(f"reverse needs <n0>:<theta>, got {text!r}")
-        return ReverseThreshold(_parse_int(n0_text, "threshold level"),
-                                _parse_prob(theta_text, "theta"))
-    if head == "vector":
-        parts = rest.split(",") if rest else []
-        if not parts or any(not p.strip() for p in parts):
-            raise StrategyParseError(f"vector needs comma-separated entries, got {text!r}")
-        return JoinVector(tuple(_parse_prob(p.strip(), f"vector entry {i}")
-                                for i, p in enumerate(parts)))
-    raise StrategyParseError(f"unknown strategy descriptor {text!r}")
+    make, converters = _DESCRIPTORS[head]
+    fields = rest.split(":") if sep else []
+    if len(fields) != len(converters):
+        raise StrategyParseError(f"{head} takes {len(converters)} field(s), got {text!r}")
+    try:
+        return make(*(convert(field) for convert, field in zip(converters, fields)))
+    except ValueError as exc:
+        raise StrategyParseError(f"bad descriptor {text!r}: {exc}") from None

@@ -14,6 +14,7 @@ from clearbalk import (
     report_from_dict,
     stationary_distribution,
 )
+from clearbalk import cli
 from clearbalk.cli import dominant_from_dict, main
 from clearbalk.equilibrium import SCAN_LIMIT
 from clearbalk.oracle.verify import verification_from_dict
@@ -24,6 +25,8 @@ BASE_CONFIG = {
     "lambda1": 2.0, "lambda2": 1.0, "mu1": 1.0, "mu2": 3.0,
     "q12": 1.0, "q21": 2.0, "R": 0.72, "C": 1.0,
 }
+
+RATES = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
 
 # r1 and r2 near 0.0042, so r1**n underflows at the levels around 165
 SMALL_RATIO_CONFIG = {
@@ -287,9 +290,12 @@ def test_simulate_table_shows_reference(config, capsys):
 
 
 def test_simulate_csv_rejected(config, capsys):
-    assert main(["simulate", "--config", config(), "--strategy", "always-join",
-                 "--horizon", "100", "--format", "csv"]) == 2
-    assert "csv" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--config", config(), "--strategy", "always-join",
+              "--horizon", "100", "--format", "csv"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --format: csv" in err and "simulate" in err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -308,10 +314,13 @@ def test_simulate_rejects_bad_arguments(config, capsys, flag, value):
 
 
 def test_analyze_csv_rejected(config, capsys):
-    assert main(["analyze", "--config", config(), "--info-level", "fu",
-                 "--format", "csv"]) == 2
-    assert main(["equilibrium", "--config", config(), "--format", "csv"]) == 2
-    capsys.readouterr()
+    for argv in (["analyze", "--config", config(), "--info-level", "fu", "--format", "csv"],
+                 ["equilibrium", "--config", config(), "--format", "csv"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --format: csv" in err and argv[0] in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,10 +330,27 @@ def test_analyze_csv_rejected(config, capsys):
     ["simulate", "--strategy", "always-join", "--horizon", "100", "--replications", "2"],
 ])
 def test_csv_refused_where_the_report_is_not_tabular(config, capsys, argv):
-    assert main(argv[:1] + ["--config", config()] + argv[1:] + ["--format", "csv"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--config", config()] + argv[1:] + ["--format", "csv"])
+    assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: format csv is not supported for {argv[0]} reports\n"
+    assert captured.err.endswith(f"error: argument --format: csv is not supported by {argv[0]}\n")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["simulate", "--strategy", "always-join"], "simulate"),
+    (["equilibrium"], "compute_equilibria"),
+])
+def test_format_refused_before_any_work(config, capsys, monkeypatch, argv, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the format was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--config", config()] + argv[1:] + ["--format", "csv"])
+    assert info.value.code == 2
+    assert "argument --format: csv" in capsys.readouterr().err
 
 
 def test_sweep_csv_subcase_transitions(config, capsys):
@@ -419,12 +445,12 @@ def test_config_not_found(tmp_path, capsys):
 
 
 def test_bad_strategy_descriptor(config, capsys):
-    assert main(["stationary", "--config", config(),
-                 "--strategy", "threshold:-2"]) == 2
-    assert "nonnegative" in capsys.readouterr().err
-    assert main(["stationary", "--config", config(),
-                 "--strategy", "sometimes"]) == 2
-    assert "unknown strategy" in capsys.readouterr().err
+    for text, reason in (("threshold:-2", "nonnegative"), ("sometimes", "unknown strategy")):
+        with pytest.raises(SystemExit) as info:
+            main(["stationary", "--config", config(), "--strategy", text])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --strategy: " in err and reason in err
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(config, tmp_path, capsys):
@@ -491,3 +517,64 @@ def test_sweep_rejects_a_nonpositive_rate_as_input(config, capsys):
     assert main(["sweep", "--config", config(), "--param", "mu1",
                  "--from", "-1", "--to", "1", "--steps", "3"]) == 2
     assert "mu1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--info-level", "fu"],
+    ["equilibrium", "--format", "json"],
+    ["stationary", "--strategy", "mixed-threshold:2:0.857", "--format", "csv"],
+    ["benefit", "--strategy", "reverse:0:0.458", "--levels", "0..4"],
+    ["simulate", "--strategy", "threshold:3", "--horizon", "200", "--replications", "2"],
+    ["sweep", "--param", "R", "--from", "0.6", "--to", "0.8", "--steps", "21"],
+])
+def test_integer_rates_write_the_bytes_of_float_rates(tmp_path, capsys, argv):
+    outputs = []
+    for name, cast in (("int.json", int), ("float.json", float)):
+        path = tmp_path / name
+        path.write_text(json.dumps({**BASE_CONFIG, **{k: cast(BASE_CONFIG[k]) for k in RATES}}))
+        outputs.append((main(argv[:1] + ["--config", str(path)] + argv[1:]),
+                        capsys.readouterr()))
+    assert '"lambda1": 2,' in (tmp_path / "int.json").read_text()
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+# configs past the float range, and the message naming the quantity that left it
+OUT_OF_RANGE = ", outside the range of normal floats"
+FLOAT_RANGE_CASES = [
+    ({"lambda1": 1e200}, "the discriminant is inf" + OUT_OF_RANGE),
+    ({"lambda1": 10 ** 200}, "the discriminant is inf" + OUT_OF_RANGE),
+    ({"lambda1": 2e160, "lambda2": 1e160}, "lambda1*lambda2 is inf" + OUT_OF_RANGE),
+    (dict.fromkeys(RATES, 1e-200), "K = mu1*mu2 + mu1*q21 + mu2*q12 underflows to 0.0"),
+]
+FLOAT_RANGE_IDS = ["huge-lambda1", "huge-int-lambda1", "huge-lambda-product", "tiny-rates"]
+
+
+@pytest.mark.parametrize("overrides, message", FLOAT_RANGE_CASES, ids=FLOAT_RANGE_IDS)
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--info-level", "ao"],
+    ["equilibrium"],
+    ["stationary", "--strategy", "threshold:3"],
+    ["benefit", "--strategy", "threshold:3"],
+    ["sweep", "--param", "R", "--from", "0.6", "--to", "0.8", "--steps", "3"],
+])
+def test_quantities_past_the_float_range_are_named(config, capsys, overrides, message, argv):
+    assert main(argv[:1] + ["--config", config(**overrides)] + argv[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: FloatRangeError: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides, message", FLOAT_RANGE_CASES, ids=FLOAT_RANGE_IDS)
+def test_dominant_decisions_need_only_k_in_range(config, capsys, overrides, message):
+    path = config(**overrides)
+    code = main(["analyze", "--config", path, "--info-level", "fu"])
+    err = capsys.readouterr().err
+    if message.startswith("K"):
+        assert code == 3
+        assert message in err
+        # the simulator reads the model too, so it stops before its first event
+        assert main(["simulate", "--config", path, "--strategy", "always-join"]) == 3
+        assert message in capsys.readouterr().err
+    else:
+        assert (code, err) == (0, "")

@@ -197,6 +197,24 @@ def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys
         assert rows[0][6] == "error:ScanLimitExceeded"
 
 
+@pytest.mark.parametrize("params, reward, param, start, stop, quantity", [
+    # the discriminant overflows from lambda1 = 3.8e153 on
+    (PSTAR, 0.72, "lambda1", 1e152, 1e154, "the discriminant is inf"),
+    # K underflows at q12 = 1e-170 only
+    (ModelParams(1e-100, 1e-100, 1e-170, 1e-170, 1.0, 1e-170), 1e170, "q12", 1e-170, 1.0,
+     "K = mu1*mu2 + mu1*q21 + mu2*q12 underflows to 0.0"),
+], ids=["discriminant-overflow", "k-underflow"])
+def test_points_past_the_float_range_match_the_per_point_reference(
+        tmp_path, monkeypatch, capsys, params, reward, param, start, stop, quantity):
+    argv = ["sweep", "--config", _config(tmp_path, params, reward), "--param", param,
+            "--from", repr(start), "--to", repr(stop), "--steps", "9"]
+    rows = assert_matches_reference(monkeypatch, capsys, argv)
+    failed = [row[6] == "error:FloatRangeError" for row in rows]
+    assert any(failed) and not all(failed)
+    _, _, err = _run(capsys, argv)
+    assert err.startswith(f"numerical failure: FloatRangeError: {quantity}")
+
+
 @pytest.mark.parametrize("params", [PSTAR, PB])
 def test_wide_sign_bands_match_the_per_point_reference(tmp_path, monkeypatch, capsys, params):
     # with a band of 0.02 many sign tests land in it, where the strict

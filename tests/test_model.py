@@ -24,6 +24,12 @@ def test_pstar_derived_quantities():
     assert model.mean_clearing == pytest.approx((0.75, 0.5), abs=1e-15)
 
 
+def test_integer_rates_are_stored_as_floats():
+    model = validate_params(ModelParams(2, 1, 1, 3, 1, 2), RewardCost(1, 1))
+    assert [type(v) for v in model.params.__dict__.values()] == [float] * 6
+    assert model == validate_params(PSTAR, UNIT_RC)
+
+
 def test_mean_clearing_solves_first_step_system():
     # E[S_1] = 1/(mu1+q12) + q12/(mu1+q12) * E[S_2], and symmetrically
     for params in (PSTAR, PB, P0):

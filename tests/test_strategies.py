@@ -13,6 +13,7 @@ from clearbalk import (
     format_strategy,
     parse_strategy,
 )
+from clearbalk.cli import main
 
 
 def test_join_prob_tables():
@@ -59,14 +60,26 @@ def test_descriptor_examples():
     assert parse_strategy("vector:1,1,0.5,0") == JoinVector((1.0, 1.0, 0.5, 0.0))
 
 
-@pytest.mark.parametrize("text", [
+BAD_DESCRIPTORS = [
     "", "join", "threshold", "threshold:", "threshold:-1", "threshold:1.5",
     "mixed-threshold:2", "mixed-threshold:2:1.5", "mixed-threshold:x:0.5",
     "reverse:0", "vector:", "vector:0.5,nan", "vector:2", "threshold:2:0.5",
-])
+]
+
+
+@pytest.mark.parametrize("text", BAD_DESCRIPTORS)
 def test_parse_rejects(text):
     with pytest.raises(StrategyParseError):
         parse_strategy(text)
+
+
+@pytest.mark.parametrize("text", BAD_DESCRIPTORS)
+def test_cli_refuses_a_descriptor_before_reading_the_config(text, tmp_path, capsys):
+    # the config does not exist, so only argparse can give this refusal
+    with pytest.raises(SystemExit) as info:
+        main(["stationary", "--config", str(tmp_path / "missing.json"), f"--strategy={text}"])
+    assert info.value.code == 2
+    assert "argument --strategy: " in capsys.readouterr().err
 
 
 def test_parse_error_is_value_error():
