@@ -10,9 +10,9 @@ All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
 use exit codes 0 (success), 2 (input error: argparse reports a bad flag,
 descriptor or format before any work, the handler a bad config), 3 (internal
-consistency failure, or any other package error, such as an equilibrium
-bound past the search cap; the one-line message names the error class, and
-``sweep`` still writes the row of each failed grid point, as ``error:<class>``).
+consistency failure, or any other package error, such as a bound n_u past
+the listing cap; the one-line message names the error class, and ``sweep``
+still writes the row of each failed grid point, as ``error:<class>``).
 """
 
 from __future__ import annotations

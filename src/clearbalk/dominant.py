@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codec import Wire
 from .model import RewardCost, ValidatedModel
@@ -91,11 +94,15 @@ def critical_values(model: ValidatedModel) -> CriticalValues:
 
 
 def fully_unobservable_value(model: ValidatedModel) -> float:
-    """V_fu alone; pure arithmetic, so elementwise on numpy columns too."""
+    """V_fu alone; elementwise on numpy columns too."""
     p, k = model.params, model.k
     weight_den = p.lambda1 * p.q21 + p.lambda2 * p.q12
-    return ((p.lambda1 * p.q21 * p.mu2 + p.lambda2 * p.q12 * p.mu1) / (weight_den * k)
-            + (p.q21 + p.q12) / k)
+    # divide by weight_den and k in turn where their product is not a normal float
+    den = weight_den * k
+    normal = (den >= sys.float_info.min) & (den <= sys.float_info.max)
+    value = ((p.lambda1 * p.q21 * p.mu2 + p.lambda2 * p.q12 * p.mu1)
+             / np.where(normal, den, weight_den) / np.where(normal, 1.0, k) + (p.q21 + p.q12) / k)
+    return value if np.ndim(value) else float(value)
 
 
 def _compare(ratio: float, critical: float, tolerance: float) -> int:

@@ -22,8 +22,9 @@ from a handful of integer bounds:
 Sign tests run on F values normalized by G(n, 1) with an absolute band;
 band hits follow the weak/strict-inequality conventions of the exact
 theory and set a knife-edge flag, since the classification is then
-tolerance-dependent. Each banded sign flips at most once along n, so the
-bounds are found by bisection (see ``threshold_bounds``).
+tolerance-dependent. Along n each normalized F is a two-term geometric
+mixture, so the level where a banded sign flips is a logarithm (see
+``subcase_ii_levels``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .benefit import BenefitCoefficients, f_eval, h_upper_limit, scaled_aggregate
 from .codec import Wire, decode
 from .errors import NoInteriorRoot, ScanLimitExceeded
@@ -41,9 +44,8 @@ from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, congestion_c
 # verify_equilibrium is looked up on its module at call time, where
 # perfbench's tracer wraps it
 from .oracle import verify as oracle_verify
-from .oracle.balance import bisect_first, search_first
 from .oracle.verify import VerificationReport
-from .spectral import SpectralData
+from .spectral import SpectralData, discounts
 from .strategies import (
     AlwaysBalk,
     AlwaysJoin,
@@ -56,7 +58,8 @@ from .strategies import (
 #: Absolute band for sign tests on G(n,1)-normalized F values.
 SIGN_TOLERANCE = 1e-9
 
-#: Highest level the search for the upper bound n_u probes.
+#: Most pure thresholds a report lists: a larger upper bound n_u raises
+#: ScanLimitExceeded.
 SCAN_LIMIT = 10 ** 6
 
 
@@ -123,50 +126,82 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
     """Classify the subcase and compute the equilibrium bounds.
 
     The subcase follows from the signs of the benefit at an empty system
-    and of its analytic large-n limit; only subcase II needs a search.
-    F(n, theta)/G(n, 1) is a Moebius function of s = (r2/r1)**n, and s
-    falls with n, so each banded sign flips at most once: n_u (the first
-    n with ``sign(n, 1) < 0``) is found by doubling and bisection, n_l
-    (the first n with ``sign(n, 0) <= 0``) by bisection below n_u. Band
-    hits lie next to n_l or n_u, where the strict bounds test again, so
-    the knife-edge flag does not depend on the levels probed.
+    and of its analytic large-n limit; the bounds of subcase II come from
+    ``subcase_ii_levels``.
 
     Raises:
-        ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT``, which the limit
-            test rules out for consistent coefficients.
+        ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT``, the most pure
+            thresholds a report lists.
     """
     tester = _SignTester(coef, tolerance)
     # the reverse orientation is the threshold one with F negated
     s = 1 if orientation is Orientation.THRESHOLD else -1
-
-    def sign(n: int, theta: float) -> int:
-        return s * tester.sign_f(n, theta)
-
-    def bounds(subcase: Subcase, nl: float, nu: float,
-               nlp: float, num: float) -> ThresholdBounds:
-        return ThresholdBounds(orientation=orientation, subcase=subcase,
-                               n_l=nl, n_u=nu, n_l_plus=nlp, n_u_minus=num,
-                               knife_edge=tester.band_hit)
-
-    sign_at_zero = sign(0, 1.0)
+    sign_at_zero = s * tester.sign_f(0, 1.0)
     sign_limit = s * tester._sign(h_upper_limit(coef))
     if sign_at_zero < 0:
-        return bounds(Subcase.I, 0, 0, 0, 0)
-    if sign_limit >= 0:
-        return bounds(Subcase.III, math.inf, math.inf, math.inf, math.inf)
-    n_u = search_first(lambda n: sign(n, 1.0) < 0, SCAN_LIMIT)
-    if n_u > SCAN_LIMIT:
-        raise past_cap(orientation)
-    n_l = bisect_first(lambda n: sign(n, 0.0) <= 0, 0, n_u)
-    n_l_plus = n_l if sign(n_l, 0.0) < 0 else n_l + 1
-    n_u_minus = n_u if sign(n_u - 1, 1.0) > 0 else n_u - 1
-    return bounds(Subcase.II, n_l, n_u, n_l_plus, n_u_minus)
+        subcase, levels = Subcase.I, (0, 0, 0, 0)
+    elif sign_limit >= 0:
+        subcase, levels = Subcase.III, (math.inf,) * 4
+    else:
+        subcase, (*levels, band) = Subcase.II, subcase_ii_levels(coef, s, tolerance)
+        if levels[1] > SCAN_LIMIT:
+            raise past_cap(orientation, float(levels[1]))
+        levels, tester.band_hit = map(int, levels), tester.band_hit or bool(band)
+    return ThresholdBounds(orientation, subcase, *levels, knife_edge=tester.band_hit)
 
 
-def past_cap(orientation: Orientation) -> ScanLimitExceeded:
+def subcase_ii_levels(coef: BenefitCoefficients, orient, tolerance: float):
+    """(n_l, n_u, n_l_plus, n_u_minus, band_hit) of subcase II, in closed form.
+
+    ``orient`` is 1 for the threshold orientation and -1 for the reverse
+    one. Arithmetic only, so it runs on floats and elementwise on numpy
+    columns (``grid``); levels are floats, ``inf`` where a test never holds.
+
+    Divided by r1**n, orient*F(n, theta)/G(n, 1) is orient*(A + B*s)/(d + e*s)
+    with s = (r2/r1)**n, A = alpha/delta1(theta), B = beta/delta2(theta)
+    and d + e*s > 0. So the banded test ``value < c`` (or ``<= c``) is
+    c0 + c1*s < 0 (or ``<= 0``) with c0 = orient*A - c*d, c1 = orient*B - c*e.
+    As s falls from 1 toward 0, it holds at every level when c1 <= 0 and
+    c0 passes it, from level ceil(log(-c0/c1)/log_ratio) when c1 > 0, and
+    never when c0 fails it. The sign tests on either side of that level
+    undo a rounding of the logarithm by one level.
+
+    n_u is the first level of ``< -tolerance`` at theta = 1 and n_l the
+    first of ``<= tolerance`` at theta = 0, if below n_u. The strict bounds
+    read the signs at n_l and n_u - 1. Each banded value is monotone in n,
+    so any level in a band lies next to n_l or n_u, where those signs see it.
+    """
+    log_ratio = coef.log_ratio
+    e1, e2 = discounts(coef.z1, coef.z2, 0.0)
+
+    def value(n, d1, d2):
+        # orient*F(n, theta)/G(n, 1) in the operation order of _SignTester
+        power = np.exp(n * log_ratio)
+        return orient * ((coef.alpha / d1 + coef.beta * power / d2)
+                         / (coef.d + coef.e * power))
+
+    def first(d1, d2, bound, test):
+        c0 = orient * coef.alpha / d1 - bound * coef.d
+        c1 = orient * coef.beta / d2 - bound * coef.e
+        crossing = np.maximum(np.ceil(np.log(np.divide(-c0, c1)) / log_ratio), 0.0)
+        level = np.where(test(c0, 0.0), np.where(c1 > 0.0, crossing, 0.0), np.inf)
+        below = test(value(level - 1.0, d1, d2), bound) & (level >= 1.0)
+        holds = test(value(level, d1, d2), bound) | (level == np.inf)
+        return np.where(below, level - 1.0, np.where(holds, level, level + 1.0))
+
+    with np.errstate(all="ignore"):
+        n_u = first(1.0, 1.0, -tolerance, np.less)
+        n_l = np.minimum(first(e1, e2, tolerance, np.less_equal), n_u)
+        at_l, below_u = value(n_l, e1, e2), value(n_u - 1.0, 1.0, 1.0)
+    return (n_l, n_u, np.where(at_l < -tolerance, n_l, n_l + 1.0),
+            np.where(below_u > tolerance, n_u, n_u - 1.0),
+            (abs(at_l) <= tolerance) | (abs(below_u) <= tolerance))
+
+
+def past_cap(orientation: Orientation, n_u: float) -> ScanLimitExceeded:
     """The error of an upper bound n_u that lies above ``SCAN_LIMIT``."""
-    return ScanLimitExceeded(
-        f"upper-{orientation.value} bound lies above the search cap {SCAN_LIMIT}")
+    return ScanLimitExceeded(f"upper-{orientation.value} bound n_u = {n_u:.15g} lies above "
+                             f"{SCAN_LIMIT}, the most pure thresholds a report lists")
 
 
 def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:

@@ -34,7 +34,7 @@ class NoInteriorRoot(ClearbalkError):
 
 
 class ScanLimitExceeded(ClearbalkError):
-    """An equilibrium bound lies above its search cap; input is numerically pathological."""
+    """The upper bound n_u lies above the most pure thresholds a report lists."""
 
 
 class FloatRangeError(ClearbalkError):

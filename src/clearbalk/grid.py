@@ -7,17 +7,15 @@ operation order of its scalar counterpart (``validate_params``,
 ``threshold_bounds``, ``critical_values``). numpy's +, -, *, / and sqrt
 round as Python floats do, so a point's cells are those of the scalar
 path. Where numpy's functions differ from libm the libm route is kept:
-log_ratio is ``math.log1p``. One exception: (r2/r1)**n in the bound
-search is ``np.exp``, whose last bit can move a banded sign only where
-F/G lies within a few units in the last place of the band's edge. A
-point whose quantities leave the float range gets the ``FloatRangeError``
-that ``validate_params`` or ``spectral_quantities`` raises there.
+log_ratio is ``math.log1p``. A point whose quantities leave the float
+range gets the ``FloatRangeError`` that ``validate_params`` or
+``spectral_quantities`` raises there.
 
-The bounds of the subcase-II points come from a lockstep ``search_first``
-and ``bisect_first``: each numpy pass probes the next level of every point
-still searching, about 2*log2(n_u) passes in all. Each such point's
-equilibrium set is listed by ``equilibrium_members`` on its coefficients
-as Python floats, so mixing probabilities are the scalar ones.
+The bounds of the subcase-II points come from ``subcase_ii_levels`` on
+the columns, the closed form that ``threshold_bounds`` calls on floats,
+so both paths take numpy's exp and log there. Each such point's equilibrium set is listed by ``equilibrium_members`` on
+its coefficients as Python floats, so mixing probabilities are the scalar
+ones.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .equilibrium import (
     ThresholdBounds,
     equilibrium_members,
     past_cap,
+    subcase_ii_levels,
 )
 from .errors import ClearbalkError, FloatRangeError
 from .model import (
@@ -107,47 +106,9 @@ def _case_codes(model: ValidatedModel) -> np.ndarray:
     return np.where(zero, 2, np.where(mu_diff * rho_diff < 0.0, 0, 1))
 
 
-def _ratio(coef: BenefitCoefficients, rows, n, theta: float) -> np.ndarray:
-    """F(n, theta)/G(n, 1) at ``rows``, each side divided by r1**n as in ``_SignTester``."""
-    z1, z2 = coef.z1[rows], coef.z2[rows]
-    power = np.exp(n * coef.log_ratio[rows])
-    f = (coef.alpha[rows] / ((theta - z1) / (1.0 - z1))
-         + coef.beta[rows] * power / ((theta - z2) / (1.0 - z2)))
-    g = (coef.d[rows] / ((1.0 - z1) / (1.0 - z1))
-         + coef.e[rows] * power / ((1.0 - z2) / (1.0 - z2)))
-    return f / g
-
-
 def _band(value: np.ndarray, tolerance: float) -> np.ndarray:
     """The banded sign of ``_SignTester``: 0 inside the band, else -1 or 1 (-1 for NaN)."""
     return np.where(abs(value) <= tolerance, 0, np.where(value > 0.0, 1, -1))
-
-
-def _search_first(pred, limit: int, size: int) -> np.ndarray:
-    """``search_first`` at ``size`` points at once.
-
-    ``pred(n, rows)`` tests level ``n[j]`` at point ``rows[j]``.
-    """
-    hi = np.ones(size, dtype=np.int64)
-    rows = np.arange(size)
-    while rows.size:
-        rows = rows[hi[rows] < limit]
-        rows = rows[~pred(hi[rows], rows)]
-        hi[rows] = np.minimum(2 * hi[rows], limit)
-    return _bisect_first(pred, hi // 2, hi + 1)
-
-
-def _bisect_first(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``bisect_first`` at many points at once, over ``[lo[i], hi[i])``."""
-    lo, hi = lo.copy(), hi.copy()
-    rows = np.flatnonzero(lo < hi)
-    while rows.size:
-        mid = (lo[rows] + hi[rows]) // 2
-        found = pred(mid, rows)
-        hi[rows[found]] = mid[found]
-        lo[rows[~found]] = mid[~found] + 1
-        rows = rows[lo[rows] < hi[rows]]
-    return lo
 
 
 def _points(coef: BenefitCoefficients, rows: np.ndarray) -> list[BenefitCoefficients]:
@@ -188,7 +149,7 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         spec = _spectral(model)
         coef = benefit_coefficients(model, spec, rewards)
         kind = _case_codes(model)
-        h0 = _ratio(coef, slice(None), 0, 1.0)
+        h0 = (coef.alpha + coef.beta) / (coef.d + coef.e)
         h_limit = h_upper_limit(coef)
         v_fu = fully_unobservable_value(model)
         # the reverse orientation (case B) is the threshold one with F negated
@@ -202,7 +163,8 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         normal = (checked >= np.finfo(float).tiny) & (checked <= np.finfo(float).max)
         out_of_range = (model.k == 0.0) | ~normal.all(axis=0)
         search = np.flatnonzero((kind != 2) & (subcase == 1) & ~out_of_range)
-        bounds = _bounds(coef, orient, search, tolerance, (at_zero == 0) | (at_limit == 0))
+        levels = [np.asarray(column)[search].tolist()
+                  for column in subcase_ii_levels(coef, orient, tolerance)]
 
     errors = {}   # the error of each failed point, by grid index
     for i in np.flatnonzero(out_of_range).tolist():
@@ -215,11 +177,13 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
     fixed = {(k, sub): _cells(_KINDS[k], _SUBCASES[sub])
              for k, sub in set(keys) if k == 2 or sub != 1}
     cells = [fixed.get(key, (None, None, None)) for key in keys]
-    for i, b, point in zip(search.tolist(), bounds, _points(coef, search)):
-        if b.n_u > SCAN_LIMIT:
-            errors[i] = past_cap(b.orientation)
+    for i, point, *bounds, band in zip(search.tolist(), _points(coef, search), *levels):
+        orientation = Orientation.THRESHOLD if keys[i][0] == 0 else Orientation.REVERSE
+        if bounds[1] > SCAN_LIMIT:
+            errors[i] = past_cap(orientation, bounds[1])
         else:
-            cells[i] = _cells(_KINDS[keys[i][0]], Subcase.II, point, b)
+            cells[i] = _cells(_KINDS[keys[i][0]], Subcase.II, point, ThresholdBounds(
+                orientation, Subcase.II, *map(int, bounds), knife_edge=band))
     out = dict(zip(SWEEP_FIELDS, (
         [param] * steps, values.tolist(), [_KIND_NAMES[k] for k, _ in keys],
         [_SUBCASE_NAMES[sub] for _, sub in keys], *map(list, zip(*cells)),
@@ -230,29 +194,3 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         out["equilibria"][i] = f"error:{type(error).__name__}"
     return out, [errors[i] for i in sorted(errors)]
 
-
-def _bounds(coef: BenefitCoefficients, orient: np.ndarray, search: np.ndarray,
-            tolerance: float, band_hit: np.ndarray) -> list[ThresholdBounds]:
-    """``threshold_bounds`` of the subcase-II points ``search``, in lockstep.
-
-    ``band_hit`` marks the points whose subcase tests hit the sign band. A
-    point whose n_u lies above ``SCAN_LIMIT`` gets n_u = SCAN_LIMIT + 1.
-    """
-    orient, band_hit = orient[search], band_hit[search]
-
-    def sign(n, rows, theta):
-        band = _band(_ratio(coef, search[rows], n, theta), tolerance)
-        band_hit[rows] |= band == 0
-        return orient[rows] * band
-
-    n_u = _search_first(lambda n, rows: sign(n, rows, 1.0) < 0, SCAN_LIMIT, search.size)
-    n_l = _bisect_first(lambda n, rows: sign(n, rows, 0.0) <= 0,
-                        np.zeros_like(n_u), np.where(n_u > SCAN_LIMIT, 0, n_u))
-    every = slice(None)
-    n_l_plus = np.where(sign(n_l, every, 0.0) < 0, n_l, n_l + 1)
-    n_u_minus = np.where(sign(n_u - 1, every, 1.0) > 0, n_u, n_u - 1)
-    return [ThresholdBounds(Orientation.THRESHOLD if o > 0 else Orientation.REVERSE,
-                            Subcase.II, *levels, knife_edge=hit)
-            for o, *levels, hit in zip(orient.tolist(), n_l.tolist(), n_u.tolist(),
-                                       n_l_plus.tolist(), n_u_minus.tolist(),
-                                       band_hit.tolist())]

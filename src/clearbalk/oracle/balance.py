@@ -28,33 +28,32 @@ Constant tail step. Every strategy without a support bound joins with
 certainty from level 1 on (see :mod:`clearbalk.strategies`), so for
 ``n >= 2`` the level equation is ``p(n) A = p(n-1) diag(lambda)`` with
 ``A = diag(lambda + mu + q) - S``, and ``p(n) = p(1) T^(n-1)`` with
-``T = diag(lambda) A^-1``: the matrix-geometric form of Neuts (1981). ``T``
-is positive, with ``det T > 0`` and ``tr T > 0``, so both its eigenvalues
-are positive and below 1. Only levels 0 and 1 are solved by the recursion;
-``p(n)`` comes from ``T^(n-1)`` by repeated squaring, and the tail
-``p(m) (I - T)^-1`` is evaluated as ``p(m-1) diag(lambda) B^-1``, since
-``(I - T)^-1 = A B^-1``. The automatic truncation level is found by a
-doubling search and a bisection over the decreasing tail, each probe
-reached with the powers ``T^(2^k)``, so no level between 2 and ``N`` is
-walked. Strategies with a support bound keep the level recursion up to
-the bound plus two.
+``T = diag(lambda) A^-1``: the matrix-geometric form of Neuts (1981). Only
+levels 0 and 1 are solved by the recursion. With ``T = rho1 P1 + rho2 P2``
+split into its eigenvalues and eigenprojectors, the run is
+``p(1 + k) = w1 rho1^k + w2 rho2^k`` with ``w_i = p(1) P_i``, O(1) at any
+level (see :func:`constant_step`). The tail ``p(m) (I - T)^-1`` is
+evaluated as ``p(m-1) diag(lambda) B^-1``, since ``(I - T)^-1 = A B^-1``.
+Summed, it is ``c1 rho1^k + c2 rho2^k`` with ``c1 >= 0``, so the automatic
+truncation level lies between two logarithms and one bisection finds it.
+Strategies with a support bound keep the level recursion up to the bound
+plus two.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConsistencyError, SingularSystem
-from ..model import ValidatedModel
+from ..errors import ConsistencyError, FloatRangeError, SingularSystem
+from ..model import ModelParams, ValidatedModel
 from ..strategies import Strategy
-
-#: Hard cap on the automatically chosen truncation level.
-LEVEL_LIMIT = 1 << 26
 
 #: Automatic truncation stops at the first level whose tail mass is below this.
 TAIL_TARGET = 1e-12
@@ -68,34 +67,52 @@ def _vecmat(v: Vec, m: Mat) -> Vec:
     return (v[0] * m[0] + v[1] * m[2], v[0] * m[1] + v[1] * m[3])
 
 
-def _matmul(x: Mat, y: Mat) -> Mat:
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
 def _inverse(c1: float, c2: float, q12: float, q21: float) -> Mat:
     """``[diag(c + q) - S]^-1``; every entry is positive."""
     det = c1 * c2 + c1 * q21 + c2 * q12
     return ((c2 + q21) / det, q12 / det, q21 / det, (c1 + q12) / det)
 
 
-def _squares(step: Mat, count: int) -> tuple[Mat, ...]:
-    """``(T, T^2, T^4, ..., T^(2^(count-1)))`` for ``T = step``."""
-    powers = [step]
-    while len(powers) < count:
-        powers.append(_matmul(powers[-1], powers[-1]))
-    return tuple(powers)
+class _Run(NamedTuple):
+    """``v T^k = w1 rho1^k + w2 rho2^k`` for the level mass ``v = w1 + w2`` it starts from."""
+
+    w1: Vec
+    w2: Vec
+    log_rho1: float
+    log_rho2: float
+
+    def at(self, k: int) -> Vec:
+        g1, g2 = math.exp(k * self.log_rho1), math.exp(k * self.log_rho2)
+        return (self.w1[0] * g1 + self.w2[0] * g2, self.w1[1] * g1 + self.w2[1] * g2)
 
 
-def _advance(v: Vec, powers: tuple[Mat, ...], k: int) -> Vec:
-    """``v T^k`` from ``powers[b] = T^(2^b)``, for ``k < 2^len(powers)``."""
-    b = 0
-    while k:
-        if k & 1:
-            v = _vecmat(v, powers[b])
-        k >>= 1
-        b += 1
-    return v
+def constant_step(p: ModelParams, start: Vec) -> _Run:
+    """The run from ``start`` under ``T = rho1 P1 + rho2 P2``, ``rho1 > rho2``, ``w_i = start P_i``.
+
+    All come without cancellation from ``M = det(A) (I - T) = B adj(A)``:
+    its diagonal is positive, its off-diagonal entries are ``-q12 lambda1``
+    and ``-q21 lambda2``, ``det M = K det(A)``, and its discriminant is
+    ``gap^2 + 4 lambda1 lambda2 q12 q21``. Its eigenvalues ``m1 < m2`` give
+    ``rho_i = 1 - m_i / det(A)``, taken as ``-log1p((1 - rho_i) / rho_i)``
+    so that rho near 1 and near 0 keep their digits, and
+    ``P1 = (m2 I - M) / (m2 - m1)`` is nonnegative.
+    """
+    lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
+    a11, a22 = lam1 + mu1 + q12, lam2 + mu2 + q21
+    det_a = (lam1 + mu1) * a22 + q12 * (lam2 + mu2)
+    coupling = 4.0 * lam1 * lam2 * q12 * q21
+    gap = lam2 * (mu1 + q12) - lam1 * (mu2 + q21)
+    root = math.sqrt(gap * gap + coupling)
+    m2 = (mu1 * a22 + q12 * (lam2 + mu2) + mu2 * a11 + q21 * (lam1 + mu1) + root) / 2.0
+    m1 = (mu1 * mu2 + mu1 * q21 + mu2 * q12) / m2 * det_a
+    scaled_rho1 = (lam1 * a22 + lam2 * a11 + root) / 2.0
+    # (root - |gap|)/2 without the cancellation
+    near, far = coupling / 2.0 / (root + abs(gap)), (root + abs(gap)) / 2.0
+    diagonal = (near, far) if gap >= 0.0 else (far, near)
+    w1 = _vecmat(start, (diagonal[0] / root, q12 * lam1 / root, q21 * lam2 / root,
+                         diagonal[1] / root))
+    return _Run(w1, (start[0] - w1[0], start[1] - w1[1]), -math.log1p(m1 / scaled_rho1),
+                -math.log1p(m2 * scaled_rho1 / det_a / lam1 / lam2))
 
 
 @dataclass(frozen=True)
@@ -112,9 +129,9 @@ class TruncatedSolution:
     Levels below ``run_start`` are stored (``head``, with ``head_tails[m]``
     the mass at and above ``m`` for ``m <= run_start``). From ``run_start``
     to ``level - 1`` each level is the previous one times the constant
-    step ``T = powers[0]``, and ``tail_map`` maps a level to the mass
-    above it. ``masses`` is the full ``(level + 1, 2)`` array of ``row``,
-    built on first use.
+    step ``T``, in closed form from the last stored level (``run``), and
+    ``tail_map`` maps a level to the mass above it. ``masses`` is the full
+    ``(level + 1, 2)`` array of ``row``, built on first use.
     """
 
     level: int
@@ -123,7 +140,7 @@ class TruncatedSolution:
     head: tuple[Vec, ...]
     head_tails: tuple[Vec, ...]
     top: Vec
-    powers: tuple[Mat, ...] = field(default=(), repr=False)
+    run: _Run | None = field(default=None, repr=False)
     tail_map: Mat | None = field(default=None, repr=False)
 
     @property
@@ -139,7 +156,7 @@ class TruncatedSolution:
             return self.top
         if n < self.run_start:
             return self.head[n]
-        return _advance(self.head[-1], self.powers, n - self.run_start + 1)
+        return self.run.at(n - self.run_start + 1)
 
     def tail_row(self, m: int) -> Vec:
         """Mass at levels ``>= m`` in each environment."""
@@ -205,10 +222,9 @@ def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution)
 
     Evaluated at level 0, every stored level, the last two levels and the
     run levels ``1 + 2^k``. The levels of the constant-step run share one
-    equation, ``p(n) A = p(n-1) diag(lambda)``, but each level comes from
-    its own product of the powers ``T^(2^b)``; at ``n = 1 + 2^k`` one
-    squared power meets the product of all the smaller ones, which exposes
-    the drift of the squaring at every scale of ``n``.
+    equation, ``p(n) A = p(n-1) diag(lambda)``, but each level takes its
+    own powers ``rho^k`` as ``exp(k log rho)``, whose rounding grows with
+    ``k``; the levels ``1 + 2^k`` sample every scale of ``k``.
     """
     p = model.params
     lam, mu, q = (p.lambda1, p.lambda2), (p.mu1, p.mu2), (p.q12, p.q21)
@@ -245,6 +261,37 @@ def _require_certain_join(strategy: Strategy, n: int) -> None:
             f"from level 1 on")
 
 
+def _truncation_level(run: _Run, tails: list[Vec], tail_map: Mat) -> int:
+    """The first level whose tail, ``p(m - 1) diag(lambda) B^-1`` summed, is below ``TAIL_TARGET``.
+
+    Levels up to ``start = len(tails) - 1`` read the stored tails. After
+    them the tail is ``c1 rho1^k + c2 rho2^k`` (``k = m - start``, ``c1 >= 0``),
+    between ``(c1 + min(c2, 0)) rho1^k`` and ``(c1 + max(c2, 0)) rho1^k``;
+    the bisection runs between the logarithms where those pass the target.
+
+    Raises:
+        FloatRangeError: If that level is past the range of floats.
+    """
+    start = len(tails) - 1
+    c1, c2 = (sum(_vecmat(w, tail_map)) for w in (run.w1, run.w2))
+
+    def passes(scale: float) -> int:   # the first k with scale * rho1^k < TAIL_TARGET
+        if scale < TAIL_TARGET:
+            return 0
+        k = math.log(TAIL_TARGET / scale) / run.log_rho1
+        if not math.isfinite(k):
+            raise FloatRangeError(f"the truncation level is {k!r}, past the range of floats")
+        return math.floor(k) + 1
+
+    def tail(m: int) -> float:
+        return sum(tails[m]) if m <= start else sum(_vecmat(run.at(m - start), tail_map))
+
+    lo, hi = passes(c1 + min(c2, 0.0)), passes(c1 + max(c2, 0.0))
+    # one level of slack at each end for the rounding of the bounds
+    return bisect_first(lambda m: tail(m) < TAIL_TARGET, start + lo - 1 if lo else 0,
+                        start + hi + 2)
+
+
 def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
                             level: int | None = None) -> TruncatedSolution:
     """Solve the balance equations truncated at ``level``.
@@ -256,53 +303,33 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
 
     Raises:
         SingularSystem: If a level mass comes out non-finite.
-        ConsistencyError: If clearing is so slow that the tail mass is
-            still above ``TAIL_TARGET`` at ``LEVEL_LIMIT``, or if a strategy
-            without a support bound does not join with certainty from
-            level 1 on.
+        ConsistencyError: If a strategy without a support bound does not
+            join with certainty from level 1 on.
+        FloatRangeError: If the automatic level is past the range of floats.
     """
     p = model.params
-    lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
-    inv_b = _inverse(mu1, mu2, q12, q21)
+    inv_b = _inverse(p.mu1, p.mu2, p.q12, p.q21)
     bound = strategy.support_bound()
-    powers: tuple[Mat, ...] = ()
-    tail_map = None
+    run = tail_map = None
     if bound is not None:
         n = bound + 2 if level is None else level
         head, tails = _walk(model, strategy, inv_b, n)
     else:
         _require_certain_join(strategy, 1)
         head, tails = _walk(model, strategy, inv_b, 2 if level is None else min(level, 2))
-        a_inv = _inverse(mu1 + lam1, mu2 + lam2, q12, q21)
-        step = (lam1 * a_inv[0], lam1 * a_inv[1], lam2 * a_inv[2], lam2 * a_inv[3])
-        powers = _squares(step, max(LEVEL_LIMIT, level or 0).bit_length())
-        tail_map = (lam1 * inv_b[0], lam1 * inv_b[1], lam2 * inv_b[2], lam2 * inv_b[3])
-        n = level
-        if n is None:
-            def tail(m: int) -> float:
-                # p(m - 1) diag(lambda) B^-1, with p(m - 1) = p(1) T^(m - 2)
-                if m < len(tails):
-                    return sum(tails[m])
-                return sum(_vecmat(_advance(head[1], powers, m - 2), tail_map))
-
-            n = search_first(lambda m: tail(m) < TAIL_TARGET, LEVEL_LIMIT)
-            if n > LEVEL_LIMIT:
-                raise ConsistencyError(
-                    f"clearing is too slow to truncate: at level {LEVEL_LIMIT} the mass "
-                    f"{tail(LEVEL_LIMIT)!r} is still left at and above it, over the tail "
-                    f"target {TAIL_TARGET!r}")
+        run = constant_step(p, head[-1])
+        tail_map = (p.lambda1 * inv_b[0], p.lambda1 * inv_b[1],
+                    p.lambda2 * inv_b[2], p.lambda2 * inv_b[3])
+        n = _truncation_level(run, tails, tail_map) if level is None else level
         head, tails = head[:n], tails[:n + 1]
         _require_certain_join(strategy, max(n - 1, 1))
-    if len(head) < n:
-        top = _vecmat(_advance(head[-1], powers, n - len(head)), tail_map)
-    else:
-        top = tails[n]
+    top = _vecmat(run.at(n - len(head)), tail_map) if len(head) < n else tails[n]
     if not np.isfinite([*head, top]).all():
         raise SingularSystem(f"balance recursion gave a non-finite mass by level {n}")
     exact = bound is not None and n >= bound
     sol = TruncatedSolution(level=n, residual=0.0, tail_mass=0.0 if exact else sum(top),
                             head=tuple(head), head_tails=tuple(tails), top=top,
-                            powers=powers, tail_map=tail_map)
+                            run=run, tail_map=tail_map)
     return dataclasses.replace(sol, residual=_residual(model, strategy, sol))
 
 
@@ -316,13 +343,3 @@ def bisect_first(pred: Callable[[int], bool], lo: int, hi: int) -> int:
             lo = mid + 1
     return lo
 
-
-def search_first(pred: Callable[[int], bool], limit: int) -> int:
-    """Smallest ``n`` in ``[0, limit]`` with ``pred(n)``, else ``limit + 1``.
-
-    ``pred`` turns true once. Doubling, then bisection: about ``2 log2(n)`` probes.
-    """
-    hi = 1
-    while hi < limit and not pred(hi):
-        hi = min(2 * hi, limit)
-    return bisect_first(pred, hi // 2, hi + 1)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,14 @@ def test_slow_clearing_equilibrium_json_lists_runs(config, capsys):
     assert verification_from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
+def test_slowest_clearing_equilibrium_verifies(config, capsys):
+    # 1 - r1 = 1e-7: the oracle truncates at about 2.8e8 levels
+    path = config(mu1=1e-7, mu2=3e-7, R=2e7)
+    assert main(["equilibrium", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"always-join +pure +verify=pass", out)
+
+
 def test_equilibrium_table(config, capsys):
     assert main(["equilibrium", "--config", config()]) == 0
     out = capsys.readouterr().out
@@ -169,7 +178,7 @@ def test_zero_tolerance_is_accepted(config, capsys):
     assert "n_l=2 n_u=3" in capsys.readouterr().out
 
 
-# consistent model whose upper bound n_u lies past the search cap
+# consistent model whose upper bound n_u lies past the listing cap
 PAST_CAP_CONFIG = {
     "lambda1": 122138.80182365495, "lambda2": 55271.63639674091,
     "mu1": 0.038823142603324645, "mu2": 0.0012200002100189568,
@@ -189,7 +198,8 @@ def test_bound_past_the_cap_exits_3_without_traceback(config, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "ScanLimitExceeded" in err
-    assert f"upper-threshold bound lies above the search cap {SCAN_LIMIT}" in err
+    assert (f"upper-threshold bound n_u = 94167842 lies above {SCAN_LIMIT}, "
+            "the most pure thresholds a report lists") in err
 
 
 def test_stationary_csv(config, capsys):
@@ -476,7 +486,7 @@ def test_flags_only_on_subcommands_that_read_them(config, capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_keeps_the_grid_when_one_point_fails(config, capsys, fmt):
-    # R = 519 puts n_u past the search cap; 519.5 and 520 are subcase III
+    # R = 519 puts n_u past the listing cap; 519.5 and 520 are subcase III
     path = config(**PAST_CAP_CONFIG)
     assert main(["sweep", "--config", path, "--param", "R", "--from", "519",
                  "--to", "520", "--steps", "3", "--format", fmt]) == 3

@@ -40,7 +40,7 @@ from conftest import P0, PB, PSTAR
 
 PARAMS = ("R", "C", "lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
 
-# consistent model whose upper bound n_u lies past the search cap at R = 519
+# consistent model whose upper bound n_u lies past the listing cap at R = 519
 PAST_CAP = ModelParams(122138.80182365495, 55271.63639674091, 0.038823142603324645,
                        0.0012200002100189568, 0.0014219869022153516, 0.0006898391676283957)
 
@@ -180,7 +180,7 @@ def test_seeded_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsy
     (PB, 0.475, "q12", 0.2, 5.0, 201),
     # the reference model over the perfbench-like reward span
     (PSTAR, 0.72, "R", 0.55, 0.85, 301),
-    # a grid point past the search cap, then subcase III
+    # a grid point past the listing cap, then subcase III
     (PAST_CAP, 519.3780290194833, "R", 519.0, 520.0, 3),
 ])
 def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys, params,
@@ -213,6 +213,19 @@ def test_points_past_the_float_range_match_the_per_point_reference(
     assert any(failed) and not all(failed)
     _, _, err = _run(capsys, argv)
     assert err.startswith(f"numerical failure: FloatRangeError: {quantity}")
+
+
+def test_underflowing_weight_product_matches_the_per_point_reference(tmp_path, monkeypatch,
+                                                                      capsys):
+    # lambda1*q21 + lambda2*q12 and K are normal, their product is not
+    path = _config(tmp_path, ModelParams(2.0, 1.0, 0.25, 1e-170, 1e-170, 1e-170), 0.72)
+    code, out, _ = _run(capsys, ["analyze", "--config", path, "--info-level", "fu"])
+    assert code == 0
+    assert "V_fu            1.66666666667e+169" in out
+    argv = ["sweep", "--config", path, "--param", "mu1", "--from", "0.25", "--to", "0.5",
+            "--steps", "2"]
+    assert _run(capsys, argv + ["--format", "json"])[0] == 0
+    assert_matches_reference(monkeypatch, capsys, argv)
 
 
 @pytest.mark.parametrize("params", [PSTAR, PB])
