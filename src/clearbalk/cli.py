@@ -93,7 +93,10 @@ def _render(args, payload, cells) -> None:
         if not isinstance(text, str):
             text = _cells_text(text, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _InputError(f"cannot write report {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -103,6 +106,8 @@ def _load_config(path: str):
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise _InputError(f"config file not found: {path}")
+    except OSError as exc:
+        raise _InputError(f"cannot read config {path}: {exc.strerror}")
     except ValueError as exc:   # JSONDecodeError, or an int past the digit limit
         raise _InputError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Wire
-from .model import RewardCost, ValidatedModel
+from .model import RewardCost, ValidatedModel, banded_sign
 
 #: Relative equality band when comparing R/C against a critical value.
 KNIFE_TOLERANCE = 1e-9
@@ -107,11 +107,12 @@ def fully_unobservable_value(model: ValidatedModel) -> float:
 
 def _compare(ratio: float, critical: float, tolerance: float) -> int:
     """Sign of ratio - critical with a relative equality band."""
-    band = tolerance * max(abs(ratio), abs(critical))
-    diff = ratio - critical
-    if abs(diff) <= band:
-        return 0
-    return 1 if diff > 0.0 else -1
+    return banded_sign(ratio - critical, tolerance * max(abs(ratio), abs(critical)))
+
+
+def _join(sign: int) -> float | None:
+    """The dominant joining probability for a comparison, None where every one is."""
+    return None if sign == 0 else float(sign > 0)
 
 
 def dominant_fully_unobservable(model: ValidatedModel, rc: RewardCost,
@@ -122,40 +123,25 @@ def dominant_fully_unobservable(model: ValidatedModel, rc: RewardCost,
     whole family q in [0, 1] at equality within the relative tolerance.
     """
     crit = critical_values(model)
-    ratio = rc.reward / rc.cost
-    sign = _compare(ratio, crit.v_fu, tolerance)
-    net = rc.reward - rc.cost * crit.v_fu
-    if sign == 0:
-        return DominantStrategySet(Regime.FULLY_UNOBSERVABLE,
-                                   DominanceKind.INDIFFERENCE_FAMILY,
-                                   join=None, net_benefit=net,
-                                   critical=crit, knife_edge=True)
-    return DominantStrategySet(Regime.FULLY_UNOBSERVABLE, DominanceKind.UNIQUE_PURE,
-                               join=1.0 if sign > 0 else 0.0, net_benefit=net,
-                               critical=crit, knife_edge=False)
+    sign = _compare(rc.reward / rc.cost, crit.v_fu, tolerance)
+    return DominantStrategySet(
+        Regime.FULLY_UNOBSERVABLE,
+        DominanceKind.INDIFFERENCE_FAMILY if sign == 0 else DominanceKind.UNIQUE_PURE,
+        join=_join(sign), net_benefit=rc.reward - rc.cost * crit.v_fu,
+        critical=crit, knife_edge=sign == 0)
 
 
 def dominant_almost_unobservable(model: ValidatedModel, rc: RewardCost,
                                  tolerance: float = KNIFE_TOLERANCE) -> DominantStrategySet:
     """Dominant per-environment joining pair when only the environment is seen."""
-    crit = critical_values(model)
-    ratio = rc.reward / rc.cost
-    pair: list[float | None] = []
-    knife = False
-    for mean_s in model.mean_clearing:
-        sign = _compare(ratio, mean_s, tolerance)
-        if sign == 0:
-            pair.append(None)
-            knife = True
-        else:
-            pair.append(1.0 if sign > 0 else 0.0)
-    net = (rc.reward - rc.cost * model.mean_clearing[0],
-           rc.reward - rc.cost * model.mean_clearing[1])
-    kind = (DominanceKind.INDIFFERENCE_FAMILY if knife
-            else DominanceKind.UNIQUE_PURE)
-    return DominantStrategySet(Regime.ALMOST_UNOBSERVABLE, kind,
-                               join=(pair[0], pair[1]), net_benefit=net,
-                               critical=crit, knife_edge=knife)
+    signs = [_compare(rc.reward / rc.cost, mean_s, tolerance) for mean_s in model.mean_clearing]
+    knife = 0 in signs
+    return DominantStrategySet(
+        Regime.ALMOST_UNOBSERVABLE,
+        DominanceKind.INDIFFERENCE_FAMILY if knife else DominanceKind.UNIQUE_PURE,
+        join=tuple(map(_join, signs)),
+        net_benefit=tuple(rc.reward - rc.cost * mean_s for mean_s in model.mean_clearing),
+        critical=critical_values(model), knife_edge=knife)
 
 
 def dominant_fully_observable(model: ValidatedModel, rc: RewardCost,

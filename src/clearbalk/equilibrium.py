@@ -40,7 +40,7 @@ import numpy as np
 from .benefit import BenefitCoefficients, f_eval, h_upper_limit, scaled_aggregate
 from .codec import Wire, decode
 from .errors import NoInteriorRoot, ScanLimitExceeded
-from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, congestion_case
+from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign, congestion_case
 # verify_equilibrium is looked up on its module at call time, where
 # perfbench's tracer wraps it
 from .oracle import verify as oracle_verify
@@ -115,10 +115,26 @@ class _SignTester:
                           / scaled_aggregate(c, c.d, c.e, n, 1.0))
 
     def _sign(self, value: float) -> int:
-        if abs(value) <= self.tolerance:
-            self.band_hit = True
-            return 0
-        return 1 if value > 0.0 else -1
+        sign = banded_sign(value, self.tolerance)
+        self.band_hit = self.band_hit or sign == 0
+        return sign
+
+
+#: ``Subcase`` in the order of ``subcase_index``.
+SUBCASES = tuple(Subcase)
+
+
+def subcase_index(orient, at_zero, at_limit):
+    """Index into ``SUBCASES`` from the banded signs of the benefit at level 0
+    and in its large-n limit; elementwise on numpy columns too (``grid``).
+
+    ``orient`` is 1 in case A and -1 in case B (the threshold test with F
+    negated): I where orient*at_zero < 0, else III where orient*at_limit >= 0,
+    else II. It is 0 in case C, where the benefit does not depend on n and
+    at_zero alone gives I, II (in the band) or III.
+    """
+    threshold = (orient * at_zero >= 0) * (1 + (orient * at_limit >= 0))
+    return (orient == 0) * (at_zero + 1) + (orient != 0) * threshold
 
 
 def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
@@ -134,16 +150,13 @@ def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
             thresholds a report lists.
     """
     tester = _SignTester(coef, tolerance)
-    # the reverse orientation is the threshold one with F negated
     s = 1 if orientation is Orientation.THRESHOLD else -1
-    sign_at_zero = s * tester.sign_f(0, 1.0)
-    sign_limit = s * tester._sign(h_upper_limit(coef))
-    if sign_at_zero < 0:
-        subcase, levels = Subcase.I, (0, 0, 0, 0)
-    elif sign_limit >= 0:
-        subcase, levels = Subcase.III, (math.inf,) * 4
+    subcase = SUBCASES[subcase_index(s, tester.sign_f(0, 1.0),
+                                     tester._sign(h_upper_limit(coef)))]
+    if subcase is not Subcase.II:
+        levels = (0 if subcase is Subcase.I else math.inf,) * 4
     else:
-        subcase, (*levels, band) = Subcase.II, subcase_ii_levels(coef, s, tolerance)
+        *levels, band = subcase_ii_levels(coef, s, tolerance)
         if levels[1] > SCAN_LIMIT:
             raise past_cap(orientation, float(levels[1]))
         levels, tester.band_hit = map(int, levels), tester.band_hit or bool(band)
@@ -292,7 +305,8 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     if case.kind is CaseKind.CASE_C:
         tester = _SignTester(coef, tolerance)
         sign = tester.sign_f(0, 1.0)
-        subcase = Subcase.I if sign < 0 else Subcase.III if sign > 0 else Subcase.II
+        # a constant benefit: its limit is its value at 0
+        subcase = SUBCASES[subcase_index(0, sign, sign)]
         bounds, knife = None, tester.band_hit
     else:
         orientation = (Orientation.THRESHOLD if case.kind is CaseKind.CASE_A

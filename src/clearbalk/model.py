@@ -183,24 +183,32 @@ def derive_model(raw: ModelParams) -> ValidatedModel:
     )
 
 
-def congestion_case(model: ValidatedModel) -> CaseLabel:
-    """Classify the congestion pattern by the sign of (mu1-mu2)*(rho1-rho2).
+def banded_sign(value, band):
+    """-1, 0 or 1: 0 where |value| <= band, -1 for NaN; elementwise on numpy columns too."""
+    return (value > band) * 2 - 1 + (abs(value) <= band)
 
-    The zero branch is taken when either factor vanishes within the relative
-    ``CASE_TOLERANCE``, i.e. when mu1 = mu2 or rho1 = rho2 up to rounding; the
-    raw product is always carried in the label so near-boundary
-    classifications can be audited by the caller.
+
+def congestion_sign(model: ValidatedModel):
+    """The sign of (mu1-mu2)*(rho1-rho2): -1 (case A), 1 (case B, and NaN) or 0.
+
+    It is 0 (case C) when mu1 = mu2 or rho1 = rho2 within the relative
+    ``CASE_TOLERANCE``. Elementwise on numpy columns too (``grid``).
     """
     p = model.params
-    mu_diff = p.mu1 - p.mu2
-    rho_diff = model.rho1 - model.rho2
-    product = mu_diff * rho_diff
-    mu_zero = abs(mu_diff) <= CASE_TOLERANCE * max(p.mu1, p.mu2)
-    rho_zero = abs(rho_diff) <= CASE_TOLERANCE * max(model.rho1, model.rho2)
-    if mu_zero or rho_zero:
-        kind = CaseKind.CASE_C
-    elif product < 0.0:
-        kind = CaseKind.CASE_A
-    else:
-        kind = CaseKind.CASE_B
-    return CaseLabel(kind=kind, product=product)
+    mu_gap, rho_gap = abs(p.mu1 - p.mu2), abs(model.rho1 - model.rho2)
+    # |x - y| <= tolerance*max(x, y), tested against each of x and y
+    flat = ((mu_gap <= CASE_TOLERANCE * p.mu1) | (mu_gap <= CASE_TOLERANCE * p.mu2)
+            | (rho_gap <= CASE_TOLERANCE * model.rho1) | (rho_gap <= CASE_TOLERANCE * model.rho2))
+    return (flat == 0) * (1 - 2 * ((p.mu1 - p.mu2) * (model.rho1 - model.rho2) < 0.0))
+
+
+#: The congestion case of each ``congestion_sign``, indexed by sign + 1.
+CASE_OF_SIGN = (CaseKind.CASE_A, CaseKind.CASE_C, CaseKind.CASE_B)
+
+
+def congestion_case(model: ValidatedModel) -> CaseLabel:
+    """The case of ``congestion_sign``, labelled with the raw product
+    (mu1-mu2)*(rho1-rho2), so that near-boundary classifications can be audited."""
+    p = model.params
+    return CaseLabel(kind=CASE_OF_SIGN[congestion_sign(model) + 1],
+                     product=(p.mu1 - p.mu2) * (model.rho1 - model.rho2))

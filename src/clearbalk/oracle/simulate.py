@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codec import Wire
+from ..errors import FloatRangeError
 from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
 
@@ -113,6 +114,9 @@ def _path_blocks(model: ValidatedModel, rng: np.random.Generator, horizon: float
     ends_visit = q / total
     arrives = lam / (lam + mu)
     rate = float(q[::-1] @ total) / float(q.sum())   # long-run events per unit time
+    if horizon * rate >= 2.0 ** 53:   # the mean gap is below the clock's spacing at the horizon
+        raise FloatRangeError(f"about {horizon * rate:.3g} events to the horizon {horizon:g}, "
+                              "2**53 or more: simulated time cannot advance to it")
     per_two_visits = float((1.0 / ends_visit).sum())
     t, env, left = 0.0, 0, 0   # left: events still due in the current visit
     while True:
@@ -319,7 +323,8 @@ def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
 
     Output is bit-identical for identical (seed, replications, horizon)
     because each replication owns a stream spawned from the master seed
-    and the merge folds replications in index order.
+    and the merge folds replications in index order. Raises FloatRangeError,
+    before any draw, where 2**53 or more events are expected per replication.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")

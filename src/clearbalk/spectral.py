@@ -41,8 +41,10 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConsistencyError, FloatRangeError
-from .model import ValidatedModel
+from .model import ModelParams, ValidatedModel, derive_model
 from .strategies import (
     AlwaysBalk,
     AlwaysJoin,
@@ -87,11 +89,48 @@ class SpectralData:
         raise ValueError(f"environment must be 1 or 2, got {env}")
 
 
-def _normal(name: str, value: float) -> float:
-    """``value``, unless it is 0, subnormal, infinite or NaN."""
-    if sys.float_info.min <= abs(value) <= sys.float_info.max:
-        return value
-    raise FloatRangeError(f"{name} is {value!r}, outside the range of normal floats")
+def _libm(function, x):
+    """``function`` from ``math`` on a float, or on each entry of a numpy column
+    (numpy's log1p may differ from libm's in the last bit)."""
+    return np.array(list(map(function, x.tolist()))) if isinstance(x, np.ndarray) else function(x)
+
+
+def derive_spectral(model: ValidatedModel) -> SpectralData:
+    """The arithmetic of ``spectral_quantities``, without its range checks;
+    elementwise on a model whose rates are numpy columns too (see ``grid``)."""
+    p, k = model.params, model.k
+    l1, l2 = p.lambda1, p.lambda2
+    linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
+    gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
+    delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
+    sq = _libm(math.sqrt, delta)
+    z2 = -(linear + sq) / (2.0 * l1 * l2)
+    z1 = k / (l1 * l2 * z2)
+    pe1, pe2 = model.env_stationary
+    return SpectralData(
+        delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
+        log_ratio=_libm(math.log1p, -z1) - _libm(math.log1p, -z2),
+        a1=(p.mu1 * l2 * z1 + k) * pe1 / (sq * (1.0 - z1)),
+        b1=-(p.mu1 * l2 * z2 + k) * pe1 / (sq * (1.0 - z2)),
+        a2=(p.mu2 * l1 * z1 + k) * pe2 / (sq * (1.0 - z1)),
+        b2=-(p.mu2 * l1 * z2 + k) * pe2 / (sq * (1.0 - z2)))
+
+
+def _checked(model: ValidatedModel, spec: SpectralData) -> dict:
+    """The quantities that must be normal floats, by name, in the order of the checks."""
+    p = model.params
+    return {"lambda1*lambda2": p.lambda1 * p.lambda2, "the discriminant": spec.delta,
+            "the root z2": spec.z2, "the root z1": spec.z1}
+
+
+def _normal(value):
+    """Whether ``value`` is neither 0, subnormal, infinite nor NaN; elementwise on columns."""
+    return (abs(value) >= sys.float_info.min) & (abs(value) <= sys.float_info.max)
+
+
+def in_float_range(model: ValidatedModel, spec: SpectralData):
+    """Where ``spectral_quantities`` raises no FloatRangeError, on ``derive_spectral`` columns."""
+    return np.logical_and.reduce([_normal(value) for value in _checked(model, spec).values()])
 
 
 def spectral_quantities(model: ValidatedModel) -> SpectralData:
@@ -104,25 +143,17 @@ def spectral_quantities(model: ValidatedModel) -> SpectralData:
     the product identity z1*z2 = K/(l1*l2), which avoids cancellation.
     FloatRangeError names the first of l1*l2, delta, z2, z1 not a normal float.
     """
-    p, k = model.params, model.k
-    l1, l2 = p.lambda1, p.lambda2
-    _normal("lambda1*lambda2", l1 * l2)
-    linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
-    gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
-    delta = _normal("the discriminant", gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21)
-    sq = math.sqrt(delta)
-    z2 = _normal("the root z2", -(linear + sq) / (2.0 * l1 * l2))
-    z1 = _normal("the root z1", k / (l1 * l2 * z2))
-    r1 = 1.0 / (1.0 - z1)
-    r2 = 1.0 / (1.0 - z2)
-    pe1, pe2 = model.env_stationary
-    a1 = (p.mu1 * l2 * z1 + k) * pe1 / (sq * (1.0 - z1))
-    b1 = -(p.mu1 * l2 * z2 + k) * pe1 / (sq * (1.0 - z2))
-    a2 = (p.mu2 * l1 * z1 + k) * pe2 / (sq * (1.0 - z1))
-    b2 = -(p.mu2 * l1 * z2 + k) * pe2 / (sq * (1.0 - z2))
-    return SpectralData(delta=delta, z1=z1, z2=z2, r1=r1, r2=r2,
-                        log_ratio=math.log1p(-z1) - math.log1p(-z2),
-                        a1=a1, b1=b1, a2=a2, b2=b2)
+    try:
+        spec = derive_spectral(model)
+    except ZeroDivisionError:   # numpy divides by 0.0, and the checks name the cause
+        with np.errstate(all="ignore"):
+            rates = ModelParams(*map(np.float64, vars(model.params).values()))
+            spec = derive_spectral(derive_model(rates))
+    for name, value in _checked(model, spec).items():
+        if not _normal(value):
+            raise FloatRangeError(
+                f"{name} is {float(value)!r}, outside the range of normal floats")
+    return spec
 
 
 def _clip_mass(value: float, where: str) -> float:

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import signal
 
 import pytest
 
@@ -299,6 +300,26 @@ def test_simulate_table_shows_reference(config, capsys):
     assert "events:" in out
 
 
+def test_simulate_refuses_more_events_than_the_clock_resolves(config, capsys):
+    # lambda1 = 1e200 makes the mean gap between events far below the float
+    # spacing of the clock at the horizon, so simulated time cannot advance
+    def stop(signum, frame):
+        raise TimeoutError("simulate did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["simulate", "--config", config(lambda1=1e200), "--strategy", "always-join",
+                     "--horizon", "1", "--replications", "1"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("numerical failure: FloatRangeError: about 6.67e+199 events to the "
+                   "horizon 1, 2**53 or more: simulated time cannot advance to it\n")
+
+
 def test_simulate_csv_rejected(config, capsys):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--config", config(), "--strategy", "always-join",
@@ -454,6 +475,25 @@ def test_config_not_found(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path), "--info-level", "fu"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read config {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium"],
+    ["sweep", "--param", "R", "--from", "0.6", "--to", "0.8", "--steps", "3"],
+])
+def test_out_into_a_missing_directory_is_an_input_error(config, tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    assert main(argv[:1] + ["--config", config(), "--out", str(target)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report {target}: No such file or directory\n"
+
+
 def test_bad_strategy_descriptor(config, capsys):
     for text, reason in (("threshold:-2", "nonnegative"), ("sometimes", "unknown strategy")):
         with pytest.raises(SystemExit) as info:
@@ -556,8 +596,13 @@ FLOAT_RANGE_CASES = [
     ({"lambda1": 10 ** 200}, "the discriminant is inf" + OUT_OF_RANGE),
     ({"lambda1": 2e160, "lambda2": 1e160}, "lambda1*lambda2 is inf" + OUT_OF_RANGE),
     (dict.fromkeys(RATES, 1e-200), "K = mu1*mu2 + mu1*q21 + mu2*q12 underflows to 0.0"),
+    # a divisor of the roots or the coefficients is 0.0
+    ({"lambda1": 1e-200, "lambda2": 1e-200}, "lambda1*lambda2 is 0.0" + OUT_OF_RANGE),
+    ({"lambda1": 1e-100, "lambda2": 1e-100, **dict.fromkeys(RATES[2:], 1e-150)},
+     "the discriminant is 0.0" + OUT_OF_RANGE),
 ]
-FLOAT_RANGE_IDS = ["huge-lambda1", "huge-int-lambda1", "huge-lambda-product", "tiny-rates"]
+FLOAT_RANGE_IDS = ["huge-lambda1", "huge-int-lambda1", "huge-lambda-product", "tiny-rates",
+                   "tiny-lambda-product", "zero-discriminant"]
 
 
 @pytest.mark.parametrize("overrides, message", FLOAT_RANGE_CASES, ids=FLOAT_RANGE_IDS)

@@ -1,5 +1,6 @@
 """Equilibrium enumeration: worked instances, subcases, serialization."""
 
+import itertools
 import json
 import math
 
@@ -32,7 +33,8 @@ from clearbalk import (
     threshold_bounds,
     validate_params,
 )
-from clearbalk.equilibrium import SCAN_LIMIT, _SignTester
+from clearbalk.equilibrium import SCAN_LIMIT, _SignTester, subcase_index
+from clearbalk.model import banded_sign
 from conftest import P0, PB, UNIT_RC, Ctx, case_a_model
 
 
@@ -412,3 +414,22 @@ def test_case_b_social_coincidence_is_not_checked():
     assert better == pytest.approx(0.0040877, rel=1e-4)
     # a coincidence claim must mean that no strategy does better
     assert not report.social_coincides or at_equilibrium >= better
+
+
+def test_sign_rules_give_python_ints_and_the_same_on_columns():
+    def rule(orient, at_zero, at_limit):
+        # the subcase choice as branches, indexed I, II, III
+        if orient == 0:
+            return at_zero + 1
+        return 0 if orient * at_zero < 0 else 2 if orient * at_limit >= 0 else 1
+
+    combos = list(itertools.product((1, -1, 0), (-1, 0, 1), (-1, 0, 1)))
+    got = [subcase_index(*combo) for combo in combos]
+    assert got == [rule(*combo) for combo in combos]
+    assert all(type(index) is int for index in got)
+    assert subcase_index(*map(np.array, zip(*combos))).tolist() == got
+    values = [-math.inf, -2e-9, -1e-9, 0.0, 1e-9, 2e-9, math.inf, math.nan]
+    signs = [banded_sign(value, 1e-9) for value in values]
+    assert signs == [-1, -1, 0, 0, 0, 1, 1, -1]
+    assert all(type(sign) is int for sign in signs)
+    assert banded_sign(np.array(values), 1e-9).tolist() == signs

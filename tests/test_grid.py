@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from clearbalk import (
+    CASE_TOLERANCE,
     CaseKind,
     ClearbalkError,
     ModelParams,
@@ -182,6 +183,11 @@ def test_seeded_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsy
     (PSTAR, 0.72, "R", 0.55, 0.85, 301),
     # a grid point past the listing cap, then subcase III
     (PAST_CAP, 519.3780290194833, "R", 519.0, 520.0, 3),
+    # mu1 and rho1 across mu2 and rho2 within four CASE_TOLERANCE: the points
+    # on either side of the relative band's edges, case A to C to B and back
+    (PSTAR, 0.72, "mu1", 3.0 * (1.0 - 4 * CASE_TOLERANCE), 3.0 * (1.0 + 4 * CASE_TOLERANCE), 41),
+    (PSTAR, 0.72, "lambda1", (1.0 - 4 * CASE_TOLERANCE) / 3.0, (1.0 + 4 * CASE_TOLERANCE) / 3.0,
+     41),
 ])
 def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys, params,
                                                    reward, param, start, stop, steps):
@@ -195,6 +201,8 @@ def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys
         assert any(row[6].startswith("reverse:0:") for row in rows)
     if params is PAST_CAP:
         assert rows[0][6] == "error:ScanLimitExceeded"
+    if params is PSTAR and param in ("mu1", "lambda1"):
+        assert {row[2] for row in rows} == {"A", "B", "C"}
 
 
 @pytest.mark.parametrize("params, reward, param, start, stop, quantity", [

@@ -35,6 +35,11 @@ def test_pstar_roots_and_ratios(pstar):
     assert spec.r2 == pytest.approx(0.16035745659092821, rel=1e-14)
 
 
+def test_scalar_path_yields_python_floats(pstar):
+    # numpy scalars would print as np.float64(...) in reprs under numpy 2
+    assert all(type(value) is float for value in vars(pstar.spec).values())
+
+
 def test_pstar_mixture_coefficients(pstar):
     spec = pstar.spec
     assert spec.a1 == pytest.approx(0.30576272556816589, rel=1e-13)

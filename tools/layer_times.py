@@ -1,0 +1,91 @@
+"""Per-layer call times of clearbalk on the reference model, as one JSON line.
+
+Each layer is one call, timed with ``timeit``: the best of 5 repeats of
+``--number`` calls, divided by the number, in microseconds. Without
+``--number``, ``timeit``'s autorange picks it per layer (at least 0.2 s
+per repeat). The model is rates (2, 1, 1, 3, 1, 2), R = 0.72, C = 1.
+
+The script imports the package from the ``src`` directory of the checkout
+it lives in, so two checkouts can be timed side by side::
+
+    python3 tools/layer_times.py
+    python3 tools/layer_times.py --number 1     # a quick smoke run
+
+This is not the benchmark (``perfbench/``): it times single calls in
+process, where the benchmark times CLI operations end to end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import timeit
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from clearbalk import (  # noqa: E402
+    AlwaysJoin,
+    ModelParams,
+    PureThreshold,
+    RewardCost,
+    benefit_coefficients,
+    compute_equilibria,
+    congestion_case,
+    spectral_quantities,
+    stationary_distribution,
+    validate_params,
+)
+from clearbalk.equilibrium import Orientation, threshold_bounds  # noqa: E402
+from clearbalk.oracle.balance import solve_truncated_balance  # noqa: E402
+from clearbalk.oracle.verify import verify_equilibrium  # noqa: E402
+
+RATES = ModelParams(2.0, 1.0, 1.0, 3.0, 1.0, 2.0)
+RC = RewardCost(0.72, 1.0)
+REPEAT = 5
+
+
+def layers() -> dict:
+    """The timed calls, by layer name."""
+    model = validate_params(RATES, RC)
+    spec = spectral_quantities(model)
+    coef = benefit_coefficients(model, spec, RC)
+    return {
+        "validate": lambda: validate_params(RATES, RC),
+        "spectral": lambda: spectral_quantities(model),
+        "congestion_case": lambda: congestion_case(model),
+        "coefficients": lambda: benefit_coefficients(model, spec, RC),
+        "threshold_bounds": lambda: threshold_bounds(coef, Orientation.THRESHOLD),
+        "compute_equilibria_unverified":
+            lambda: compute_equilibria(model, spec, coef, RC, verify=False),
+        "compute_equilibria_verified":
+            lambda: compute_equilibria(model, spec, coef, RC, verify=True),
+        "stationary_threshold_3": lambda: stationary_distribution(model, spec, PureThreshold(3)),
+        "balance_always_join": lambda: solve_truncated_balance(model, AlwaysJoin()),
+        "verify_always_join": lambda: verify_equilibrium(model, RC, AlwaysJoin()),
+    }
+
+
+def best_us(call, number: int | None) -> float:
+    """Best of ``REPEAT`` timings of ``number`` calls, per call, in microseconds."""
+    timer = timeit.Timer(call)
+    if number is None:
+        number, _ = timer.autorange()
+    return min(timer.repeat(REPEAT, number)) / number * 1e6
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--number", type=int, help="calls per repeat (default: autorange)")
+    args = parser.parse_args(argv)
+    if args.number is not None and args.number < 1:
+        parser.error("--number must be at least 1")
+    times = {name: round(best_us(call, args.number), 2) for name, call in layers().items()}
+    print(json.dumps({"model": [*vars(RATES).values(), RC.reward, RC.cost],
+                      "repeat": REPEAT, "number": args.number, "us": times}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
