@@ -1,4 +1,4 @@
-"""Stationary distribution from the balance equations: a level recursion and a constant tail step.
+"""Stationary distribution from the balance equations: a level recursion and a constant step.
 
 This module never touches the spectral closed forms. It works from the
 raw transition rates alone (arrival with the strategy's joining
@@ -24,20 +24,19 @@ renormalising. The same sum gives the mass at and above any level ``m >= 1``
 as ``p(m-1) diag(lambda j(m-1)) B^-1``. Every 2x2 inverse involved has
 positive entries, so there is no cancellation.
 
-Constant tail step. Every strategy without a support bound joins with
-certainty from level 1 on (see :mod:`clearbalk.strategies`), so for
-``n >= 2`` the level equation is ``p(n) A = p(n-1) diag(lambda)`` with
-``A = diag(lambda + mu + q) - S``, and ``p(n) = p(1) T^(n-1)`` with
-``T = diag(lambda) A^-1``: the matrix-geometric form of Neuts (1981). Only
-levels 0 and 1 are solved by the recursion. With ``T = rho1 P1 + rho2 P2``
-split into its eigenvalues and eigenprojectors, the run is
-``p(1 + k) = w1 rho1^k + w2 rho2^k`` with ``w_i = p(1) P_i``, O(1) at any
-level (see :func:`constant_step`). The tail ``p(m) (I - T)^-1`` is
-evaluated as ``p(m-1) diag(lambda) B^-1``, since ``(I - T)^-1 = A B^-1``.
-Summed, it is ``c1 rho1^k + c2 rho2^k`` with ``c1 >= 0``, so the automatic
-truncation level lies between two logarithms and one bisection finds it.
-Strategies with a support bound keep the level recursion up to the bound
-plus two.
+One path serves every strategy. Levels 0 and 1 are walked, then comes
+the stretch of certain joining that ``certain_until`` ends, then the
+levels left up to ``N``. Along the stretch ``p(n) A = p(n-1) diag(lambda)``
+with ``A = diag(lambda + mu + q) - S``, so ``p(n) = p(1) T^(n-1)`` with
+``T = diag(lambda) A^-1``, the matrix-geometric form of Neuts (1981). With
+``T = rho1 P1 + rho2 P2`` split into eigenvalues and eigenprojectors, this
+run is ``p(1 + k) = w1 rho1^k + w2 rho2^k`` with ``w_i = p(1) P_i``, O(1)
+at any level (:func:`constant_step`). A bounded strategy's ``N`` is its
+bound plus two. An unbounded one joins with certainty from level 1 on, so
+its run reaches ``N``; its tail ``p(m) (I - T)^-1`` is ``p(m-1) diag(lambda)
+B^-1``, since ``(I - T)^-1 = A B^-1``, and summed it is ``c1 rho1^k + c2
+rho2^k`` with ``c1 >= 0``: the automatic ``N`` lies between two logarithms,
+and one bisection finds it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 
 from ..errors import ConsistencyError, FloatRangeError, SingularSystem
 from ..model import ModelParams, ValidatedModel
-from ..strategies import Strategy
+from ..strategies import Strategy, certain_until
 
 #: Automatic truncation stops at the first level whose tail mass is below this.
 TAIL_TARGET = 1e-12
@@ -95,9 +94,13 @@ def constant_step(p: ModelParams, start: Vec) -> _Run:
     ``gap^2 + 4 lambda1 lambda2 q12 q21``. Its eigenvalues ``m1 < m2`` give
     ``rho_i = 1 - m_i / det(A)``, taken as ``-log1p((1 - rho_i) / rho_i)``
     so that rho near 1 and near 0 keep their digits, and
-    ``P1 = (m2 I - M) / (m2 - m1)`` is nonnegative.
+    ``P1 = (m2 I - M) / (m2 - m1)`` is nonnegative. ``T`` depends on the
+    ratios of the rates only, so a power of two, which keeps every digit,
+    scales the largest rate to 2^250, where no product of four overflows.
     """
-    lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
+    rates = (p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21)
+    shift = 250 - math.frexp(max(rates))[1]
+    lam1, lam2, mu1, mu2, q12, q21 = (math.ldexp(rate, shift) for rate in rates)
     a11, a22 = lam1 + mu1 + q12, lam2 + mu2 + q21
     det_a = (lam1 + mu1) * a22 + q12 * (lam2 + mu2)
     coupling = 4.0 * lam1 * lam2 * q12 * q21
@@ -126,11 +129,11 @@ class TruncatedSolution:
     and ``tail_mass`` is the mass at and above the truncation level
     (exactly 0.0 when the strategy's support ends at or below ``level``).
 
-    Levels below ``run_start`` are stored (``head``, with ``head_tails[m]``
-    the mass at and above ``m`` for ``m <= run_start``). From ``run_start``
-    to ``level - 1`` each level is the previous one times the constant
-    step ``T``, in closed form from the last stored level (``run``), and
-    ``tail_map`` maps a level to the mass above it. ``masses`` is the full
+    Levels ``0..run_start - 1`` (``head``) and ``run_end..level`` (``cap``)
+    are walked, with the mass at and above each and at ``run_start`` in
+    ``head_tails`` and ``cap_tails``. Each level between them is the one
+    before times the constant step ``T``, in closed form (``run``), and
+    ``tail_map`` maps it to the mass above it. ``masses`` is the full
     ``(level + 1, 2)`` array of ``row``, built on first use.
     """
 
@@ -139,33 +142,39 @@ class TruncatedSolution:
     tail_mass: float
     head: tuple[Vec, ...]
     head_tails: tuple[Vec, ...]
-    top: Vec
+    cap: tuple[Vec, ...]
+    cap_tails: tuple[Vec, ...]
     run: _Run | None = field(default=None, repr=False)
     tail_map: Mat | None = field(default=None, repr=False)
 
     @property
     def run_start(self) -> int:
-        """First level of the constant-step run (``level`` when there is none)."""
+        """First level of the constant-step run."""
         return len(self.head)
+
+    @property
+    def run_end(self) -> int:
+        """First level of the cap; ``run_start`` when the run is empty."""
+        return self.level + 1 - len(self.cap)
 
     def row(self, n: int) -> Vec:
         """``(p(n, 1), p(n, 2))``; zero outside ``0..level``."""
         if n < 0 or n > self.level:
             return (0.0, 0.0)
-        if n == self.level:
-            return self.top
         if n < self.run_start:
             return self.head[n]
-        return self.run.at(n - self.run_start + 1)
+        if n < self.run_end:
+            return self.run.at(n - self.run_start + 1)
+        return self.cap[n - self.run_end]
 
     def tail_row(self, m: int) -> Vec:
         """Mass at levels ``>= m`` in each environment."""
         if m > self.level:
             return (0.0, 0.0)
+        if m >= self.run_end:
+            return self.cap_tails[m - self.run_end]
         if m <= self.run_start:
             return self.head_tails[max(m, 0)]
-        if m == self.level:
-            return self.top
         return _vecmat(self.row(m - 1), self.tail_map)
 
     def pmf(self, n: int, env: int) -> float:
@@ -184,11 +193,7 @@ class TruncatedSolution:
 
     @functools.cached_property
     def masses(self) -> np.ndarray:
-        """``masses[n, e]`` is ``pmf(n, e + 1)`` for ``n <= level``.
-
-        Time and memory are linear in ``level``; ``pmf`` and ``tail`` need
-        neither.
-        """
+        """``masses[n, e]`` is ``pmf(n, e + 1)``: linear in ``level``, which ``pmf`` is not."""
         return np.array([self.row(n) for n in range(self.level + 1)])
 
 
@@ -198,33 +203,28 @@ def _env_index(env: int) -> int:
     return env - 1
 
 
-def _walk(model: ValidatedModel, strategy: Strategy, inv_b: Mat,
-          count: int) -> tuple[list[Vec], list[Vec]]:
-    """Levels ``0..count-1`` by the level recursion, and the tails ``0..count``."""
-    p = model.params
+def _walk(p: ModelParams, strategy: Strategy, inv_b: Mat, y: Vec,
+          levels: range) -> tuple[list[Vec], list[Vec], Vec]:
+    """Rows of ``levels`` from ``y``, the driver of the first; tails to one past; next driver."""
     lam1, lam2, mu1, mu2, q12, q21 = p.lambda1, p.lambda2, p.mu1, p.mu2, p.q12, p.q21
-    # y(n-1) = p(n-1) diag(lambda j(n-1)) drives level n; pi diag(mu) drives level 0
-    y = (model.env_stationary[0] * mu1, model.env_stationary[1] * mu2)
-    rows: list[Vec] = []
-    tails: list[Vec] = []
-    for n in range(count):
+    rows, tails = [], []
+    for n in levels:
         tails.append(_vecmat(y, inv_b))
         j = strategy.join_prob(n)
         x = _vecmat(y, _inverse(mu1 + lam1 * j, mu2 + lam2 * j, q12, q21))
         rows.append(x)
         y = (x[0] * lam1 * j, x[1] * lam2 * j)
     tails.append(_vecmat(y, inv_b))
-    return rows, tails
+    return rows, tails, y
 
 
 def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution) -> float:
     """Largest |inflow - outflow| of ``sol`` on the truncated chain.
 
-    Evaluated at level 0, every stored level, the last two levels and the
-    run levels ``1 + 2^k``. The levels of the constant-step run share one
-    equation, ``p(n) A = p(n-1) diag(lambda)``, but each level takes its
-    own powers ``rho^k`` as ``exp(k log rho)``, whose rounding grows with
-    ``k``; the levels ``1 + 2^k`` sample every scale of ``k``.
+    Evaluated at every walked level, the last run level and the run levels
+    ``1 + 2^k``. The run's levels share one equation, ``p(n) A = p(n-1)
+    diag(lambda)``, but each takes its own powers ``rho^k`` as ``exp(k log
+    rho)``, whose rounding grows with ``k``; ``1 + 2^k`` samples every scale.
     """
     p = model.params
     lam, mu, q = (p.lambda1, p.lambda2), (p.mu1, p.mu2), (p.q12, p.q21)
@@ -236,7 +236,7 @@ def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution)
     p0, inflow = sol.row(0), sol.tail_row(1)
     worst = max(abs(p0[e] * (lam[e] * join(0) + q[e]) - p0[1 - e] * q[1 - e]
                     - mu[e] * inflow[e]) for e in (0, 1))
-    levels = (set(range(1, min(sol.run_start, top) + 1)) | {top - 1, top}
+    levels = (set(range(1, sol.run_start + 1)) | set(range(sol.run_end - 1, top + 1))
               | {1 + (1 << k) for k in range(top.bit_length()) if 1 + (1 << k) < top})
     for n in levels - {-1, 0}:
         prev, cur, j_prev, j = sol.row(n - 1), sol.row(n), join(n - 1), join(n)
@@ -245,20 +245,15 @@ def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution)
     return worst
 
 
-def _require_certain_join(strategy: Strategy, n: int) -> None:
-    """Spot-check the invariant the constant tail step rests on, at level ``n``.
-
-    Every family in :mod:`clearbalk.strategies` without a support bound
-    joins with certainty from level 1 on (a test pins this), so the guard
-    can only fire for a strategy from outside them; it probes levels 1 and
-    ``N - 1``, not every level between.
-    """
-    j = strategy.join_prob(n)
-    if j != 1.0:
-        raise ConsistencyError(
-            f"strategy {strategy!r} has no support bound but joins with probability "
-            f"{j!r} at level {n}; the constant tail step needs certain joining "
-            f"from level 1 on")
+def _require_certain_join(strategy: Strategy, level: int) -> None:
+    """Probe levels 1 and ``level - 1``, where every family without a support bound joins."""
+    for n in (1, max(level - 1, 1)):
+        j = strategy.join_prob(n)
+        if j != 1.0:
+            raise ConsistencyError(
+                f"strategy {strategy!r} has no support bound but joins with probability "
+                f"{j!r} at level {n}; the constant tail step needs certain joining "
+                f"from level 1 on")
 
 
 def _truncation_level(run: _Run, tails: list[Vec], tail_map: Mat) -> int:
@@ -305,31 +300,39 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
         SingularSystem: If a level mass comes out non-finite.
         ConsistencyError: If a strategy without a support bound does not
             join with certainty from level 1 on.
-        FloatRangeError: If the automatic level is past the range of floats.
+        FloatRangeError: If the constant step or the automatic level is past
+            the range of floats.
     """
     p = model.params
     inv_b = _inverse(p.mu1, p.mu2, p.q12, p.q21)
+    tail_map = (p.lambda1 * inv_b[0], p.lambda1 * inv_b[1],
+                p.lambda2 * inv_b[2], p.lambda2 * inv_b[3])
+    drive = (model.env_stationary[0] * p.mu1, model.env_stationary[1] * p.mu2)   # of level 0
+    head, head_tails, y = _walk(p, strategy, inv_b, drive,
+                                range(2 if level is None else min(level, 2)))
+    try:   # both terms of the discriminant underflow where rates lie some 1e160 apart
+        run = constant_step(p, head[-1]) if len(head) == 2 else None
+    except ZeroDivisionError:
+        raise FloatRangeError("the constant step's discriminant underflows to 0.0") from None
     bound = strategy.support_bound()
-    run = tail_map = None
-    if bound is not None:
-        n = bound + 2 if level is None else level
-        head, tails = _walk(model, strategy, inv_b, n)
-    else:
-        _require_certain_join(strategy, 1)
-        head, tails = _walk(model, strategy, inv_b, 2 if level is None else min(level, 2))
-        run = constant_step(p, head[-1])
-        tail_map = (p.lambda1 * inv_b[0], p.lambda1 * inv_b[1],
-                    p.lambda2 * inv_b[2], p.lambda2 * inv_b[3])
-        n = _truncation_level(run, tails, tail_map) if level is None else level
-        head, tails = head[:n], tails[:n + 1]
-        _require_certain_join(strategy, max(n - 1, 1))
-    top = _vecmat(run.at(n - len(head)), tail_map) if len(head) < n else tails[n]
-    if not np.isfinite([*head, top]).all():
-        raise SingularSystem(f"balance recursion gave a non-finite mass by level {n}")
-    exact = bound is not None and n >= bound
-    sol = TruncatedSolution(level=n, residual=0.0, tail_mass=0.0 if exact else sum(top),
-                            head=tuple(head), head_tails=tuple(tails), top=top,
-                            run=run, tail_map=tail_map)
+    if level is None:
+        level = bound + 2 if bound is not None else _truncation_level(run, head_tails, tail_map)
+        if level < len(head):   # the tail is below the target by level 1
+            head, head_tails, y = _walk(p, strategy, inv_b, drive, range(level))
+    if bound is None:
+        _require_certain_join(strategy, level)
+    end = max(len(head), certain_until(strategy, min(level, 1), level))
+    if end > len(head):
+        x = run.at(end - len(head))   # p(end - 1), where joining is certain
+        y = (x[0] * p.lambda1, x[1] * p.lambda2)
+    cap, cap_tails, _ = _walk(p, strategy, inv_b, y, range(end, level))
+    cap.append(cap_tails[-1])
+    if not np.isfinite([*head, *cap]).all():
+        raise SingularSystem(f"balance recursion gave a non-finite mass by level {level}")
+    exact = bound is not None and level >= bound
+    sol = TruncatedSolution(level=level, residual=0.0, tail_mass=0.0 if exact else sum(cap[-1]),
+                            head=tuple(head), head_tails=tuple(head_tails), cap=tuple(cap),
+                            cap_tails=tuple(cap_tails), run=run, tail_map=tail_map)
     return dataclasses.replace(sol, residual=_residual(model, strategy, sol))
 
 

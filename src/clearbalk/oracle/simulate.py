@@ -19,10 +19,10 @@ The level pass is the only sequential step. Clearings remove every
 present customer at once, so they cut the arrivals into segments that
 start empty, and the pass loops over levels instead of events: at level
 n, every open segment joins at its first later arrival whose uniform is
-below p(n). A level with p = 0 absorbs. A run of levels with p = 1 is
-climbed in one step: a pure threshold n0 gives min(arrivals since the
-clearing, n0), and an unbounded strategy, which joins with certainty
-from level 1 on (see ``strategies``), takes every later arrival.
+below p(n). A level with p = 0 absorbs. A run of levels with p = 1, which
+``strategies.certain_until`` ends, is climbed in one step: a pure
+threshold n0 gives min(arrivals since the clearing, n0), and an
+unbounded strategy takes every later arrival.
 
 Occupancy times, Palm counts of arrivals and each joiner's sojourn, which
 is simply the time to the next clearing, are summed with ``np.bincount``.
@@ -44,7 +44,7 @@ import numpy as np
 from ..codec import Wire
 from ..errors import FloatRangeError
 from ..model import RewardCost, ValidatedModel
-from ..strategies import Strategy, format_strategy
+from ..strategies import Strategy, certain_until, format_strategy
 
 _BLOCK = 1 << 15
 
@@ -158,8 +158,7 @@ class _Tally:
 
     def __init__(self, strategy: Strategy, horizon: float, warm: float,
                  track_levels: int):
-        self.join_prob = strategy.join_prob
-        self.bounded = strategy.support_bound() is not None
+        self.strategy = strategy
         self.horizon = horizon
         self.warm = warm
         self.lump = track_levels + 1
@@ -173,17 +172,6 @@ class _Tally:
         self.events = 0
         # joiners of the open segment after the warm-up: join times, cells
         self.pending = (np.empty(0), np.empty(0, dtype=np.int64))
-
-    def _certain_until(self, ell: int, reach: int) -> int | None:
-        """First level above ``ell`` that may balk, given p(ell) = 1; None if none.
-
-        The walk stops at ``reach``, which no open segment can climb past.
-        """
-        if not self.bounded:
-            return None   # an unbounded strategy that joins at some level joins at all above
-        while ell < reach and self.join_prob(ell) >= 1.0:
-            ell += 1
-        return ell
 
     def _joins(self, unis: np.ndarray, starts: np.ndarray):
         """Which arrivals join, and the level of each segment at its end.
@@ -202,14 +190,14 @@ class _Tally:
         live = np.flatnonzero(pos < ends)
         ell = 0
         while live.size:
-            prob = self.join_prob(ell)
+            prob = self.strategy.join_prob(ell)
             if prob <= 0.0:
                 break
             if prob >= 1.0:
                 take = ends[live] - pos[live]
-                stop = self._certain_until(ell, int((top[live] + take).max()))
-                if stop is not None:
-                    take = np.minimum(take, np.maximum(stop - top[live], 0))
+                # no open segment climbs past the reach
+                stop = certain_until(self.strategy, ell, int((top[live] + take).max()))
+                take = np.minimum(take, np.maximum(stop - top[live], 0))
                 seg, take = live[take > 0], take[take > 0]
                 first = pos[seg]
             else:
@@ -224,8 +212,6 @@ class _Tally:
             cover[first + take] -= 1
             top[seg] += take
             pos[seg] = first + take
-            if stop is None:
-                break
             live = live[pos[live] < ends[live]]
             ell = stop
         return np.cumsum(cover[:n]) > 0, top

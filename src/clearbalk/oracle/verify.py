@@ -10,17 +10,18 @@ deviation: joining must not win where the strategy balks with positive
 probability, balking must not win where it joins with positive
 probability.
 
-Levels before the balance solve's constant-step run, and its top level,
-are checked one by one. Along the run ``p(n) = p(n0) T^(n-n0)``, and both
-eigenvalues of ``T`` are positive, so each component of ``p(n)`` is
-``a r1^n + b r2^n`` with ``0 < r2 < r1 < 1``. The level mass is then
-unimodal, and the levels with mass at least the floor form one interval.
-The ratio of the two components is a Moebius function of ``(r2/r1)^n``,
-so the Palm weights, the net benefit and the margin are monotone along
-the run. Everyone joins there, so the reachable run splits into at most
-a passing and a failing stretch. Each stretch is found by bisection and
-reported as one :class:`CheckRecord` spanning ``level..last_level``, with
-its worst margin and its summed mass.
+The balance solve walks a head and a cap of levels, and these are
+checked one by one. Between them lies its constant-step run, where
+everyone joins and ``p(n) = p(n0) T^(n-n0)``. Both eigenvalues of ``T``
+are positive, so each component of ``p(n)`` is ``a r1^n + b r2^n`` with
+``0 < r2 < r1 < 1``: the level mass is unimodal, and the levels with mass
+at least the floor form one interval. The ratio of the two components is
+a Moebius function of ``(r2/r1)^n``, so the Palm weights, the net benefit
+and the margin are monotone along the run, which splits into at most a
+passing and a failing stretch. Each is found by bisection and reported
+as one :class:`CheckRecord` spanning ``level..last_level``, with its
+worst margin and its summed mass. A threshold's run is the whole stretch
+below n0, so its report has at most six checks at any n0.
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
     mean_s = model.mean_clearing
     solution = solve_truncated_balance(model, strategy)
 
+    @functools.cache   # the bisections revisit levels
     def check(n: int) -> CheckRecord:
         m1, m2 = solution.row(n)
-        w1 = lam[0] * m1
-        w2 = lam[1] * m2
+        w1, w2 = lam[0] * m1, lam[1] * m2
         sojourn = (w1 * mean_s[0] + w2 * mean_s[1]) / (w1 + w2)
         net = rc.reward - rc.cost * sojourn
         jp = strategy.join_prob(n)
@@ -114,7 +115,7 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
         return sum(solution.row(n))
 
     checks = [check(n) for n in range(solution.run_start) if mass(n) >= MASS_FLOOR]
-    first, last = solution.run_start, solution.level - 1
+    first, last = solution.run_start, solution.run_end - 1
     if first <= last:
         peak = bisect_first(lambda n: mass(n + 1) < mass(n), first, last)
         if mass(peak) >= MASS_FLOOR:
@@ -125,14 +126,9 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
             checks.append(stretch(lo, cut - 1))
             if cut <= hi:
                 checks.append(stretch(cut, hi))
-    if mass(solution.level) >= MASS_FLOOR:
-        checks.append(check(solution.level))
+    checks += [check(n) for n in range(solution.run_end, solution.level + 1)
+               if mass(n) >= MASS_FLOOR]
 
-    return VerificationReport(
-        strategy=format_strategy(strategy),
-        passed=all(c.ok for c in checks),
-        checks=tuple(checks),
-        tolerance=tol,
-        mass_floor=MASS_FLOOR,
-    )
+    return VerificationReport(strategy=format_strategy(strategy), passed=all(c.ok for c in checks),
+                              checks=tuple(checks), tolerance=tol, mass_floor=MASS_FLOOR)
 

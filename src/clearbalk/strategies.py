@@ -15,16 +15,15 @@ analysis handles, plus a raw probability vector for the simulator:
   theta at exactly n0, join above. For n0 >= 1 the empty system is never
   left in steady state, so these behave like AlwaysBalk there.
 * ``JoinVector(probs)``: explicit per-level joining probabilities, balking
-  beyond the last entry. Only the simulation oracle evaluates these.
+  beyond the last entry. The closed forms do not cover these; both oracles do.
 
 ``support_bound()`` names the highest level a stationary chain started
 empty can reach, or None when every level is reachable. Every strategy
 without a support bound (``AlwaysJoin`` and ``ReverseThreshold(0, theta)``
-with ``theta > 0``) joins with certainty from level 1 on. The balance
-oracle rests on this: from level 2 on, its levels follow one constant 2x2
-step, and it raises ``ConsistencyError`` for an unbounded strategy that
-does not join with certainty at the levels it evaluates.
-
+with ``theta > 0``) joins with certainty from level 1 on, and every bounded
+one balks at its bound. ``certain_until`` reads both facts for both
+oracles: where a stretch of certain joining ends, which the balance oracle
+takes as one constant 2x2 step and the simulator as a range of joins.
 The descriptor grammar used by the command-line interface and by report
 serialization maps each family to a compact string; ``parse_strategy`` and
 ``format_strategy`` are exact inverses of each other.
@@ -158,6 +157,20 @@ class JoinVector:
 
 
 Strategy = AlwaysJoin | AlwaysBalk | PureThreshold | MixedThreshold | ReverseThreshold | JoinVector
+
+
+def certain_until(strategy: Strategy, start: int, reach: int) -> int:
+    """First level from ``start`` to ``reach`` at which ``strategy`` may balk, else ``reach``.
+
+    For ``start >= 1`` or a level of certain joining: an unbounded strategy
+    then never balks, and a bounded one balks at its bound at the latest.
+    """
+    if strategy.support_bound() is None:
+        return reach
+    n = start
+    while n < reach and strategy.join_prob(n) >= 1.0:
+        n += 1
+    return n
 
 
 def format_strategy(strategy: Strategy) -> str:

@@ -320,6 +320,29 @@ def test_simulate_refuses_more_events_than_the_clock_resolves(config, capsys):
                    "horizon 1, 2**53 or more: simulated time cannot advance to it\n")
 
 
+def test_large_family_verifies_with_few_checks_per_member(config, capsys):
+    # case A, subcase II with n_u = 1,057: 1,058 pure and 1,057 mixed thresholds,
+    # each verified by walking its first two and last few levels only
+    def stop(signum, frame):
+        raise TimeoutError("equilibrium did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code = main(["equilibrium", "--config", config(lambda1=1490.0, lambda2=200.0,
+                                                       mu1=1.08e-4, mu2=1.04, q12=7.25e-3,
+                                                       q21=2.36e-3, R=49.8),
+                     "--format", "json"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    members = json.loads(capsys.readouterr().out)["equilibria"]
+    assert len(members) == 2115
+    assert all(m["verification"]["passed"] for m in members)
+    assert max(len(m["verification"]["checks"]) for m in members) <= 6
+
+
 def test_simulate_csv_rejected(config, capsys):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--config", config(), "--strategy", "always-join",

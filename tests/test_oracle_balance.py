@@ -248,24 +248,49 @@ def test_unbounded_strategy_must_join_from_level_one(pstar, join):
         solve_truncated_balance(pstar.model, _Unbounded(join))
 
 
+def _level_recursion(model, strategy, level):
+    """Rows and tails ``0..level`` of the truncated chain, one 2x2 solve per level.
+
+    Level 0 is driven by pi diag(mu), level n by p(n-1) diag(lambda j(n-1));
+    each solve uses the positive inverse of diag(c + q) - S, and the top
+    row is the tail at ``level``.
+    """
+    p = model.params
+    lam, mu, q12, q21 = (p.lambda1, p.lambda2), (p.mu1, p.mu2), p.q12, p.q21
+
+    def solve(y, c1, c2):   # y [diag(c + q) - S]^-1
+        det = c1 * c2 + c1 * q21 + c2 * q12
+        return ((y[0] * (c2 + q21) + y[1] * q21) / det, (y[0] * q12 + y[1] * (c1 + q12)) / det)
+
+    y = (model.env_stationary[0] * mu[0], model.env_stationary[1] * mu[1])
+    rows, tails = [], []
+    for n in range(level):
+        tails.append(solve(y, *mu))
+        j = strategy.join_prob(n)
+        x = solve(y, mu[0] + lam[0] * j, mu[1] + lam[1] * j)
+        rows.append(x)
+        y = (x[0] * lam[0] * j, x[1] * lam[1] * j)
+    tails.append(solve(y, *mu))
+    return np.array(rows + tails[-1:]), np.array(tails)
+
+
 def test_constant_step_matches_level_recursion(pstar):
-    # the run p(n) = p(1) T^(n-1) against the recursion walked level by level
+    # the run p(n) = p(1) T^(n-1) against the recursion walked level by level,
+    # to the truncation level or up to the walked cap after the run
     slow = validate_params(ModelParams(2.0, 1.0, 1e-2, 3e-2, 1.0, 2.0), UNIT_RC)
     for model in (pstar.model, slow):
-        for strategy in (AlwaysJoin(), ReverseThreshold(0, 0.3)):
+        for strategy in (AlwaysJoin(), ReverseThreshold(0, 0.3), PureThreshold(30),
+                         MixedThreshold(30, 0.4), JoinVector((0.5,) + (1.0,) * 30 + (0.5, 1.0))):
             sol = solve_truncated_balance(model, strategy)
-            walked = solve_truncated_balance(model, JoinVector((strategy.join_prob(0),)
-                                                               + (1.0,) * sol.level),
-                                             level=sol.level)
-            assert walked.run_start == sol.level
+            rows, tails = _level_recursion(model, strategy, sol.level)
             assert sol.level > 20
             for n in range(sol.level + 1):
                 for env in (1, 2):
-                    assert sol.pmf(n, env) == pytest.approx(walked.pmf(n, env),
+                    assert sol.pmf(n, env) == pytest.approx(rows[n, env - 1],
                                                             rel=1e-11, abs=1e-300)
-                    assert sol.tail(n, env) == pytest.approx(walked.tail(n, env),
+                    assert sol.tail(n, env) == pytest.approx(tails[n, env - 1],
                                                              rel=1e-11, abs=1e-300)
-            assert sol.masses == pytest.approx(walked.masses, rel=1e-11, abs=1e-300)
+            assert sol.masses == pytest.approx(rows, rel=1e-11, abs=1e-300)
 
 
 def test_automatic_level_is_first_below_tail_target(rng):

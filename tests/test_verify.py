@@ -13,11 +13,13 @@ from clearbalk import (
     ModelParams,
     ReverseThreshold,
     RewardCost,
+    benefit_coefficients,
     solve_truncated_balance,
     spectral_quantities,
     validate_params,
     verify_equilibrium,
 )
+from clearbalk.equilibrium import mixing_probability
 from clearbalk.oracle.verify import VERIFY_TOLERANCE, verification_from_dict
 from conftest import PB, PSTAR
 
@@ -143,6 +145,16 @@ def _sojourn(model, solution, n):
     return (w1 * model.mean_clearing[0] + w2 * model.mean_clearing[1]) / (w1 + w2)
 
 
+def _draw_model(rng):
+    """Rates log-uniform in 0.1..10, clearing slowed down in some; no model when 1 - r1 < 1e-3."""
+    lam1, lam2, q12, q21 = (10.0 ** rng.uniform(-1.0, 1.0, size=4)).tolist()
+    slow = 10.0 ** rng.uniform(-3.0, 0.0) if rng.random() < 0.4 else 1.0
+    mu1, mu2 = (slow * 10.0 ** rng.uniform(-1.0, 1.0, size=2)).tolist()
+    params = ModelParams(lam1, lam2, mu1, mu2, q12, q21)
+    model = validate_params(params, RewardCost(1.0, 1.0))
+    return params, model if 1.0 - spectral_quantities(model).r1 >= 1e-3 else None
+
+
 def _reference_cases(count):
     """Seeded models and strategies for the run-length verifier.
 
@@ -156,12 +168,8 @@ def _reference_cases(count):
     rng = np.random.default_rng(20261018)
     cases = []
     while len(cases) < count:
-        lam1, lam2, q12, q21 = (10.0 ** rng.uniform(-1.0, 1.0, size=4)).tolist()
-        slow = 10.0 ** rng.uniform(-3.0, 0.0) if rng.random() < 0.4 else 1.0
-        mu1, mu2 = (slow * 10.0 ** rng.uniform(-1.0, 1.0, size=2)).tolist()
-        params = ModelParams(lam1, lam2, mu1, mu2, q12, q21)
-        model = validate_params(params, RewardCost(1.0, 1.0))
-        if 1.0 - spectral_quantities(model).r1 < 1e-3:
+        params, model = _draw_model(rng)
+        if model is None:
             continue
         kind = len(cases) % 4
         if kind < 3:
@@ -209,3 +217,78 @@ def test_runs_match_the_reference_walk():
     assert outcomes == {(name, passed) for name in ("AlwaysJoin", "ReverseThreshold")
                         for passed in (True, False)}
 
+
+
+def _threshold_cases(count):
+    """Seeded pure and mixed thresholds at n0 in 3..60 for the run-length verifier.
+
+    Below n0 everyone joins, so levels 2..n0-1 are the balance solve's
+    constant-step run. In turn, R lies between the sojourns at level 2
+    and at the deepest run level with mass 1e-8, so the verdict flips
+    inside the run, or R is the sojourn at n0 under the strategy itself,
+    where it is an equilibrium when the sojourn grows with the level.
+    Clearing is slowed down to 1 - r1 = 1e-3 in some models.
+    """
+    rng = np.random.default_rng(20261019)
+    cases = []
+    while len(cases) < count:
+        params, model = _draw_model(rng)
+        if model is None:
+            continue
+        n0 = int(rng.integers(3, 61))
+        strategy = (PureThreshold(n0) if len(cases) % 2 == 0
+                    else MixedThreshold(n0, float(rng.uniform(0.05, 0.95))))
+        solution = solve_truncated_balance(model, strategy)
+        near = _sojourn(model, solution, 2)
+        deep = max(n for n in range(2, n0)
+                   if n == 2 or solution.pmf(n, 1) + solution.pmf(n, 2) >= 1e-8)
+        far = _sojourn(model, solution, deep)
+        if abs(far - near) < 1e-6 * near:
+            continue
+        if len(cases) % 4 < 2:
+            reward = far + (near - far) * rng.uniform() ** 4 - VERIFY_TOLERANCE
+        else:
+            reward = _sojourn(model, solution, n0)
+        rc = RewardCost(reward, 1.0)
+        cases.append((validate_params(params, rc), rc, strategy))
+    return cases
+
+
+def test_threshold_runs_match_the_reference_walk():
+    outcomes, split_runs = set(), 0
+    for model, rc, strategy in _threshold_cases(200):
+        report = verify_equilibrium(model, rc, strategy)
+        reference = _reference_checks(model, rc, strategy, report.tolerance, report.mass_floor)
+        assert report.passed == all(ok for _, _, _, ok in reference)
+        by_level = {n: (mass, margin, ok) for n, mass, margin, ok in reference}
+        covered = [n for c in report.checks for n in range(c.level, c.last_level + 1)]
+        assert covered == sorted(by_level)
+        failing = {n for c in report.failures() for n in range(c.level, c.last_level + 1)}
+        assert failing == {n for n, (_, _, ok) in by_level.items() if not ok}
+        for c in report.checks:
+            span = [by_level[n] for n in range(c.level, c.last_level + 1)]
+            assert c.margin == pytest.approx(min(m for _, m, _ in span), abs=1e-12)
+            assert c.mass == pytest.approx(sum(m for m, _, _ in span), abs=1e-12)
+            assert all(ok == c.ok for _, _, ok in span)
+        assert len(report.checks) <= 6
+        run = [c for c in report.checks if c.last_level > c.level]
+        split_runs += len(run) == 2 and run[0].ok != run[1].ok
+        outcomes.add((type(strategy).__name__, report.passed))
+    assert split_runs >= 20
+    assert outcomes == {(name, passed) for name in ("PureThreshold", "MixedThreshold")
+                        for passed in (True, False)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the absolute VERIFY_TOLERANCE band of 1e-8 is below the rounding "
+                          "of the net benefit at R = 1.3e4")
+def test_mixed_threshold_at_large_reward_verifies():
+    # case A, subcase II with n_l = 3,572: the closed form makes theta(3573)
+    # indifferent at level 3573, where the balance solve gives a net benefit of 3.2e-7
+    params = ModelParams(1.0122738637355755, 986018.3753659689, 4.7947527257461365e-05,
+                         4352.909630747323, 1.2524648977612393e-05, 9.00207592809864e-06)
+    rc = RewardCost(13246.360403503204, 1.0)
+    model = validate_params(params, rc)
+    coef = benefit_coefficients(model, spectral_quantities(model), rc)
+    report = verify_equilibrium(model, rc, MixedThreshold(3573, mixing_probability(coef, 3573)))
+    assert report.passed

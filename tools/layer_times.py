@@ -64,6 +64,8 @@ def layers() -> dict:
         "stationary_threshold_3": lambda: stationary_distribution(model, spec, PureThreshold(3)),
         "balance_always_join": lambda: solve_truncated_balance(model, AlwaysJoin()),
         "verify_always_join": lambda: verify_equilibrium(model, RC, AlwaysJoin()),
+        "balance_threshold_3": lambda: solve_truncated_balance(model, PureThreshold(3)),
+        "verify_threshold_3": lambda: verify_equilibrium(model, RC, PureThreshold(3)),
     }
 
 
