@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .codec import Wire
 from .model import RewardCost, ValidatedModel, banded_sign
+from .spectral import elementwise
 
 #: Relative equality band when comparing R/C against a critical value.
 KNIFE_TOLERANCE = 1e-9
@@ -94,15 +92,19 @@ def critical_values(model: ValidatedModel) -> CriticalValues:
 
 
 def fully_unobservable_value(model: ValidatedModel) -> float:
-    """V_fu alone; elementwise on numpy columns too."""
+    """V_fu alone; elementwise on numpy columns too.
+
+    The weights lambda1*q21 and lambda2*q12 are built from the rates'
+    mantissas and exponents and scaled into range by one exact power of
+    two, so V_fu has the unscaled bits wherever the products are normal.
+    """
     p, k = model.params, model.k
-    weight_den = p.lambda1 * p.q21 + p.lambda2 * p.q12
-    # divide by weight_den and k in turn where their product is not a normal float
-    den = weight_den * k
-    normal = (den >= sys.float_info.min) & (den <= sys.float_info.max)
-    value = ((p.lambda1 * p.q21 * p.mu2 + p.lambda2 * p.q12 * p.mu1)
-             / np.where(normal, den, weight_den) / np.where(normal, 1.0, k) + (p.q21 + p.q12) / k)
-    return value if np.ndim(value) else float(value)
+    xp = elementwise(k)
+    (m1, e1), (m2, e2), (n12, f12), (n21, f21) = map(
+        xp.frexp, (p.lambda1, p.lambda2, p.q12, p.q21))
+    top = xp.maximum(e1 + f21, e2 + f12)
+    w1, w2 = xp.ldexp(m1 * n21, e1 + f21 - top), xp.ldexp(m2 * n12, e2 + f12 - top)
+    return (w1 * p.mu2 + w2 * p.mu1) / ((w1 + w2) * k) + (p.q21 + p.q12) / k
 
 
 def _compare(ratio: float, critical: float, tolerance: float) -> int:

@@ -23,8 +23,9 @@ Sign tests run on F values normalized by G(n, 1) with an absolute band;
 band hits follow the weak/strict-inequality conventions of the exact
 theory and set a knife-edge flag, since the classification is then
 tolerance-dependent. Along n each normalized F is a two-term geometric
-mixture, so the level where a banded sign flips is a logarithm (see
-``subcase_ii_levels``).
+mixture, so the level where a banded sign flips is a logarithm: ``classify``
+gives the subcase, the bounds and the band hits in closed form, on floats
+and on the numpy columns of a sweep alike.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ import dataclasses
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .benefit import BenefitCoefficients, f_eval, h_upper_limit, scaled_aggregate
+from .benefit import BenefitCoefficients, f_eval, h_upper_limit
 from .codec import Wire, decode
 from .errors import NoInteriorRoot, ScanLimitExceeded
 from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign, congestion_case
@@ -45,7 +45,7 @@ from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign,
 # perfbench's tracer wraps it
 from .oracle import verify as oracle_verify
 from .oracle.verify import VerificationReport
-from .spectral import SpectralData, discounts
+from .spectral import SpectralData, discounts, elementwise
 from .strategies import (
     AlwaysBalk,
     AlwaysJoin,
@@ -99,116 +99,100 @@ class ThresholdBounds(Wire):
 bounds_from_dict = functools.partial(decode, ThresholdBounds)
 
 
-class _SignTester:
-    """Banded sign tests on normalized F values, tracking band hits."""
-
-    def __init__(self, coef: BenefitCoefficients, tolerance: float):
-        self.coef = coef
-        self.tolerance = tolerance
-        self.band_hit = False
-
-    def sign_f(self, n: int, theta: float) -> int:
-        # F(n, theta) / G(n, 1) from their forms divided by r1**n, which
-        # underflows long before the sign changes when r1 is small
-        c = self.coef
-        return self._sign(scaled_aggregate(c, c.alpha, c.beta, n, theta)
-                          / scaled_aggregate(c, c.d, c.e, n, 1.0))
-
-    def _sign(self, value: float) -> int:
-        sign = banded_sign(value, self.tolerance)
-        self.band_hit = self.band_hit or sign == 0
-        return sign
-
-
-#: ``Subcase`` in the order of ``subcase_index``.
+#: ``Subcase`` in the order of the index that ``classify`` gives.
 SUBCASES = tuple(Subcase)
 
 
-def subcase_index(orient, at_zero, at_limit):
-    """Index into ``SUBCASES`` from the banded signs of the benefit at level 0
-    and in its large-n limit; elementwise on numpy columns too (``grid``).
+def classify(coef: BenefitCoefficients, orient, tolerance: float):
+    """(subcase, n_l, n_u, n_l_plus, n_u_minus, band, h0, h_limit) of a model.
 
-    ``orient`` is 1 in case A and -1 in case B (the threshold test with F
-    negated): I where orient*at_zero < 0, else III where orient*at_limit >= 0,
-    else II. It is 0 in case C, where the benefit does not depend on n and
-    at_zero alone gives I, II (in the band) or III.
+    ``orient`` is 1 in case A (threshold), -1 in case B (reverse, the
+    threshold tests with F negated) and 0 in case C. Written against
+    ``elementwise``: Python ints, floats and bools on floats, and the same
+    entry by entry on numpy columns (``grid``).
+
+    The banded signs of h0 = F(0, 1)/G(0, 1) = (alpha + beta)/(d + e) and of
+    its large-n limit h_limit give the subcase: in cases A and B, I (index
+    0) where orient*h0 < 0, else III (2) where orient*h_limit >= 0, else II
+    (1); in case C, h0 alone gives I, II (in the band) or III. ``band`` is
+    whether a sign fell in the band: h0's, h_limit's outside case C, and
+    in subcase II those at the levels below. Outside subcase II of cases A
+    and B the levels are 0 in subcase I and inf otherwise.
+
+    Divided by r1**n, orient*F(n, theta)/G(n, 1) is orient*(A + B*s)/(d + e*s)
+    with s = (r2/r1)**n, A = alpha/delta1(theta), B = beta/delta2(theta) and
+    d + e*s > 0. So the banded test ``value < c`` (or ``<= c``) is
+    c0 + c1*s < 0 (or ``<= 0``) with c0 = orient*A - c*d, c1 = orient*B - c*e.
+    As s falls from 1 toward 0, it holds at every level when c1 <= 0 and
+    c0 passes it, from level ceil(log(-c0/c1)/log_ratio) when c1 > 0, and
+    never when c0 fails it; the signs on either side of that level undo a
+    rounding of the logarithm. n_u is the first level of ``< -tolerance``
+    at theta = 1, n_l the first of ``<= tolerance`` at theta = 0 if below
+    n_u, and the strict bounds read the signs at n_l and n_u - 1. Each
+    banded value is monotone in n, so any level in a band lies next to n_l
+    or n_u, where those signs see it.
     """
+    xp = elementwise(coef.alpha)
+    h0 = (coef.alpha + coef.beta) / (coef.d + coef.e)
+    try:
+        h_limit = h_upper_limit(coef)
+    except ZeroDivisionError:   # a float d of 0.0; case C reads no limit and goes on
+        if orient:
+            raise
+        h_limit = math.nan
+    at_zero, at_limit = banded_sign(h0, tolerance), banded_sign(h_limit, tolerance)
     threshold = (orient * at_zero >= 0) * (1 + (orient * at_limit >= 0))
-    return (orient == 0) * (at_zero + 1) + (orient != 0) * threshold
+    subcase = (orient == 0) * (at_zero + 1) + (orient != 0) * threshold
+    band = (at_zero == 0) | ((orient != 0) & (at_limit == 0))
+    search = (orient != 0) & (subcase == 1)
+    levels = (xp.where(subcase == 0, 0, math.inf),) * 4
+    if not xp.any(search):
+        return (subcase, *levels, band, h0, h_limit)
+    log_ratio = coef.log_ratio
+    e1, e2 = discounts(coef.z1, coef.z2, 0.0)
+
+    def value(n, d1, d2):
+        # orient*F(n, theta)/G(n, 1) as scaled_aggregate forms them
+        power = xp.exp(n * log_ratio)
+        return orient * xp.divide(coef.alpha / d1 + coef.beta * power / d2,
+                                  coef.d + coef.e * power)
+
+    def first(d1, d2, bound, test):
+        c0 = orient * coef.alpha / d1 - bound * coef.d
+        c1 = orient * coef.beta / d2 - bound * coef.e
+        crossing = xp.maximum(xp.ceil(xp.divide(xp.log(xp.divide(-c0, c1)), log_ratio)), 0.0)
+        level = xp.where(test(c0, 0.0), xp.where(c1 > 0.0, crossing, 0.0), math.inf)
+        below = test(value(level - 1.0, d1, d2), bound) & (level >= 1.0)
+        holds = test(value(level, d1, d2), bound) | (level == math.inf)
+        return xp.where(below, level - 1.0, xp.where(holds, level, level + 1.0))
+
+    n_u = first(1.0, 1.0, -tolerance, operator.lt)
+    n_l = xp.minimum(first(e1, e2, tolerance, operator.le), n_u)
+    at_l, below_u = value(n_l, e1, e2), value(n_u - 1.0, 1.0, 1.0)
+    strict = (xp.where(at_l < -tolerance, n_l, n_l + 1.0),
+              xp.where(below_u > tolerance, n_u, n_u - 1.0))
+    levels = [xp.where(search, level, fill) for level, fill in zip((n_l, n_u, *strict), levels)]
+    hit = (abs(at_l) <= tolerance) | (abs(below_u) <= tolerance)
+    return (subcase, *levels, band | (search & hit), h0, h_limit)
 
 
 def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
                      tolerance: float = SIGN_TOLERANCE) -> ThresholdBounds:
-    """Classify the subcase and compute the equilibrium bounds.
-
-    The subcase follows from the signs of the benefit at an empty system
-    and of its analytic large-n limit; the bounds of subcase II come from
-    ``subcase_ii_levels``.
+    """The subcase and the equilibrium bounds of ``classify``, with its
+    levels as ints in subcase II.
 
     Raises:
         ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT``, the most pure
             thresholds a report lists.
     """
-    tester = _SignTester(coef, tolerance)
-    s = 1 if orientation is Orientation.THRESHOLD else -1
-    subcase = SUBCASES[subcase_index(s, tester.sign_f(0, 1.0),
-                                     tester._sign(h_upper_limit(coef)))]
-    if subcase is not Subcase.II:
-        levels = (0 if subcase is Subcase.I else math.inf,) * 4
-    else:
-        *levels, band = subcase_ii_levels(coef, s, tolerance)
+    orient = 1 if orientation is Orientation.THRESHOLD else -1
+    index, *levels, band, _, _ = classify(coef, orient, tolerance)
+    subcase = SUBCASES[index]
+    if subcase is Subcase.II:
         if levels[1] > SCAN_LIMIT:
-            raise past_cap(orientation, float(levels[1]))
-        levels, tester.band_hit = map(int, levels), tester.band_hit or bool(band)
-    return ThresholdBounds(orientation, subcase, *levels, knife_edge=tester.band_hit)
-
-
-def subcase_ii_levels(coef: BenefitCoefficients, orient, tolerance: float):
-    """(n_l, n_u, n_l_plus, n_u_minus, band_hit) of subcase II, in closed form.
-
-    ``orient`` is 1 for the threshold orientation and -1 for the reverse
-    one. Arithmetic only, so it runs on floats and elementwise on numpy
-    columns (``grid``); levels are floats, ``inf`` where a test never holds.
-
-    Divided by r1**n, orient*F(n, theta)/G(n, 1) is orient*(A + B*s)/(d + e*s)
-    with s = (r2/r1)**n, A = alpha/delta1(theta), B = beta/delta2(theta)
-    and d + e*s > 0. So the banded test ``value < c`` (or ``<= c``) is
-    c0 + c1*s < 0 (or ``<= 0``) with c0 = orient*A - c*d, c1 = orient*B - c*e.
-    As s falls from 1 toward 0, it holds at every level when c1 <= 0 and
-    c0 passes it, from level ceil(log(-c0/c1)/log_ratio) when c1 > 0, and
-    never when c0 fails it. The sign tests on either side of that level
-    undo a rounding of the logarithm by one level.
-
-    n_u is the first level of ``< -tolerance`` at theta = 1 and n_l the
-    first of ``<= tolerance`` at theta = 0, if below n_u. The strict bounds
-    read the signs at n_l and n_u - 1. Each banded value is monotone in n,
-    so any level in a band lies next to n_l or n_u, where those signs see it.
-    """
-    log_ratio = coef.log_ratio
-    e1, e2 = discounts(coef.z1, coef.z2, 0.0)
-
-    def value(n, d1, d2):
-        # orient*F(n, theta)/G(n, 1) in the operation order of _SignTester
-        power = np.exp(n * log_ratio)
-        return orient * ((coef.alpha / d1 + coef.beta * power / d2)
-                         / (coef.d + coef.e * power))
-
-    def first(d1, d2, bound, test):
-        c0 = orient * coef.alpha / d1 - bound * coef.d
-        c1 = orient * coef.beta / d2 - bound * coef.e
-        crossing = np.maximum(np.ceil(np.log(np.divide(-c0, c1)) / log_ratio), 0.0)
-        level = np.where(test(c0, 0.0), np.where(c1 > 0.0, crossing, 0.0), np.inf)
-        below = test(value(level - 1.0, d1, d2), bound) & (level >= 1.0)
-        holds = test(value(level, d1, d2), bound) | (level == np.inf)
-        return np.where(below, level - 1.0, np.where(holds, level, level + 1.0))
-
-    with np.errstate(all="ignore"):
-        n_u = first(1.0, 1.0, -tolerance, np.less)
-        n_l = np.minimum(first(e1, e2, tolerance, np.less_equal), n_u)
-        at_l, below_u = value(n_l, e1, e2), value(n_u - 1.0, 1.0, 1.0)
-    return (n_l, n_u, np.where(at_l < -tolerance, n_l, n_l + 1.0),
-            np.where(below_u > tolerance, n_u, n_u - 1.0),
-            (abs(at_l) <= tolerance) | (abs(below_u) <= tolerance))
+            raise past_cap(orientation, levels[1])
+        levels = map(int, levels)
+    return ThresholdBounds(orientation, subcase, *levels, knife_edge=band)
 
 
 def past_cap(orientation: Orientation, n_u: float) -> ScanLimitExceeded:
@@ -303,11 +287,8 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     """
     case = congestion_case(model)
     if case.kind is CaseKind.CASE_C:
-        tester = _SignTester(coef, tolerance)
-        sign = tester.sign_f(0, 1.0)
-        # a constant benefit: its limit is its value at 0
-        subcase = SUBCASES[subcase_index(0, sign, sign)]
-        bounds, knife = None, tester.band_hit
+        index, *_, knife, _, _ = classify(coef, 0, tolerance)
+        subcase, bounds = SUBCASES[index], None
     else:
         orientation = (Orientation.THRESHOLD if case.kind is CaseKind.CASE_A
                        else Orientation.REVERSE)

@@ -1,13 +1,12 @@
 """A one-parameter sweep evaluated as numpy columns.
 
 ``sweep_columns`` gives the cells of ``clearbalk sweep``. The six rates, R
-and C are columns, and the per-model functions run on them as they run on
-floats, from ``derive_model`` and ``derive_spectral`` to ``subcase_index``
-and ``subcase_ii_levels``. So a point's cells are those of the scalar path.
-What is left here is grid work: the grid values, the error rows of the
-points outside ``in_float_range`` (each with the error that the scalar
-path raises there), and the member listing of each subcase-II point, by
-``equilibrium_members`` on its coefficients as Python floats.
+and C are columns, and the per-model functions run on them as on floats,
+from ``derive_model`` to ``classify``, so a point's cells are those of the
+scalar path. What is left here is grid work: the grid values, the error
+rows of the points outside ``in_float_range`` (each with the error that the
+scalar path raises there), and the member listing of each subcase-II
+point, by ``equilibrium_members`` on its coefficients as Python floats.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from .benefit import BenefitCoefficients, benefit_coefficients, h_upper_limit
+from .benefit import BenefitCoefficients, benefit_coefficients
 from .dominant import fully_unobservable_value
 from .equilibrium import (
     SCAN_LIMIT,
@@ -24,10 +23,9 @@ from .equilibrium import (
     Orientation,
     Subcase,
     ThresholdBounds,
+    classify,
     equilibrium_members,
     past_cap,
-    subcase_ii_levels,
-    subcase_index,
 )
 from .errors import ClearbalkError, FloatRangeError
 from .model import (
@@ -36,7 +34,6 @@ from .model import (
     CaseKind,
     ModelParams,
     RewardCost,
-    banded_sign,
     config_inputs,
     congestion_sign,
     derive_model,
@@ -102,16 +99,12 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         spec = derive_spectral(model)
         coef = benefit_coefficients(model, spec, rewards)
         case = congestion_sign(model)
-        h0 = (coef.alpha + coef.beta) / (coef.d + coef.e)
-        h_limit = h_upper_limit(coef)
         v_fu = fully_unobservable_value(model)
-        orient = -case   # 1 in case A (threshold), -1 in case B (reverse), 0 in case C
-        subcase = subcase_index(orient, banded_sign(h0, tolerance),
-                                banded_sign(h_limit, tolerance))
+        # orient = -case: 1 in case A, -1 in case B, 0 in case C
+        subcase, *levels, h0, h_limit = classify(coef, -case, tolerance)
         out_of_range = ~in_float_range(model, spec)
-        search = np.flatnonzero((orient != 0) & (subcase == 1) & ~out_of_range)
-        levels = [np.asarray(column)[search].tolist()
-                  for column in subcase_ii_levels(coef, orient, tolerance)]
+        search = np.flatnonzero((case != 0) & (subcase == 1) & ~out_of_range)
+        levels = [column[search].tolist() for column in levels]
 
     errors = {}   # the error of each failed point, by grid index
     for i in np.flatnonzero(out_of_range).tolist():

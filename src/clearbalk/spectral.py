@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -89,10 +90,31 @@ class SpectralData:
         raise ValueError(f"environment must be 1 or 2, got {env}")
 
 
-def _libm(function, x):
-    """``function`` from ``math`` on a float, or on each entry of a numpy column
-    (numpy's log1p may differ from libm's in the last bit)."""
-    return np.array(list(map(function, x.tolist()))) if isinstance(x, np.ndarray) else function(x)
+#: ``elementwise`` on Python floats: ``math`` and conditional expressions,
+#: with numpy's IEEE results where ``math`` raises or returns an int
+#: (exp overflows above 709.782712893384 = log(sys.float_info.max)).
+FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, log1p=math.log1p, frexp=math.frexp, ldexp=math.ldexp,
+    exp=lambda x: math.inf if x > 709.782712893384 else math.exp(x),
+    log=lambda x: math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
+    ceil=lambda x: float(math.ceil(x)) if math.isfinite(x) else x,
+    divide=lambda x, y: x / y if y else x * math.copysign(math.inf, y),
+    maximum=lambda x, y: x if x >= y or x != x else y,
+    minimum=lambda x, y: x if x <= y or x != x else y,
+    where=lambda condition, x, y: x if condition else y, any=bool)
+
+#: ``elementwise`` on numpy columns. log1p is libm's, mapped over the column,
+#: as on floats: numpy's may differ from it in the last bit.
+COLUMNS = SimpleNamespace(
+    sqrt=np.sqrt, log1p=lambda x: np.array(list(map(math.log1p, x.tolist()))), exp=np.exp,
+    frexp=np.frexp, ldexp=np.ldexp, log=np.log, ceil=np.ceil, divide=np.divide,
+    maximum=np.maximum, minimum=np.minimum, where=np.where, any=np.any)
+
+
+def elementwise(x) -> SimpleNamespace:
+    """The functions that the closed forms shared by a point and a grid call,
+    for ``x`` a float (``FLOATS``) or a numpy column (``COLUMNS``)."""
+    return COLUMNS if isinstance(x, np.ndarray) else FLOATS
 
 
 def derive_spectral(model: ValidatedModel) -> SpectralData:
@@ -103,13 +125,14 @@ def derive_spectral(model: ValidatedModel) -> SpectralData:
     linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
     gap = l2 * (p.mu1 + p.q12) - l1 * (p.mu2 + p.q21)
     delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
-    sq = _libm(math.sqrt, delta)
+    xp = elementwise(delta)
+    sq = xp.sqrt(delta)
     z2 = -(linear + sq) / (2.0 * l1 * l2)
     z1 = k / (l1 * l2 * z2)
     pe1, pe2 = model.env_stationary
     return SpectralData(
         delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
-        log_ratio=_libm(math.log1p, -z1) - _libm(math.log1p, -z2),
+        log_ratio=xp.log1p(-z1) - xp.log1p(-z2),
         a1=(p.mu1 * l2 * z1 + k) * pe1 / (sq * (1.0 - z1)),
         b1=-(p.mu1 * l2 * z2 + k) * pe1 / (sq * (1.0 - z2)),
         a2=(p.mu2 * l1 * z1 + k) * pe2 / (sq * (1.0 - z1)),

@@ -656,3 +656,36 @@ def test_dominant_decisions_need_only_k_in_range(config, capsys, overrides, mess
         assert message in capsys.readouterr().err
     else:
         assert (code, err) == (0, "")
+
+
+# lambda1*q21 + lambda2*q12 underflows (to 0.0, and to a subnormal), or
+# lambda1/lambda2 and q21/q12 leave the float range; the V_fu of each model
+WEIGHTS_AT_THE_FLOAT_EDGES = {
+    "zero": ({**dict.fromkeys(RATES, 1e-170), "mu1": 1.0, "mu2": 1.0}, 1.0),
+    "subnormal": ({"lambda1": 1e-150, "lambda2": 1e-150, "mu1": 1.0, "mu2": 2.0,
+                   "q12": 1e-200, "q21": 1e-200}, 0.75),
+    "extreme-ratios": ({"lambda1": 1e300, "lambda2": 1e-30, "mu1": 1.0, "mu2": 2.0,
+                        "q12": 1e300, "q21": 1e-30}, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTS_AT_THE_FLOAT_EDGES)
+def test_weights_at_the_float_edges_give_a_finite_v_fu(config, capsys, name):
+    overrides, v_fu = WEIGHTS_AT_THE_FLOAT_EDGES[name]
+    path = config(R=1.0, **overrides)
+    for level in ("fu", "au", "fo"):
+        assert main(["analyze", "--config", path, "--info-level", level, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert (json.loads(out)["critical"]["v_fu"], err) == (v_fu, "")
+
+
+def test_sweep_of_underflowing_weights_writes_a_finite_v_fu(config, capsys):
+    path = config(R=1.0, **WEIGHTS_AT_THE_FLOAT_EDGES["subnormal"][0])
+    argv = ["sweep", "--config", path, "--param", "R", "--from", "0.5", "--to", "1.5",
+            "--steps", "3"]
+    assert main(argv + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert ([row["v_fu"] for row in json.loads(out)], err) == ([0.75] * 3, "")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert ([row["v_fu"] for row in csv.DictReader(out.splitlines())], err) == (["0.75"] * 3, "")

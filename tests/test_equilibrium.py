@@ -1,5 +1,6 @@
 """Equilibrium enumeration: worked instances, subcases, serialization."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from clearbalk import (
     ScanLimitExceeded,
     Subcase,
     ThresholdBounds,
+    benefit_coefficients,
     bounds_from_dict,
     compute_equilibria,
     f_eval,
@@ -30,12 +32,24 @@ from clearbalk import (
     mixing_probability,
     report_from_dict,
     solve_truncated_balance,
+    spectral_quantities,
     threshold_bounds,
     validate_params,
 )
-from clearbalk.equilibrium import SCAN_LIMIT, _SignTester, subcase_index
+from clearbalk.benefit import scaled_aggregate
+from clearbalk.equilibrium import SCAN_LIMIT, classify
 from clearbalk.model import banded_sign
-from conftest import P0, PB, UNIT_RC, Ctx, case_a_model
+from clearbalk.spectral import FLOATS
+from conftest import (
+    P0,
+    PB,
+    PSTAR,
+    UNIT_RC,
+    Ctx,
+    case_a_model,
+    case_b_model,
+    case_c_model,
+)
 
 
 def _report(ctx: Ctx, **kw):
@@ -170,17 +184,25 @@ def test_scan_limit_names_orientation(orientation, alpha, beta, a):
 
 def _reference_bounds(coef, orientation, tolerance):
     """Reference bounds by a level-by-level scan: up to n_u, then down to n_l."""
-    tester = _SignTester(coef, tolerance)
     s = 1 if orientation is Orientation.THRESHOLD else -1
+    band_hit = False
+
+    def banded(value):
+        nonlocal band_hit
+        sign = banded_sign(value, tolerance)
+        band_hit = band_hit or sign == 0
+        return s * sign
 
     def sign(n, theta):
-        return s * tester.sign_f(n, theta)
+        # F(n, theta)/G(n, 1), both divided by r1**n
+        return banded(scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
+                      / scaled_aggregate(coef, coef.d, coef.e, n, 1.0))
 
     def bounds(subcase, nl, nu, nlp, num):
-        return ThresholdBounds(orientation, subcase, nl, nu, nlp, num, tester.band_hit)
+        return ThresholdBounds(orientation, subcase, nl, nu, nlp, num, band_hit)
 
     sign_at_zero = sign(0, 1.0)
-    sign_limit = s * tester._sign(h_upper_limit(coef))
+    sign_limit = banded(h_upper_limit(coef))
     if sign_at_zero < 0:
         return bounds(Subcase.I, 0, 0, 0, 0)
     if sign_limit >= 0:
@@ -225,27 +247,34 @@ def test_bounds_match_the_level_scan():
         assert seen.get((orientation, Subcase.II, True), 0) >= 200
 
 
-def _count_sign_tests(monkeypatch):
+def _count_exp_calls(monkeypatch):
     calls = [0]
-    sign_f = _SignTester.sign_f
+    exp = FLOATS.exp
 
-    def counted(self, n, theta):
+    def counted(x):
         calls[0] += 1
-        return sign_f(self, n, theta)
+        return exp(x)
 
-    monkeypatch.setattr(_SignTester, "sign_f", counted)
+    monkeypatch.setattr(FLOATS, "exp", counted)
     return calls
+
+
+def _reference_model_exp_calls(calls):
+    calls[0] = 0
+    assert threshold_bounds(Ctx(PSTAR, RewardCost(0.72, 1.0)).coef, Orientation.THRESHOLD).n_u == 3
+    return calls[0]
 
 
 def test_long_range_bounds_take_few_sign_tests(monkeypatch):
     params = ModelParams(lambda1=2.13e6, lambda2=6.58e7, mu1=234.0, mu2=1.14e-6,
                          q12=5.52e-4, q21=5.1e-5)
     ctx = Ctx(params, RewardCost(539.0, 1.0))
-    calls = _count_sign_tests(monkeypatch)
+    calls = _count_exp_calls(monkeypatch)
     b = threshold_bounds(ctx.coef, Orientation.THRESHOLD)
     assert (b.subcase, b.n_l, b.n_u) == (Subcase.II, 0, 85_494)
-    # the subcase tests only: the bounds are logarithms, not searches
-    assert calls[0] <= 2
+    long_range = calls[0]
+    # as many evaluations as at n_u = 3: the bounds are logarithms, not searches
+    assert 0 < long_range == _reference_model_exp_calls(calls)
 
 
 def test_bound_past_the_cap_raises_after_few_sign_tests(monkeypatch):
@@ -253,11 +282,12 @@ def test_bound_past_the_cap_raises_after_few_sign_tests(monkeypatch):
                          mu1=0.038823142603324645, mu2=0.0012200002100189568,
                          q12=0.0014219869022153516, q21=0.0006898391676283957)
     ctx = Ctx(params, RewardCost(519.3780290194833, 1.0))
-    calls = _count_sign_tests(monkeypatch)
+    calls = _count_exp_calls(monkeypatch)
     with pytest.raises(ScanLimitExceeded):
         threshold_bounds(ctx.coef, Orientation.THRESHOLD)
-    # the subcase tests only: the bounds are logarithms, not searches
-    assert calls[0] <= 2
+    past_cap = calls[0]
+    # as many evaluations as at n_u = 3: the bounds are logarithms, not searches
+    assert 0 < past_cap == _reference_model_exp_calls(calls)
 
 
 def test_report_round_trips_through_json(pstar, pb):
@@ -416,6 +446,21 @@ def test_case_b_social_coincidence_is_not_checked():
     assert not report.social_coincides or at_equilibrium >= better
 
 
+def _synthetic(h0, h_limit, **changes):
+    """Coefficients with (alpha + beta)/(d + e) = h0 and R - C*a/d = h_limit."""
+    return dataclasses.replace(BenefitCoefficients(
+        a=1.0 - h_limit, b=0.0, d=1.0, e=0.0, alpha=h0, beta=0.0,
+        z1=-1.0 / 9.0, z2=-1.0, log_ratio=math.log(5.0 / 9.0), reward=1.0, cost=1.0,
+        arrival_r1=(1.0, 1.0), arrival_r2=(0.0, 0.0)), **changes)
+
+
+def _columns(coefs):
+    """The coefficients of many points as one BenefitCoefficients of numpy columns."""
+    values = [[getattr(c, f.name) for c in coefs] for f in dataclasses.fields(BenefitCoefficients)]
+    return BenefitCoefficients(*(tuple(map(np.array, zip(*v))) if isinstance(v[0], tuple)
+                                 else np.array(v) for v in values))
+
+
 def test_sign_rules_give_python_ints_and_the_same_on_columns():
     def rule(orient, at_zero, at_limit):
         # the subcase choice as branches, indexed I, II, III
@@ -423,13 +468,57 @@ def test_sign_rules_give_python_ints_and_the_same_on_columns():
             return at_zero + 1
         return 0 if orient * at_zero < 0 else 2 if orient * at_limit >= 0 else 1
 
+    # h0 and h_limit of -1, 0 and 1 give every triple of banded signs
     combos = list(itertools.product((1, -1, 0), (-1, 0, 1), (-1, 0, 1)))
-    got = [subcase_index(*combo) for combo in combos]
-    assert got == [rule(*combo) for combo in combos]
-    assert all(type(index) is int for index in got)
-    assert subcase_index(*map(np.array, zip(*combos))).tolist() == got
+    points = [(_synthetic(float(h0), float(h_limit)), orient, 1e-9)
+              for orient, h0, h_limit in combos]
+    assert [classify(*point)[0] for point in points] == [rule(*combo) for combo in combos]
+    # models of cases A, B and C, R below, on the edges of, inside and above
+    # the subcase II window, each point in every orientation
+    rng = np.random.default_rng(17)
+    for make in (case_a_model, case_b_model, case_c_model):
+        for _ in range(60):
+            model = make(rng)
+            spec = spectral_quantities(model)
+            unit = benefit_coefficients(model, spec, UNIT_RC)
+            edge, limit = (unit.a + unit.b) / (unit.d + unit.e), unit.a / unit.d
+            low, high = sorted((edge, limit))
+            for reward in (0.5 * low, edge, limit, low + rng.uniform() * (high - low), 2 * high):
+                coef = benefit_coefficients(model, spec, RewardCost(reward, 1.0))
+                tolerance = float(10.0 ** rng.uniform(-12.0, -3.0))
+                points += [(coef, orient, tolerance) for orient in (1, -1, 0)]
+    # the edges where math raises and numpy does not: in subcase II, a c1
+    # of 0 (division by 0), c0 of 0 (log of 0, ceil of inf), both 0 (log
+    # and ceil of NaN), c0 and c1 of one sign (log of a negative number)
+    # and log_ratio < -709 (exp overflows at level -1)
+    edges = [_synthetic(0.5, -1.0), _synthetic(-1e-9, -1.0),
+             _synthetic((0.5 - 1e-9) / 1.1, -1.0, alpha=-1e-9, beta=0.5, e=0.1),
+             _synthetic(0.0, -1.0, log_ratio=-800.0)]
+    points += [(coef, orient, 1e-9) for coef in edges for orient in (1, -1)]
+
+    got = [classify(*point) for point in points]
+    for subcase, *levels, band, h0, h_limit in got:
+        assert type(subcase) is int and type(band) is bool
+        assert all(type(value) is float for value in (h0, h_limit))
+        assert all(type(level) in (int, float) for level in levels)
+    coefs, orients, tolerances = zip(*points)
+    with np.errstate(all="ignore"):
+        columns = classify(_columns(coefs), np.array(orients), np.array(tolerances))
+    for column, values in zip(columns, zip(*got)):
+        np.testing.assert_array_equal(column, np.array(values, dtype=float))
+    seen = {(orient, subcase, band) for (_, orient, _), (subcase, *_, band, _, _)
+            in zip(points, got)}
+    assert {(1, 1, False), (1, 1, True), (-1, 1, False), (-1, 1, True), (0, 1, True)} <= seen
+
     values = [-math.inf, -2e-9, -1e-9, 0.0, 1e-9, 2e-9, math.inf, math.nan]
     signs = [banded_sign(value, 1e-9) for value in values]
     assert signs == [-1, -1, 0, 0, 0, 1, 1, -1]
     assert all(type(sign) is int for sign in signs)
     assert banded_sign(np.array(values), 1e-9).tolist() == signs
+
+
+def test_case_c_classifies_where_the_limit_divides_by_zero():
+    # d underflows to 0.0 in some models at the edge of the float range;
+    # case C reads only h0 = (alpha + beta)/(d + e), so it needs no limit
+    subcase, *_, band, h0, _ = classify(_synthetic(1.0, 0.0, d=0.0, e=1.0), 0, 1e-9)
+    assert (subcase, band, h0) == (2, False, 1.0)

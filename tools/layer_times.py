@@ -3,7 +3,10 @@
 Each layer is one call, timed with ``timeit``: the best of 5 repeats of
 ``--number`` calls, divided by the number, in microseconds. Without
 ``--number``, ``timeit``'s autorange picks it per layer (at least 0.2 s
-per repeat). The model is rates (2, 1, 1, 3, 1, 2), R = 0.72, C = 1.
+per repeat). The model is rates (2, 1, 1, 3, 1, 2), R = 0.72, C = 1 (case
+A, subcase II); ``compute_equilibria`` is also timed on a case B model,
+rates (1, 6, 1, 3, 1, 1) and R = 0.475 (subcase II), and on a case C
+model, rates (1, 1, 1, 1, 1, 1) and R = 0.72 (subcase I).
 
 The script imports the package from the ``src`` directory of the checkout
 it lives in, so two checkouts can be timed side by side::
@@ -43,7 +46,18 @@ from clearbalk.oracle.verify import verify_equilibrium  # noqa: E402
 
 RATES = ModelParams(2.0, 1.0, 1.0, 3.0, 1.0, 2.0)
 RC = RewardCost(0.72, 1.0)
+#: The other congestion cases, as (rates, reward structure), by name
+OTHER_CASES = {"case_b": (ModelParams(1.0, 6.0, 1.0, 3.0, 1.0, 1.0), RewardCost(0.475, 1.0)),
+               "case_c": (ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), RC)}
 REPEAT = 5
+
+
+def unverified(rates: ModelParams, rc: RewardCost):
+    """A call of ``compute_equilibria(verify=False)`` on the model ``rates``."""
+    model = validate_params(rates, rc)
+    spec = spectral_quantities(model)
+    coef = benefit_coefficients(model, spec, rc)
+    return lambda: compute_equilibria(model, spec, coef, rc, verify=False)
 
 
 def layers() -> dict:
@@ -57,8 +71,9 @@ def layers() -> dict:
         "congestion_case": lambda: congestion_case(model),
         "coefficients": lambda: benefit_coefficients(model, spec, RC),
         "threshold_bounds": lambda: threshold_bounds(coef, Orientation.THRESHOLD),
-        "compute_equilibria_unverified":
-            lambda: compute_equilibria(model, spec, coef, RC, verify=False),
+        "compute_equilibria_unverified": unverified(RATES, RC),
+        **{f"compute_equilibria_unverified_{name}": unverified(*inputs)
+           for name, inputs in OTHER_CASES.items()},
         "compute_equilibria_verified":
             lambda: compute_equilibria(model, spec, coef, RC, verify=True),
         "stationary_threshold_3": lambda: stationary_distribution(model, spec, PureThreshold(3)),
