@@ -23,7 +23,8 @@ F. The two envelopes H_upper(n) = F(n,1)/G(n,1) and
 H_lower(n) = F(n,0)/G(n,0) are the benefits of joining at n when the
 population joins up to n (exclusive) and through n (inclusive),
 respectively. ``net_benefit_ao`` takes the same ratio with the divisors of
-the piece of the strategy's law (see ``spectral``) that holds level n.
+the piece of the strategy's law (see ``spectral``) that holds level n, for
+every strategy, join vectors included.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
             strategy, where a conditional benefit is undefined. This
             includes the overflow level n0+1 of a mixed threshold with
             theta = 0.
-        ValueError: For JoinVector strategies, which have no closed form;
-            the simulation oracle estimates those.
+        ValueError: For a negative n.
     """
     if n < 0:
         raise ValueError(f"queue length must be nonnegative, got {n}")

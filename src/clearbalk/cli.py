@@ -5,6 +5,8 @@ Subcommands: ``analyze`` (dominant strategies or full equilibrium set),
 (distribution table under a strategy), ``benefit`` (conditional net
 benefit per observed level), ``simulate`` (discrete-event estimates),
 ``sweep`` (equilibrium classification along a parameter grid).
+``stationary``, ``benefit`` and the reference column of the ``simulate``
+table read the closed-form law of any strategy, join vectors included.
 
 All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
@@ -47,10 +49,9 @@ from .errors import (
 )
 from .grid import SWEEP_FIELDS, sweep_columns
 from .model import CONFIG_FIELDS, config_inputs, validate_params
-from .oracle.balance import solve_truncated_balance
 from .oracle.simulate import simulate
 from .spectral import spectral_quantities, stationary_distribution
-from .strategies import JoinVector, Strategy, format_strategy, parse_strategy
+from .strategies import Strategy, format_strategy, parse_strategy
 
 _SWEEP_FLOATS = ("value", "v_fu", "h_upper_0", "h_limit")
 
@@ -242,10 +243,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_stationary(args) -> int:
     model, rc = _load_config(args.config)
-    if isinstance(args.strategy, JoinVector):
-        law = solve_truncated_balance(model, args.strategy)
-    else:
-        law = stationary_distribution(model, spectral_quantities(model), args.strategy)
+    law = stationary_distribution(model, spectral_quantities(model), args.strategy)
     rows = [(n, law.pmf(n, 1), law.pmf(n, 2)) for n in range(args.max_n + 1)]
     tail = (law.tail(args.max_n + 1, 1), law.tail(args.max_n + 1, 2))
 
@@ -269,9 +267,6 @@ def cmd_stationary(args) -> int:
 
 def cmd_benefit(args) -> int:
     model, rc = _load_config(args.config)
-    if isinstance(args.strategy, JoinVector):
-        raise _InputError("benefit has no closed form for join vectors; "
-                          "use the simulate command")
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, rc)
     rows = []
@@ -310,16 +305,11 @@ def cmd_simulate(args) -> int:
                          seed=args.seed, replications=args.replications)
 
     def cells():
-        reference = None
-        if not isinstance(args.strategy, JoinVector):
-            reference = stationary_distribution(model, spectral_quantities(model), args.strategy)
+        reference = stationary_distribution(model, spectral_quantities(model), args.strategy)
         rows = [("n", "sim env1", "se", "ref env1", "sim env2", "se", "ref env2")]
         for n in range(min(10, estimates.track_levels) + 1):
-            ref1 = _fmt(reference.pmf(n, 1)) if reference is not None else "-"
-            ref2 = _fmt(reference.pmf(n, 2)) if reference is not None else "-"
-            rows.append((str(n),
-                         _fmt(estimates.pmf(n, 1)), _fmt(estimates.pmf_se(n, 1)), ref1,
-                         _fmt(estimates.pmf(n, 2)), _fmt(estimates.pmf_se(n, 2)), ref2))
+            rows.append((str(n), *(_fmt(value) for env in (1, 2) for value in (
+                estimates.pmf(n, env), estimates.pmf_se(n, env), reference.pmf(n, env)))))
         lines = []
         for e, ref_s in enumerate(model.mean_clearing):
             mean = estimates.sojourn_by_env[e]

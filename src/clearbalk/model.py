@@ -150,14 +150,17 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
             environment, so it is rejected rather than special-cased.
         NonPositiveRewardCost: If reward or cost is not a number,
             nonpositive or not finite.
-        FloatRangeError: If K underflows to 0.
+        FloatRangeError: If K underflows to 0 or overflows to inf.
     """
     for name in CONFIG_FIELDS[:6]:
         _require_positive(NonPositiveRate, f"rate {name}", getattr(raw, name))
     for name in ("reward", "cost"):
         _require_positive(NonPositiveRewardCost, name, getattr(rc, name))
     # as floats, so that no int arithmetic reaches a closed form
-    return derive_model(ModelParams(*map(float, vars(raw).values())))
+    model = derive_model(ModelParams(*map(float, vars(raw).values())))
+    if model.k > sys.float_info.max:
+        raise FloatRangeError("K = mu1*mu2 + mu1*q21 + mu2*q12 overflows to inf")
+    return model
 
 
 def derive_model(raw: ModelParams) -> ValidatedModel:

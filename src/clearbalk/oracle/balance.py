@@ -245,17 +245,6 @@ def _residual(model: ValidatedModel, strategy: Strategy, sol: TruncatedSolution)
     return worst
 
 
-def _require_certain_join(strategy: Strategy, level: int) -> None:
-    """Probe levels 1 and ``level - 1``, where every family without a support bound joins."""
-    for n in (1, max(level - 1, 1)):
-        j = strategy.join_prob(n)
-        if j != 1.0:
-            raise ConsistencyError(
-                f"strategy {strategy!r} has no support bound but joins with probability "
-                f"{j!r} at level {n}; the constant tail step needs certain joining "
-                f"from level 1 on")
-
-
 def _truncation_level(run: _Run, tails: list[Vec], tail_map: Mat) -> int:
     """The first level whose tail, ``p(m - 1) diag(lambda) B^-1`` summed, is below ``TAIL_TARGET``.
 
@@ -319,9 +308,12 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
         level = bound + 2 if bound is not None else _truncation_level(run, head_tails, tail_map)
         if level < len(head):   # the tail is below the target by level 1
             head, head_tails, y = _walk(p, strategy, inv_b, drive, range(level))
-    if bound is None:
-        _require_certain_join(strategy, level)
-    end = max(len(head), certain_until(strategy, min(level, 1), level))
+    end = certain_until(strategy, min(level, 1), level)
+    if bound is None and end < level:
+        raise ConsistencyError(f"strategy {strategy!r} has no support bound but joins with "
+                               f"probability {strategy.join_prob(end)!r} at level {end}; the "
+                               "constant tail step needs certain joining from level 1 on")
+    end = max(len(head), end)
     if end > len(head):
         x = run.at(end - len(head))   # p(end - 1), where joining is certain
         y = (x[0] * p.lambda1, x[1] * p.lambda2)

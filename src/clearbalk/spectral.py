@@ -8,22 +8,19 @@ r_e = 1/(1 - z_e) turns the solution into a two-term geometric mixture
     p(n, e) = A_e * r1**n + B_e * r2**n,        0 < r2 < r1 < 1,
 
 with coefficients A_e, B_e fixed by the boundary behaviour at the empty
-system. Every other strategy class keeps this mixture on the levels it
-reaches and moves the rest of the tail onto at most two of them, so its
-law is at most three *pieces*. A piece covers levels first..last, and on
-those levels every quantity linear in the masses (the masses themselves,
-the arrival weights, and the benefit aggregates of ``benefit``) is its
-always-join form with the r1 branch divided by d1 and the r2 branch by
-d2. With delta(theta) = 1 - (1-theta)*r for each branch:
-
-* always-join: levels 0.. with divisors (1, 1);
-* a mixed threshold (n0, theta), pure when theta = 0: levels below n0
-  with (1, 1); level n0 with delta(theta), the (1-theta)-discounted tail;
-  and, when theta > 0, level n0+1 with delta(theta)*(1-r)/theta, the
-  plain tail minus (1-theta) times the discounted one;
-* always-balk and its steady-state equivalents: the pure threshold at 0;
-* a reverse threshold at 0 with interior theta: level 0 with
-  delta(theta), levels 1.. with delta(theta)/theta.
+system. Every other strategy, join vectors included, keeps this mixture
+on the levels it reaches, with each branch divided by its own divisor:
+its law is a *piece* per step of the strategy (``Stepped.steps``). A
+piece covers levels first..last, and on those levels every quantity
+linear in the masses (the masses themselves, the arrival weights, and
+the benefit aggregates of ``benefit``) is its always-join form with the
+r1 branch divided by d1 and the r2 branch by d2. One recursion over the
+steps gives the divisors (``law_pieces``): with delta(theta) = 1 -
+(1-theta)*r for each branch, level n multiplies the divisor by
+delta(j(n)) and divides it by j(n-1). So a stretch of certain joining
+keeps its divisor, and the law ends after a level that balks:
+always-join is levels 0.. with divisors (1, 1), and a pure threshold n0
+adds level n0 with delta(0).
 
 ``scaled_mixture`` is the one evaluation kernel: masses, tails, F, G and
 Palm weights are all calls of it with a piece's divisors. Divisors and
@@ -46,15 +43,7 @@ import numpy as np
 
 from .errors import ConsistencyError, FloatRangeError
 from .model import ModelParams, ValidatedModel, derive_model
-from .strategies import (
-    AlwaysBalk,
-    AlwaysJoin,
-    JoinVector,
-    MixedThreshold,
-    PureThreshold,
-    ReverseThreshold,
-    Strategy,
-)
+from .strategies import Strategy
 
 #: Masses more negative than this raise; tinier negatives clip to zero.
 MASS_CLIP = 1e-14
@@ -228,39 +217,32 @@ class Piece(NamedTuple):
     d2: float
 
 
-def _threshold_pieces(z1: float, z2: float, n0: int, theta: float) -> tuple[Piece, ...]:
-    d1, d2 = discounts(z1, z2, theta)
-    pieces = [Piece(0, n0 - 1, 1.0, 1.0)] if n0 > 0 else []
-    pieces.append(Piece(n0, n0, d1, d2))
-    if theta > 0.0:
-        e1, e2 = discounts(z1, z2, 0.0)
-        pieces.append(Piece(n0 + 1, n0 + 1, d1 * e1 / theta, d2 * e2 / theta))
-    return tuple(pieces)
-
-
 def law_pieces(z1: float, z2: float, strategy: Strategy) -> tuple[Piece, ...]:
-    """The pieces of the closed-form law of ``strategy``.
+    """The pieces of the closed-form law of ``strategy``, a piece per step.
 
-    Raises:
-        ValueError: For JoinVector strategies, which have no closed form;
-            the balance and simulation oracles cover them.
+    Each branch ``v r^n`` of the always-join mixture solves the always-join
+    recursion, ``v r [diag(lambda + mu + q) - S] = v diag(lambda)``, so under
+    a joining probability j, ``v r [diag(lambda j + mu + q) - S] = v diag(lambda)
+    delta(j)``. So ``p(n) = sum of v r^n / D(n)`` over the branches solves
+    level n's balance equation, ``p(n) [diag(lambda j(n) + mu + q) - S] =
+    p(n-1) diag(lambda j(n-1))``, with the divisor
+
+        D(n) = D(n-1) delta(j(n)) / j(n-1),     D(-1) = 1, j(-1) = 1,
+
+    and level 0 reads the clearing inflow ``pi diag(mu)`` as always-join
+    does. delta(1) = 1, so a stretch of certain joining is one piece; every
+    other step covers one level, and the law ends after a level with j = 0.
     """
-    if isinstance(strategy, AlwaysJoin):
-        return (Piece(0, math.inf, 1.0, 1.0),)
-    if isinstance(strategy, ReverseThreshold) and strategy.n0 == 0 and strategy.theta > 0.0:
-        d1, d2 = discounts(z1, z2, strategy.theta)
-        return (Piece(0, 0, d1, d2), Piece(1, math.inf, d1 / strategy.theta, d2 / strategy.theta))
-    if isinstance(strategy, (AlwaysBalk, ReverseThreshold)):
-        # the other reverse thresholds never leave the empty system
-        return _threshold_pieces(z1, z2, 0, 0.0)
-    if isinstance(strategy, PureThreshold):
-        return _threshold_pieces(z1, z2, strategy.n0, 0.0)
-    if isinstance(strategy, MixedThreshold):
-        return _threshold_pieces(z1, z2, strategy.n0, strategy.theta)
-    if isinstance(strategy, JoinVector):
-        raise ValueError("join vectors have no closed form; "
-                         "use the balance or simulation oracle")
-    raise TypeError(f"not a strategy: {strategy!r}")
+    pieces, d1, d2, j = [], 1.0, 1.0, 1.0
+    for first, end, theta in strategy.stretches():
+        e1, e2 = discounts(z1, z2, theta)
+        n = first
+        while n < end and j > 0.0:
+            d1, d2 = d1 * e1 / j, d2 * e2 / j
+            last = end - 1 if theta == 1.0 else n
+            pieces.append(Piece(n, last, d1, d2))
+            n, j = last + 1, theta
+    return tuple(pieces)
 
 
 def piece_at(pieces: tuple[Piece, ...], n: int) -> Piece | None:
@@ -275,9 +257,10 @@ def piece_at(pieces: tuple[Piece, ...], n: int) -> Piece | None:
 class StationaryDistribution:
     """Evaluation handle for a stationary (queue length, environment) law.
 
-    The law is at most three ``pieces`` of the always-join mixture of
-    ``spec``; levels outside every piece carry no mass. ``pmf`` and
-    ``tail`` are closed forms, O(1) at any level.
+    The law is ``pieces`` of the always-join mixture of ``spec``, a piece
+    per step of the strategy; levels outside every piece carry no mass.
+    ``pmf`` is a closed form, O(1) at any level, and ``tail`` is O(1) per
+    piece.
     """
 
     spec: SpectralData
@@ -325,10 +308,5 @@ class StationaryDistribution:
 
 def stationary_distribution(model: ValidatedModel, spec: SpectralData,
                             strategy: Strategy) -> StationaryDistribution:
-    """The closed-form stationary law for any supported strategy.
-
-    Raises:
-        ValueError: For JoinVector strategies, whose stationary law has no
-            closed form here; use the balance-equation oracle instead.
-    """
+    """The closed-form stationary law of ``strategy``."""
     return StationaryDistribution(spec, law_pieces(spec.z1, spec.z2, strategy))

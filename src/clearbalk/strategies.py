@@ -1,8 +1,8 @@
 """Strategy classes and their string descriptors.
 
 A (symmetric, mixed) strategy assigns each observed queue length n a joining
-probability. Five structured families cover everything the closed-form
-analysis handles, plus a raw probability vector for the simulator:
+probability. Five structured families cover everything the equilibrium
+analysis handles, plus a raw probability vector:
 
 * ``AlwaysJoin``: join at every n. Equivalent to a threshold at infinity
   and to the reverse threshold at 0 with certain joining.
@@ -15,15 +15,15 @@ analysis handles, plus a raw probability vector for the simulator:
   theta at exactly n0, join above. For n0 >= 1 the empty system is never
   left in steady state, so these behave like AlwaysBalk there.
 * ``JoinVector(probs)``: explicit per-level joining probabilities, balking
-  beyond the last entry. The closed forms do not cover these; both oracles do.
+  beyond the last entry.
 
-``support_bound()`` names the highest level a stationary chain started
-empty can reach, or None when every level is reachable. Every strategy
-without a support bound (``AlwaysJoin`` and ``ReverseThreshold(0, theta)``
-with ``theta > 0``) joins with certainty from level 1 on, and every bounded
-one balks at its bound. ``certain_until`` reads both facts for both
-oracles: where a stretch of certain joining ends, which the balance oracle
-takes as one constant 2x2 step and the simulator as a range of joins.
+Each class states its joining probabilities once, as ``steps()``: (first
+level, probability) pairs, each holding up to the next. Everything else
+reads the steps: ``join_prob(n)``; ``support_bound()``, the highest level
+a stationary chain started empty can reach, or None when every level is
+reachable; ``certain_until``, where a stretch of certain joining ends,
+which the balance oracle takes as one constant 2x2 step and the simulator
+as a range of joins; and the closed-form law of ``spectral.law_pieces``.
 The descriptor grammar used by the command-line interface and by report
 serialization maps each family to a compact string; ``parse_strategy`` and
 ``format_strategy`` are exact inverses of each other.
@@ -31,7 +31,10 @@ serialization maps each family to a compact string; ``parse_strategy`` and
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import StrategyParseError
@@ -48,30 +51,61 @@ def _check_probability(theta: float, what: str = "theta") -> None:
         raise ValueError(f"{what} must lie in [0, 1], got {theta!r}")
 
 
-@dataclass(frozen=True)
-class AlwaysJoin:
-    """Join regardless of the observed queue length."""
+Steps = tuple[tuple[int, float], ...]
+
+
+class Stepped:
+    """A strategy stated by its joining steps; every other reading of it reads them."""
+
+    def steps(self) -> Steps:
+        """(first level, probability) pairs in level order.
+
+        Each pair holds from its level up to the next pair's level, and the
+        last pair, whose probability is 0 or 1, holds forever. Of two pairs
+        at the same level the later wins.
+        """
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _columns(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """First levels and probabilities of the steps, the later of two at a level; built once."""
+        held = dict(self.steps())
+        return tuple(held), tuple(held.values())
+
+    def stretches(self) -> Iterator[tuple[int, float, float]]:
+        """``(first, end, p)``: the levels first..end-1 join with probability ``p``."""
+        levels, probs = self._columns
+        return zip(levels, (*levels[1:], math.inf), probs)
 
     def join_prob(self, n: int) -> float:
-        return 1.0
+        levels, probs = self._columns
+        return probs[bisect.bisect_right(levels, n) - 1]
 
     def support_bound(self) -> int | None:
-        return None
+        """The first level that joins with probability 0, else None: the highest
+        level a chain started empty reaches, since every level below it may join."""
+        levels, probs = self._columns
+        return levels[probs.index(0.0)] if 0.0 in probs else None
 
 
 @dataclass(frozen=True)
-class AlwaysBalk:
+class AlwaysJoin(Stepped):
+    """Join regardless of the observed queue length."""
+
+    def steps(self) -> Steps:
+        return ((0, 1.0),)
+
+
+@dataclass(frozen=True)
+class AlwaysBalk(Stepped):
     """Never join; the stationary queue is empty."""
 
-    def join_prob(self, n: int) -> float:
-        return 0.0
-
-    def support_bound(self) -> int:
-        return 0
+    def steps(self) -> Steps:
+        return ((0, 0.0),)
 
 
 @dataclass(frozen=True)
-class PureThreshold:
+class PureThreshold(Stepped):
     """Join iff the observed queue length is strictly below ``n0``."""
 
     n0: int
@@ -79,15 +113,12 @@ class PureThreshold:
     def __post_init__(self) -> None:
         _check_level(self.n0)
 
-    def join_prob(self, n: int) -> float:
-        return 1.0 if n < self.n0 else 0.0
-
-    def support_bound(self) -> int:
-        return self.n0
+    def steps(self) -> Steps:
+        return ((0, 1.0), (self.n0, 0.0))
 
 
 @dataclass(frozen=True)
-class MixedThreshold:
+class MixedThreshold(Stepped):
     """Join below ``n0``, join with probability ``theta`` at ``n0``, balk above."""
 
     n0: int
@@ -97,19 +128,12 @@ class MixedThreshold:
         _check_level(self.n0)
         _check_probability(self.theta)
 
-    def join_prob(self, n: int) -> float:
-        if n < self.n0:
-            return 1.0
-        if n == self.n0:
-            return self.theta
-        return 0.0
-
-    def support_bound(self) -> int:
-        return self.n0 + 1 if self.theta > 0.0 else self.n0
+    def steps(self) -> Steps:
+        return ((0, 1.0), (self.n0, self.theta), (self.n0 + 1, 0.0))
 
 
 @dataclass(frozen=True)
-class ReverseThreshold:
+class ReverseThreshold(Stepped):
     """Balk below ``n0``, join with probability ``theta`` at ``n0``, join above."""
 
     n0: int
@@ -119,23 +143,12 @@ class ReverseThreshold:
         _check_level(self.n0)
         _check_probability(self.theta)
 
-    def join_prob(self, n: int) -> float:
-        if n < self.n0:
-            return 0.0
-        if n == self.n0:
-            return self.theta
-        return 1.0
-
-    def support_bound(self) -> int | None:
-        # Starting from an empty system, the first join must happen at the
-        # level where the joining probability first becomes positive.
-        if self.n0 >= 1 or self.theta == 0.0:
-            return 0
-        return None
+    def steps(self) -> Steps:
+        return ((0, 0.0), (self.n0, self.theta), (self.n0 + 1, 1.0))
 
 
 @dataclass(frozen=True)
-class JoinVector:
+class JoinVector(Stepped):
     """Raw per-level joining probabilities; levels past the end balk."""
 
     probs: tuple[float, ...]
@@ -146,31 +159,19 @@ class JoinVector:
         for i, p in enumerate(self.probs):
             _check_probability(p, what=f"probs[{i}]")
 
-    def join_prob(self, n: int) -> float:
-        return self.probs[n] if n < len(self.probs) else 0.0
-
-    def support_bound(self) -> int:
-        n = 0
-        while n < len(self.probs) and self.probs[n] > 0.0:
-            n += 1
-        return n
+    def steps(self) -> Steps:
+        return (*enumerate(self.probs), (len(self.probs), 0.0))
 
 
 Strategy = AlwaysJoin | AlwaysBalk | PureThreshold | MixedThreshold | ReverseThreshold | JoinVector
 
 
 def certain_until(strategy: Strategy, start: int, reach: int) -> int:
-    """First level from ``start`` to ``reach`` at which ``strategy`` may balk, else ``reach``.
-
-    For ``start >= 1`` or a level of certain joining: an unbounded strategy
-    then never balks, and a bounded one balks at its bound at the latest.
-    """
-    if strategy.support_bound() is None:
-        return reach
-    n = start
-    while n < reach and strategy.join_prob(n) >= 1.0:
-        n += 1
-    return n
+    """First level from ``start`` to ``reach`` at which ``strategy`` may balk, else ``reach``."""
+    for first, end, p in strategy.stretches():
+        if end > start and p < 1.0:
+            return min(max(first, start), reach)
+    return reach
 
 
 def format_strategy(strategy: Strategy) -> str:

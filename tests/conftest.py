@@ -91,11 +91,16 @@ def random_closed_strategy(rng: np.random.Generator):
     return ReverseThreshold(int(rng.integers(1, 4)), float(rng.uniform(0.0, 1.0)))
 
 
+def random_join_vector(rng: np.random.Generator) -> JoinVector:
+    """Join vector of 1 to 5 entries, each uniform on [0, 1] to three digits."""
+    probs = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 6)))
+    return JoinVector(tuple(round(p, 3) for p in probs.tolist()))
+
+
 def random_strategy(rng: np.random.Generator):
     """Any strategy, including raw join vectors."""
     if rng.random() < 0.2:
-        probs = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 6)))
-        return JoinVector(tuple(round(p, 3) for p in probs.tolist()))
+        return random_join_vector(rng)
     return random_closed_strategy(rng)
 
 

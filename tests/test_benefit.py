@@ -25,6 +25,7 @@ from clearbalk import (
     h_upper,
     h_upper_limit,
     net_benefit_ao,
+    solve_truncated_balance,
     spectral_quantities,
     stationary_distribution,
 )
@@ -214,8 +215,17 @@ def test_dispatch_reverse_interior(pstar):
 
 
 def test_dispatch_rejections(pstar):
-    with pytest.raises(ValueError):
-        net_benefit_ao(pstar.model, pstar.coef, JoinVector((1.0, 0.5)), 0)
+    # a join vector reads its closed-form law; the Palm mixture of the balance rows agrees
+    strategy = JoinVector((1.0, 0.5))
+    sol = solve_truncated_balance(pstar.model, strategy)
+    p, (s1, s2), rc = pstar.model.params, pstar.model.mean_clearing, pstar.rc
+    for n in range(3):
+        w1, w2 = p.lambda1 * sol.pmf(n, 1), p.lambda2 * sol.pmf(n, 2)
+        want = rc.reward - rc.cost * (w1 * s1 + w2 * s2) / (w1 + w2)
+        got = net_benefit_ao(pstar.model, pstar.coef, strategy, n)
+        assert got.value == pytest.approx(want, abs=1e-12 * rc.reward)
+    with pytest.raises(UnreachableState):
+        net_benefit_ao(pstar.model, pstar.coef, strategy, 3)
     with pytest.raises(ValueError):
         net_benefit_ao(pstar.model, pstar.coef, AlwaysJoin(), -1)
 

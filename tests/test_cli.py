@@ -8,11 +8,13 @@ import signal
 import pytest
 
 from clearbalk import (
+    JoinVector,
     PureThreshold,
     compute_equilibria,
     dominant_almost_unobservable,
     dominant_fully_observable,
     dominant_fully_unobservable,
+    net_benefit_ao,
     report_from_dict,
     stationary_distribution,
 )
@@ -230,7 +232,7 @@ def test_stationary_json_matches_library(config, capsys):
     assert data["tail"]["total"] == dist.tail(7, 1) + dist.tail(7, 2)
 
 
-def test_stationary_join_vector_uses_oracle(config, capsys):
+def test_stationary_join_vector_is_a_proper_law(config, capsys):
     assert main(["stationary", "--config", config(), "--strategy", "vector:1,0.5",
                  "--max-n", "4", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -270,9 +272,18 @@ def test_benefit_json_values(config, capsys):
     assert data["rows"][0]["sojourn"] == pytest.approx(0.68, rel=1e-12)
 
 
-def test_benefit_rejects_join_vector(config, capsys):
-    assert main(["benefit", "--config", config(), "--strategy", "vector:1,0.5"]) == 2
-    assert "simulate" in capsys.readouterr().err
+def test_benefit_reads_the_join_vector_law(config, capsys):
+    assert main(["benefit", "--config", config(), "--strategy", "vector:1,0.5",
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    ctx = Ctx(PSTAR, RewardCost(0.72, 1.0))
+    for row in rows[:3]:
+        want = net_benefit_ao(ctx.model, ctx.coef, JoinVector((1.0, 0.5)), row["n"])
+        assert (row["net_benefit"], row["palm_env1"], row["sojourn"]) == (
+            want.value, want.palm[0], want.sojourn)
+    assert [row["net_benefit"] for row in rows[3:]] == [None] * 3
+    assert "level(s) 3, 4, 5 unreachable under vector:1.0,0.5" in captured.err
 
 
 def test_simulate_outputs_are_reproducible(config, tmp_path, capsys):
@@ -619,13 +630,15 @@ FLOAT_RANGE_CASES = [
     ({"lambda1": 10 ** 200}, "the discriminant is inf" + OUT_OF_RANGE),
     ({"lambda1": 2e160, "lambda2": 1e160}, "lambda1*lambda2 is inf" + OUT_OF_RANGE),
     (dict.fromkeys(RATES, 1e-200), "K = mu1*mu2 + mu1*q21 + mu2*q12 underflows to 0.0"),
+    ({"lambda1": 2.21e-42, "lambda2": 1.49e173, "mu1": 1.46e290, "mu2": 8.38e-79,
+      "q12": 1.11e281, "q21": 1.34e257}, "K = mu1*mu2 + mu1*q21 + mu2*q12 overflows to inf"),
     # a divisor of the roots or the coefficients is 0.0
     ({"lambda1": 1e-200, "lambda2": 1e-200}, "lambda1*lambda2 is 0.0" + OUT_OF_RANGE),
     ({"lambda1": 1e-100, "lambda2": 1e-100, **dict.fromkeys(RATES[2:], 1e-150)},
      "the discriminant is 0.0" + OUT_OF_RANGE),
 ]
 FLOAT_RANGE_IDS = ["huge-lambda1", "huge-int-lambda1", "huge-lambda-product", "tiny-rates",
-                   "tiny-lambda-product", "zero-discriminant"]
+                   "huge-k", "tiny-lambda-product", "zero-discriminant"]
 
 
 @pytest.mark.parametrize("overrides, message", FLOAT_RANGE_CASES, ids=FLOAT_RANGE_IDS)

@@ -22,7 +22,8 @@ from clearbalk import (
 )
 from clearbalk.errors import ConsistencyError
 from clearbalk.oracle import balance
-from conftest import UNIT_RC, random_closed_strategy, random_model
+from clearbalk.strategies import Stepped
+from conftest import UNIT_RC, random_closed_strategy, random_join_vector, random_model
 
 
 def test_symmetric_model_geometric(p0):
@@ -146,6 +147,15 @@ def test_random_agreement_with_closed_form(rng):
         )
         assert worst < 1e-8
         assert sol.residual < 1e-9
+    for _ in range(30):
+        model = random_model(rng)
+        strategy = random_join_vector(rng)
+        dist = stationary_distribution(model, spectral_quantities(model), strategy)
+        sol = solve_truncated_balance(model, strategy)
+        worst = max(abs(sol.pmf(n, env) - dist.pmf(n, env))
+                    for n in range(sol.level + 1) for env in (1, 2))
+        assert worst < 1e-8
+        assert sol.residual < 1e-9
 
 
 def test_masses_shape_and_dtype(pstar):
@@ -229,23 +239,23 @@ def test_slow_clearing_always_join_verifies():
     assert len(report.checks) <= 4
 
 
-class _Unbounded:
+class _Unbounded(Stepped):
     """A strategy outside the families: no support bound, uncertain joining."""
 
-    def __init__(self, join):
-        self.join_prob = join
+    def __init__(self, steps):
+        self.pairs = steps
 
-    def support_bound(self):
-        return None
+    def steps(self):
+        return self.pairs
 
 
-@pytest.mark.parametrize("join", [
-    lambda n: 0.5,
-    lambda n: 1.0 if n < 10 else 0.5,
+@pytest.mark.parametrize("steps", [
+    ((0, 0.5),),
+    ((0, 1.0), (10, 0.5)),
 ], ids=["uncertain-everywhere", "uncertain-from-level-10"])
-def test_unbounded_strategy_must_join_from_level_one(pstar, join):
+def test_unbounded_strategy_must_join_from_level_one(pstar, steps):
     with pytest.raises(ConsistencyError, match="no support bound but joins with probability 0.5"):
-        solve_truncated_balance(pstar.model, _Unbounded(join))
+        solve_truncated_balance(pstar.model, _Unbounded(steps))
 
 
 def _level_recursion(model, strategy, level):

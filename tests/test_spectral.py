@@ -19,11 +19,12 @@ from clearbalk import (
     PureThreshold,
     ReverseThreshold,
     RewardCost,
+    solve_truncated_balance,
     spectral_quantities,
     stationary_distribution,
     validate_params,
 )
-from conftest import random_model
+from conftest import random_join_vector, random_model
 
 
 def test_pstar_roots_and_ratios(pstar):
@@ -156,9 +157,19 @@ def test_dispatch_equivalences(pstar):
     assert degenerate.pmf(0, 2) == balk.pmf(0, 2)
 
 
-def test_join_vector_has_no_closed_form(pstar):
-    with pytest.raises(ValueError):
-        stationary_distribution(pstar.model, pstar.spec, JoinVector((1.0, 0.5)))
+def test_join_vector_law_matches_balance_solve(rng):
+    # pmf and tail at every level, against the level recursion of the oracle
+    vectors = [JoinVector((1.0, 0.5)), JoinVector((0.5,) + (1.0,) * 30 + (0.5, 1.0))]
+    for _ in range(30):
+        model = random_model(rng, math.exp(-3.0), math.exp(3.0))
+        for strategy in (*vectors, random_join_vector(rng)):
+            dist = stationary_distribution(model, spectral_quantities(model), strategy)
+            sol = solve_truncated_balance(model, strategy)
+            for n in range(sol.level + 2):
+                for env in (1, 2):
+                    for got, want in ((dist.pmf(n, env), sol.pmf(n, env)),
+                                      (dist.tail(n, env), sol.tail(n, env))):
+                        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_random_laws_are_proper(rng):
@@ -171,6 +182,13 @@ def test_random_laws_are_proper(rng):
         dist = stationary_distribution(model, spec, strategy)
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-10)
         for n in range(6):
+            assert dist.pmf(n, 1) >= 0.0
+            assert dist.pmf(n, 2) >= 0.0
+    for _ in range(40):
+        model = random_model(rng)
+        dist = stationary_distribution(model, spectral_quantities(model), random_join_vector(rng))
+        assert dist.total_mass() == pytest.approx(1.0, abs=1e-10)
+        for n in range(7):
             assert dist.pmf(n, 1) >= 0.0
             assert dist.pmf(n, 2) >= 0.0
 

@@ -6,7 +6,9 @@ Each layer is one call, timed with ``timeit``: the best of 5 repeats of
 per repeat). The model is rates (2, 1, 1, 3, 1, 2), R = 0.72, C = 1 (case
 A, subcase II); ``compute_equilibria`` is also timed on a case B model,
 rates (1, 6, 1, 3, 1, 1) and R = 0.475 (subcase II), and on a case C
-model, rates (1, 1, 1, 1, 1, 1) and R = 0.72 (subcase I).
+model, rates (1, 1, 1, 1, 1, 1) and R = 0.72 (subcase I). The verifier is
+also timed on the deepest member ``threshold:85494`` of a deep family, rates
+(2.13e6, 6.58e7, 234, 1.14e-6, 5.52e-4, 5.1e-5) and R = 539.
 
 The script imports the package from the ``src`` directory of the checkout
 it lives in, so two checkouts can be timed side by side::
@@ -30,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clearbalk import (  # noqa: E402
     AlwaysJoin,
+    JoinVector,
     ModelParams,
     PureThreshold,
     RewardCost,
@@ -49,6 +52,8 @@ RC = RewardCost(0.72, 1.0)
 #: The other congestion cases, as (rates, reward structure), by name
 OTHER_CASES = {"case_b": (ModelParams(1.0, 6.0, 1.0, 3.0, 1.0, 1.0), RewardCost(0.475, 1.0)),
                "case_c": (ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), RC)}
+#: A case A subcase II model whose bound n_u is 85,494, with its reward structure
+DEEP = (ModelParams(2.13e6, 6.58e7, 234.0, 1.14e-6, 5.52e-4, 5.1e-5), RewardCost(539.0, 1.0))
 REPEAT = 5
 
 
@@ -65,6 +70,7 @@ def layers() -> dict:
     model = validate_params(RATES, RC)
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, RC)
+    deep_model = validate_params(*DEEP)
     return {
         "validate": lambda: validate_params(RATES, RC),
         "spectral": lambda: spectral_quantities(model),
@@ -77,10 +83,14 @@ def layers() -> dict:
         "compute_equilibria_verified":
             lambda: compute_equilibria(model, spec, coef, RC, verify=True),
         "stationary_threshold_3": lambda: stationary_distribution(model, spec, PureThreshold(3)),
+        "stationary_vector": lambda: stationary_distribution(model, spec,
+                                                             JoinVector((1.0, 0.5, 0.25))),
         "balance_always_join": lambda: solve_truncated_balance(model, AlwaysJoin()),
         "verify_always_join": lambda: verify_equilibrium(model, RC, AlwaysJoin()),
         "balance_threshold_3": lambda: solve_truncated_balance(model, PureThreshold(3)),
         "verify_threshold_3": lambda: verify_equilibrium(model, RC, PureThreshold(3)),
+        "verify_deep_threshold_85494":
+            lambda: verify_equilibrium(deep_model, DEEP[1], PureThreshold(85494)),
     }
 
 
