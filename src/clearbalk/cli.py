@@ -219,8 +219,8 @@ def _run_equilibrium(args) -> int:
     failed = [item for item in report.equilibria
               if item.verification is not None and not item.verification.passed]
     if failed:
-        names = ", ".join(format_strategy(i.strategy) for i in failed)
-        print(f"consistency failure: oracle verification rejected: {names}",
+        print(f"consistency failure: oracle verification rejected: {len(failed)} of "
+              f"{len(report.equilibria)} members, the first {format_strategy(failed[0].strategy)}",
               file=sys.stderr)
         return 3
     return 0

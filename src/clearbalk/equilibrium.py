@@ -25,7 +25,8 @@ theory and set a knife-edge flag, since the classification is then
 tolerance-dependent. Along n each normalized F is a two-term geometric
 mixture, so the level where a banded sign flips is a logarithm: ``classify``
 gives the subcase, the bounds and the band hits in closed form, on floats
-and on the numpy columns of a sweep alike.
+and on the numpy columns of a sweep alike. ``equilibrium_members`` turns a
+point's classification into its bounds and members, in a report and a sweep.
 """
 
 from __future__ import annotations
@@ -176,29 +177,34 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
     return (subcase, *levels, band | (search & hit), h0, h_limit)
 
 
+#: (orientation of the bounds, ``orient`` of ``classify``) by congestion case
+_ORIENTATIONS = {CaseKind.CASE_A: (Orientation.THRESHOLD, 1),
+                 CaseKind.CASE_B: (Orientation.REVERSE, -1), CaseKind.CASE_C: (None, 0)}
+
+
 def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
                      tolerance: float = SIGN_TOLERANCE) -> ThresholdBounds:
-    """The subcase and the equilibrium bounds of ``classify``, with its
-    levels as ints in subcase II.
+    """The subcase and the equilibrium bounds of ``classify``, as
+    ``equilibrium_members`` gives them.
 
     Raises:
         ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT``, the most pure
             thresholds a report lists.
     """
-    orient = 1 if orientation is Orientation.THRESHOLD else -1
-    index, *levels, band, _, _ = classify(coef, orient, tolerance)
+    index, *levels, band, _, _ = classify(
+        coef, 1 if orientation is Orientation.THRESHOLD else -1, tolerance)
+    return _bounds(orientation, index, levels, band)
+
+
+def _bounds(orientation: Orientation, index: int, levels, band: bool) -> ThresholdBounds:
+    """Bounds of ``classify``'s subcase ``index``, ``levels`` and ``band``; ints outside III."""
     subcase = SUBCASES[index]
-    if subcase is Subcase.II:
-        if levels[1] > SCAN_LIMIT:
-            raise past_cap(orientation, levels[1])
+    if subcase is Subcase.II and levels[1] > SCAN_LIMIT:
+        raise ScanLimitExceeded(f"upper-{orientation.value} bound n_u = {levels[1]:.15g} lies "
+                                f"above {SCAN_LIMIT}, the most pure thresholds a report lists")
+    if subcase is not Subcase.III:
         levels = map(int, levels)
     return ThresholdBounds(orientation, subcase, *levels, knife_edge=band)
-
-
-def past_cap(orientation: Orientation, n_u: float) -> ScanLimitExceeded:
-    """The error of an upper bound n_u that lies above ``SCAN_LIMIT``."""
-    return ScanLimitExceeded(f"upper-{orientation.value} bound n_u = {n_u:.15g} lies above "
-                             f"{SCAN_LIMIT}, the most pure thresholds a report lists")
 
 
 def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
@@ -268,7 +274,8 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
                        coef: BenefitCoefficients, rc: RewardCost,
                        verify: bool = True,
                        tolerance: float = SIGN_TOLERANCE) -> EquilibriumReport:
-    """Compute the complete equilibrium set with optional oracle checks.
+    """Compute the complete equilibrium set with optional oracle checks:
+    ``classify`` in the orientation of the case, then ``equilibrium_members``.
 
     Congestion case A emits the contiguous pure-threshold range plus every
     admissible mixed threshold; case B emits its single reverse-threshold
@@ -286,16 +293,9 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     attached.
     """
     case = congestion_case(model)
-    if case.kind is CaseKind.CASE_C:
-        index, *_, knife, _, _ = classify(coef, 0, tolerance)
-        subcase, bounds = SUBCASES[index], None
-    else:
-        orientation = (Orientation.THRESHOLD if case.kind is CaseKind.CASE_A
-                       else Orientation.REVERSE)
-        bounds = threshold_bounds(coef, orientation, tolerance)
-        subcase, knife = bounds.subcase, bounds.knife_edge
-    items, root_knife = equilibrium_members(case.kind, subcase, coef, bounds)
-    social = (PureThreshold(int(bounds.n_u))
+    index, *levels, band, _, _ = classify(coef, _ORIENTATIONS[case.kind][1], tolerance)
+    subcase, bounds, items, knife = equilibrium_members(case.kind, coef, index, levels, band)
+    social = (PureThreshold(bounds.n_u)
               if case.kind is CaseKind.CASE_A and subcase is Subcase.II else None)
 
     if verify:
@@ -307,46 +307,50 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
         case=case, subcase=subcase, bounds=bounds,
         equilibria=tuple(items),
         social_optimum=social, social_coincides=social is None,
-        knife_edge=knife or root_knife, tolerance=tolerance,
+        knife_edge=knife, tolerance=tolerance,
     )
 
 
-def equilibrium_members(kind: CaseKind, subcase: Subcase, coef: BenefitCoefficients,
-                        bounds: ThresholdBounds | None) -> tuple[list[EquilibriumItem], bool]:
-    """The equilibrium set of a classified model, and whether a mixed root
-    rounded onto 0 or 1 (a knife edge).
+def equilibrium_members(kind: CaseKind, coef: BenefitCoefficients | None, index: int,
+                        levels, band: bool) -> tuple[Subcase, ThresholdBounds | None,
+                                                     list[EquilibriumItem], bool]:
+    """(subcase, bounds, members, knife edge) of a point of case ``kind`` that
+    ``classify`` gave the subcase ``index``, ``levels`` and ``band``: the
+    bounds are None in case C, and a mixed root rounded onto 0 or 1 is a
+    knife edge too. Only subcase II of cases A and B reads ``coef``.
 
-    Only subcase II of cases A and B reads ``coef`` and ``bounds``.
+    Raises:
+        ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT`` (subcase II).
     """
-    if kind is CaseKind.CASE_B:
-        if subcase is Subcase.I or (subcase is Subcase.II and bounds.n_u_minus == 0):
-            return [EquilibriumItem(AlwaysJoin(), "reverse")], False
-        if subcase is Subcase.III or bounds.n_l_plus >= 1:
-            return [EquilibriumItem(AlwaysBalk(), "reverse")], False
-        try:
-            theta = mixing_probability(coef, 0)
-        except NoInteriorRoot:
-            # root rounded onto an endpoint: report the nearer pure
-            join_side = abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0))
-            return [EquilibriumItem(AlwaysJoin() if join_side else AlwaysBalk(), "reverse")], True
-        return [EquilibriumItem(ReverseThreshold(0, theta), "reverse")], False
-    if subcase is not Subcase.II:
-        return [EquilibriumItem(AlwaysBalk() if subcase is Subcase.I else AlwaysJoin(),
-                                "pure")], False
-    if kind is CaseKind.CASE_C:
-        return [EquilibriumItem(
-            None, "family",
-            note="every threshold and reverse-threshold strategy is an equilibrium")], False
-    items = [EquilibriumItem(PureThreshold(n0), "pure")
-             for n0 in range(int(bounds.n_l), int(bounds.n_u) + 1)]
-    root_knife = False
-    for n0 in range(int(bounds.n_l_plus), int(bounds.n_u_minus)):
-        try:
-            theta = mixing_probability(coef, n0)
-        except NoInteriorRoot:
-            # interior root pushed onto 0 or 1 by rounding: the
-            # mixed candidate collapses onto an adjacent pure one
-            root_knife = True
-            continue
-        items.append(EquilibriumItem(MixedThreshold(n0, theta), "mixed"))
-    return items, root_knife
+    orientation, _ = _ORIENTATIONS[kind]
+    subcase = SUBCASES[index]
+    bounds = None if orientation is None else _bounds(orientation, index, levels, band)
+    knife = band
+    if kind is CaseKind.CASE_B:   # subcase I has bounds 0, subcase III inf
+        strategy = AlwaysJoin() if bounds.n_u_minus == 0 else AlwaysBalk()
+        if bounds.n_u_minus > 0 and bounds.n_l_plus < 1:   # the mixed reverse threshold at 0
+            try:
+                strategy = ReverseThreshold(0, mixing_probability(coef, 0))
+            except NoInteriorRoot:
+                # root rounded onto an endpoint: report the nearer pure
+                knife = True
+                if abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0)):
+                    strategy = AlwaysJoin()
+        items = [EquilibriumItem(strategy, "reverse")]
+    elif subcase is not Subcase.II:
+        items = [EquilibriumItem(AlwaysBalk() if subcase is Subcase.I else AlwaysJoin(), "pure")]
+    elif kind is CaseKind.CASE_C:
+        items = [EquilibriumItem(None, "family", note="every threshold and "
+                                 "reverse-threshold strategy is an equilibrium")]
+    else:
+        items = [EquilibriumItem(PureThreshold(n0), "pure")
+                 for n0 in range(bounds.n_l, bounds.n_u + 1)]
+        for n0 in range(bounds.n_l_plus, bounds.n_u_minus):
+            try:
+                items.append(EquilibriumItem(MixedThreshold(n0, mixing_probability(coef, n0)),
+                                             "mixed"))
+            except NoInteriorRoot:
+                # interior root pushed onto 0 or 1 by rounding: the
+                # mixed candidate collapses onto an adjacent pure one
+                knife = True
+    return subcase, bounds, items, knife

@@ -5,8 +5,9 @@ and C are columns, and the per-model functions run on them as on floats,
 from ``derive_model`` to ``classify``, so a point's cells are those of the
 scalar path. What is left here is grid work: the grid values, the error
 rows of the points outside ``in_float_range`` (each with the error that the
-scalar path raises there), and the member listing of each subcase-II
-point, by ``equilibrium_members`` on its coefficients as Python floats.
+scalar path raises there), and the cells of ``equilibrium_members``: on its
+own coefficients at each subcase-II point of cases A and B, as Python floats,
+and at the first point of each other (case, subcase), for all its points.
 """
 
 from __future__ import annotations
@@ -17,21 +18,11 @@ import numpy as np
 
 from .benefit import BenefitCoefficients, benefit_coefficients
 from .dominant import fully_unobservable_value
-from .equilibrium import (
-    SCAN_LIMIT,
-    SUBCASES,
-    Orientation,
-    Subcase,
-    ThresholdBounds,
-    classify,
-    equilibrium_members,
-    past_cap,
-)
-from .errors import ClearbalkError, FloatRangeError
+from .equilibrium import classify, equilibrium_members
+from .errors import ClearbalkError, FloatRangeError, ScanLimitExceeded
 from .model import (
     CASE_OF_SIGN,
     CONFIG_FIELDS,
-    CaseKind,
     ModelParams,
     RewardCost,
     config_inputs,
@@ -47,25 +38,27 @@ SWEEP_FIELDS = ("param", "value", "case", "subcase", "n_l", "n_u",
                 "equilibria", "v_fu", "h_upper_0", "h_limit")
 
 
-def _cells(kind: CaseKind, subcase: Subcase, coef: BenefitCoefficients | None = None,
-           bounds: ThresholdBounds | None = None) -> tuple:
-    """(case, subcase, n_l, n_u, equilibria) of a point; ``coef`` and
-    ``bounds`` are read in subcase II of cases A and B only."""
-    items, _ = equilibrium_members(kind, subcase, coef, bounds)
+def _cells(key: tuple, coef: BenefitCoefficients | None, row: tuple, encode: bool) -> tuple:
+    """(case, subcase, n_l, n_u, equilibria) of a point by ``equilibrium_members``, with
+    ``key`` its (index into CASE_OF_SIGN, subcase index) and ``row`` its levels and band.
+    ``encode`` puts the bounds in their wire form; the ints of subcase II are their own."""
+    kind = CASE_OF_SIGN[key[0]]
+    subcase, bounds, items, _ = equilibrium_members(kind, coef, key[1], row[:4], row[4])
     listed = ("family" if items[0].strategy is None
               else ";".join(format_strategy(item.strategy) for item in items))
-    if bounds is not None:
-        return kind.value, subcase.value, bounds.n_l, bounds.n_u, listed
-    # the bounds' wire form: none in case C, 0 in subcase I, "inf" in III
-    level = None if kind is CaseKind.CASE_C else 0 if subcase is Subcase.I else "inf"
-    return kind.value, subcase.value, level, level, listed
+    wire = {} if bounds is None else bounds.to_dict() if encode else vars(bounds)
+    return kind.value, subcase.value, wire.get("n_l"), wire.get("n_u"), listed
+
+
+def _rows(columns: list, rows: np.ndarray) -> list[tuple]:
+    """The values of ``columns`` at ``rows``, a tuple of Python numbers per row."""
+    return list(zip(*(column[rows].tolist() for column in columns)))
 
 
 def _points(coef: BenefitCoefficients, rows: np.ndarray) -> list[BenefitCoefficients]:
     """The coefficients of the points ``rows``, as Python floats."""
     fields = [getattr(coef, f.name) for f in dataclasses.fields(coef)]
-    columns = [list(zip(*(c[rows].tolist() for c in v))) if isinstance(v, tuple)
-               else v[rows].tolist() for v in fields]
+    columns = [_rows(v, rows) if isinstance(v, tuple) else v[rows].tolist() for v in fields]
     return [BenefitCoefficients(*values) for values in zip(*columns)]
 
 
@@ -100,11 +93,11 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         coef = benefit_coefficients(model, spec, rewards)
         case = congestion_sign(model)
         v_fu = fully_unobservable_value(model)
-        # orient = -case: 1 in case A, -1 in case B, 0 in case C
-        subcase, *levels, h0, h_limit = classify(coef, -case, tolerance)
+        # orient = -case (1 in case A, -1 in B, 0 in C); classified: the levels and band
+        subcase, *classified, h0, h_limit = classify(coef, -case, tolerance)
         out_of_range = ~in_float_range(model, spec)
-        search = np.flatnonzero((case != 0) & (subcase == 1) & ~out_of_range)
-        levels = [column[search].tolist() for column in levels]
+        own = (case != 0) & (subcase == 1)   # subcase II of cases A and B
+        search = np.flatnonzero(own & ~out_of_range)
 
     errors = {}   # the error of each failed point, by grid index
     for i in np.flatnonzero(out_of_range).tolist():
@@ -112,21 +105,16 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
             spectral_quantities(validate_params(*config_inputs(fields | {param: values[i]})))
         except FloatRangeError as exc:
             errors[i] = exc
-    # (index into CASE_OF_SIGN, index into SUBCASES) of each point
     keys = list(zip((case + 1).tolist(), subcase.tolist()))
-    # every point outside the search shares its cells with its (case, subcase)
-    fixed = {(k, sub): _cells(CASE_OF_SIGN[k], SUBCASES[sub])
-             for k, sub in set(keys)
-             if CASE_OF_SIGN[k] is CaseKind.CASE_C or SUBCASES[sub] is not Subcase.II}
-    cells = [fixed.get(key, (None,) * 5) for key in keys]
-    for i, point, *bounds, band in zip(search.tolist(), _points(coef, search), *levels):
-        kind = CASE_OF_SIGN[keys[i][0]]
-        orientation = Orientation.THRESHOLD if kind is CaseKind.CASE_A else Orientation.REVERSE
-        if bounds[1] > SCAN_LIMIT:
-            errors[i] = past_cap(orientation, bounds[1])
-        else:
-            cells[i] = _cells(kind, Subcase.II, point, ThresholdBounds(
-                orientation, Subcase.II, *map(int, bounds), knife_edge=band))
+    _, first = np.unique(3 * case + subcase, return_index=True)   # of each (case, subcase)
+    shared = {keys[i]: _cells(keys[i], None, row, encode=True)
+              for i, row in zip(first.tolist(), _rows(classified, first)) if not own[i]}
+    cells = [shared.get(key, (None,) * 5) for key in keys]
+    for i, point, row in zip(search.tolist(), _points(coef, search), _rows(classified, search)):
+        try:
+            cells[i] = _cells(keys[i], point, row, encode=False)
+        except ScanLimitExceeded as exc:
+            errors[i] = exc
     out = dict(zip(SWEEP_FIELDS, (
         [param] * steps, values.tolist(), *map(list, zip(*cells)),
         v_fu.tolist(), h0.tolist(), h_limit.tolist())))

@@ -48,6 +48,11 @@ from ..strategies import Strategy, certain_until, format_strategy
 
 _BLOCK = 1 << 15
 
+#: Most events a drawn visit holds. A batch has at most _BLOCK + 2 draws, so
+#: no sum of draws in a block reaches 2**63; a visit this long (1.4e14
+#: events) outlasts any horizon a simulation can reach.
+_VISIT_CAP = 2 ** 62 // (_BLOCK + 2)
+
 #: Event types of a path.
 ARRIVAL, CLEARING, SWITCH = 0, 1, 2
 
@@ -127,6 +132,9 @@ def _path_blocks(model: ValidatedModel, rng: np.random.Generator, horizon: float
         while drawn < size:
             batch = 2 + 2 * int((size - drawn) / per_two_visits)
             runs = rng.geometric(ends_visit[(env + visits + np.arange(batch)) % 2])
+            # a draw too long for int64 comes back as 2**63 - 1, or below 1 where
+            # numpy casts it unchecked: either holds the cap instead
+            runs = np.where((runs >= 1) & (runs < _VISIT_CAP), runs, _VISIT_CAP)
             parts.append(runs)
             visits += batch
             drawn += int(runs.sum())

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, FloatRangeError
-from .model import ModelParams, ValidatedModel, derive_model
+from .model import ValidatedModel
 from .strategies import Strategy
 
 #: Masses more negative than this raise; tinier negatives clip to zero.
@@ -108,7 +108,8 @@ def elementwise(x) -> SimpleNamespace:
 
 def derive_spectral(model: ValidatedModel) -> SpectralData:
     """The arithmetic of ``spectral_quantities``, without its range checks;
-    elementwise on a model whose rates are numpy columns too (see ``grid``)."""
+    elementwise on a model whose rates are numpy columns too (see ``grid``).
+    A division by 0.0 gives an IEEE infinity or NaN, for the checks to name."""
     p, k = model.params, model.k
     l1, l2 = p.lambda1, p.lambda2
     linear = l1 * (p.mu2 + p.q21) + l2 * (p.mu1 + p.q12)
@@ -116,23 +117,26 @@ def derive_spectral(model: ValidatedModel) -> SpectralData:
     delta = gap * gap + 4.0 * l1 * l2 * p.q12 * p.q21
     xp = elementwise(delta)
     sq = xp.sqrt(delta)
-    z2 = -(linear + sq) / (2.0 * l1 * l2)
-    z1 = k / (l1 * l2 * z2)
+    z2 = xp.divide(-(linear + sq), 2.0 * l1 * l2)
+    z1 = xp.divide(k, l1 * l2 * z2)
     pe1, pe2 = model.env_stationary
     return SpectralData(
         delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
         log_ratio=xp.log1p(-z1) - xp.log1p(-z2),
-        a1=(p.mu1 * l2 * z1 + k) * pe1 / (sq * (1.0 - z1)),
-        b1=-(p.mu1 * l2 * z2 + k) * pe1 / (sq * (1.0 - z2)),
-        a2=(p.mu2 * l1 * z1 + k) * pe2 / (sq * (1.0 - z1)),
-        b2=-(p.mu2 * l1 * z2 + k) * pe2 / (sq * (1.0 - z2)))
+        a1=xp.divide((p.mu1 * l2 * z1 + k) * pe1, sq * (1.0 - z1)),
+        b1=xp.divide(-(p.mu1 * l2 * z2 + k) * pe1, sq * (1.0 - z2)),
+        a2=xp.divide((p.mu2 * l1 * z1 + k) * pe2, sq * (1.0 - z1)),
+        b2=xp.divide(-(p.mu2 * l1 * z2 + k) * pe2, sq * (1.0 - z2)))
 
 
-def _checked(model: ValidatedModel, spec: SpectralData) -> dict:
-    """The quantities that must be normal floats, by name, in the order of the checks."""
+def _checked(model: ValidatedModel, spec: SpectralData) -> tuple[dict, dict]:
+    """The quantities that must be normal floats, then the mixture coefficients,
+    which must be finite (0 and subnormals pass), by name in the order of the checks."""
     p = model.params
-    return {"lambda1*lambda2": p.lambda1 * p.lambda2, "the discriminant": spec.delta,
-            "the root z2": spec.z2, "the root z1": spec.z1}
+    return ({"lambda1*lambda2": p.lambda1 * p.lambda2, "the discriminant": spec.delta,
+             "the root z2": spec.z2, "the root z1": spec.z1},
+            {"the mixture coefficient a1": spec.a1, "the mixture coefficient b1": spec.b1,
+             "the mixture coefficient a2": spec.a2, "the mixture coefficient b2": spec.b2})
 
 
 def _normal(value):
@@ -140,9 +144,20 @@ def _normal(value):
     return (abs(value) >= sys.float_info.min) & (abs(value) <= sys.float_info.max)
 
 
+def _finite(value):
+    """Whether ``value`` is neither infinite nor NaN; elementwise on columns."""
+    return abs(value) <= sys.float_info.max
+
+
+#: The test of each part of ``_checked``, and the range it names.
+_TESTS = ((_normal, "normal"), (_finite, "finite"))
+
+
 def in_float_range(model: ValidatedModel, spec: SpectralData):
     """Where ``spectral_quantities`` raises no FloatRangeError, on ``derive_spectral`` columns."""
-    return np.logical_and.reduce([_normal(value) for value in _checked(model, spec).values()])
+    return np.logical_and.reduce([test(value) for (test, _), checked in
+                                  zip(_TESTS, _checked(model, spec))
+                                  for value in checked.values()])
 
 
 def spectral_quantities(model: ValidatedModel) -> SpectralData:
@@ -153,18 +168,15 @@ def spectral_quantities(model: ValidatedModel) -> SpectralData:
     and the discriminant is strictly positive (a square plus a positive
     term). The smaller root is computed directly and the larger one through
     the product identity z1*z2 = K/(l1*l2), which avoids cancellation.
-    FloatRangeError names the first of l1*l2, delta, z2, z1 not a normal float.
+    FloatRangeError names the first of l1*l2, delta, z2, z1 that is not a
+    normal float, or else the first of a1, b1, a2, b2 that is not finite.
     """
-    try:
-        spec = derive_spectral(model)
-    except ZeroDivisionError:   # numpy divides by 0.0, and the checks name the cause
-        with np.errstate(all="ignore"):
-            rates = ModelParams(*map(np.float64, vars(model.params).values()))
-            spec = derive_spectral(derive_model(rates))
-    for name, value in _checked(model, spec).items():
-        if not _normal(value):
-            raise FloatRangeError(
-                f"{name} is {float(value)!r}, outside the range of normal floats")
+    spec = derive_spectral(model)
+    for (test, kind), checked in zip(_TESTS, _checked(model, spec)):
+        for name, value in checked.items():
+            if not test(value):
+                raise FloatRangeError(
+                    f"{name} is {float(value)!r}, outside the range of {kind} floats")
     return spec
 
 

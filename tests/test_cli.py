@@ -9,11 +9,13 @@ import pytest
 
 from clearbalk import (
     JoinVector,
+    MixedThreshold,
     PureThreshold,
     compute_equilibria,
     dominant_almost_unobservable,
     dominant_fully_observable,
     dominant_fully_unobservable,
+    format_strategy,
     net_benefit_ao,
     report_from_dict,
     stationary_distribution,
@@ -21,7 +23,13 @@ from clearbalk import (
 from clearbalk import cli
 from clearbalk.cli import dominant_from_dict, main
 from clearbalk.equilibrium import SCAN_LIMIT
-from clearbalk.oracle.verify import verification_from_dict
+from clearbalk.oracle import verify as oracle_verify
+from clearbalk.oracle.verify import (
+    MASS_FLOOR,
+    VERIFY_TOLERANCE,
+    VerificationReport,
+    verification_from_dict,
+)
 from conftest import Ctx, PSTAR
 from clearbalk import RewardCost
 
@@ -331,6 +339,43 @@ def test_simulate_refuses_more_events_than_the_clock_resolves(config, capsys):
                    "horizon 1, 2**53 or more: simulated time cannot advance to it\n")
 
 
+def test_simulate_of_a_visit_past_the_int64_range_returns(config, capsys):
+    # q = 1e-170 makes each visit's geometric event count saturate at
+    # 2**63 - 1, where the sum of two draws wrapped and the loop never ended
+    def stop(signum, frame):
+        raise TimeoutError("simulate did not return within 5 s")
+
+    path = config(**{**dict.fromkeys(RATES, 1e-170), "mu1": 1.0, "mu2": 1.0}, R=1.0)
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code = main(["simulate", "--config", path, "--strategy", "always-join", "--horizon", "10",
+                     "--replications", "1", "--format", "json"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    # no arrival and no switch before the horizon: all the mass is at (0, env 1)
+    assert json.loads(out)["masses"][0] == [1.0, 0.0]
+
+
+def test_rejected_family_is_one_short_line(config, capsys, monkeypatch):
+    # a verifier that rejects every mixed threshold of a family of 2,115
+    def reject_mixed(model, rc, strategy, tol=VERIFY_TOLERANCE):
+        passed = not isinstance(strategy, MixedThreshold)
+        return VerificationReport(format_strategy(strategy), passed, (), tol, MASS_FLOOR)
+
+    monkeypatch.setattr(oracle_verify, "verify_equilibrium", reject_mixed)
+    code = main(["equilibrium", "--config", config(lambda1=1490.0, lambda2=200.0, mu1=1.08e-4,
+                                                   mu2=1.04, q12=7.25e-3, q21=2.36e-3, R=49.8)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("consistency failure: oracle verification rejected: 1057 of 2115 "
+                          "members, the first mixed-threshold:")
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
 def test_large_family_verifies_with_few_checks_per_member(config, capsys):
     # case A, subcase II with n_u = 1,057: 1,058 pure and 1,057 mixed thresholds,
     # each verified by walking its first two and last few levels only
@@ -636,9 +681,14 @@ FLOAT_RANGE_CASES = [
     ({"lambda1": 1e-200, "lambda2": 1e-200}, "lambda1*lambda2 is 0.0" + OUT_OF_RANGE),
     ({"lambda1": 1e-100, "lambda2": 1e-100, **dict.fromkeys(RATES[2:], 1e-150)},
      "the discriminant is 0.0" + OUT_OF_RANGE),
+    # normal roots, but mu2*lambda1*z2 overflows and b2 is inf/inf
+    ({"lambda1": 3.7392847268567415e-28, "lambda2": 5.441428035100938e-137,
+      "mu1": 6.0158223037527514e-136, "mu2": 3.8433352287644057e+149,
+      "q12": 4.5647228989076634e+45, "q21": 2.7699979820638663e-80, "R": 1.0},
+     "the mixture coefficient b2 is nan, outside the range of finite floats"),
 ]
 FLOAT_RANGE_IDS = ["huge-lambda1", "huge-int-lambda1", "huge-lambda-product", "tiny-rates",
-                   "huge-k", "tiny-lambda-product", "zero-discriminant"]
+                   "huge-k", "tiny-lambda-product", "zero-discriminant", "nan-coefficient"]
 
 
 @pytest.mark.parametrize("overrides, message", FLOAT_RANGE_CASES, ids=FLOAT_RANGE_IDS)

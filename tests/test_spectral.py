@@ -6,6 +6,7 @@ against the truncated balance-equation solver before freezing.
 """
 
 import math
+import sys
 import time
 
 import pytest
@@ -313,3 +314,18 @@ def test_env_marginals_hold_at_extreme_rates(rng):
             for env in (1, 2):
                 assert dist.env_marginal(env) == pytest.approx(
                     model.env_stationary[env - 1], rel=1e-12)
+
+
+@pytest.mark.parametrize("rates, index, zero", [
+    ((2.5012082668376377e+91, 1.8989789798923698e+92, 39129.70276469971,
+      6.4946795141334224e-65, 2.1352571930307954e-134, 1.1218801652418336e-35), 0, True),
+    ((1.583149837726647e+55, 1.4437508448393037e-11, 4.573385018438443e-84,
+      1.7162191734312754e+42, 1.8162851849586138e-118, 3.998899524017126e+57), 2, False),
+], ids=["zero-a1", "subnormal-a2"])
+def test_zero_and_subnormal_mixture_coefficients_are_accepted(rates, index, zero):
+    # only a NaN or infinite coefficient raises; these underflow in range
+    spec = spectral_quantities(validate_params(ModelParams(*rates), RewardCost(1.0, 1.0)))
+    coefficient = (spec.a1, spec.b1, spec.a2, spec.b2)[index]
+    assert (coefficient == 0.0) is zero
+    assert abs(coefficient) < sys.float_info.min
+    assert all(math.isfinite(c) for c in (spec.a1, spec.b1, spec.a2, spec.b2))

@@ -8,7 +8,10 @@ A, subcase II); ``compute_equilibria`` is also timed on a case B model,
 rates (1, 6, 1, 3, 1, 1) and R = 0.475 (subcase II), and on a case C
 model, rates (1, 1, 1, 1, 1, 1) and R = 0.72 (subcase I). The verifier is
 also timed on the deepest member ``threshold:85494`` of a deep family, rates
-(2.13e6, 6.58e7, 234, 1.14e-6, 5.52e-4, 5.1e-5) and R = 539.
+(2.13e6, 6.58e7, 234, 1.14e-6, 5.52e-4, 5.1e-5) and R = 539. ``sweep_columns``
+is one call on each of two grids of 2,001 points: the reference model over R
+in 0.57..0.84, and the case B model, rates (4, 1, 3, 1, 1, 2) and R = 0.6,
+over q21 in 0.095..1.05; together they cross subcases I, II and III.
 
 The script imports the package from the ``src`` directory of the checkout
 it lives in, so two checkouts can be timed side by side::
@@ -35,6 +38,7 @@ from clearbalk import (  # noqa: E402
     JoinVector,
     ModelParams,
     PureThreshold,
+    SIGN_TOLERANCE,
     RewardCost,
     benefit_coefficients,
     compute_equilibria,
@@ -44,6 +48,7 @@ from clearbalk import (  # noqa: E402
     validate_params,
 )
 from clearbalk.equilibrium import Orientation, threshold_bounds  # noqa: E402
+from clearbalk.grid import sweep_columns  # noqa: E402
 from clearbalk.oracle.balance import solve_truncated_balance  # noqa: E402
 from clearbalk.oracle.verify import verify_equilibrium  # noqa: E402
 
@@ -54,6 +59,10 @@ OTHER_CASES = {"case_b": (ModelParams(1.0, 6.0, 1.0, 3.0, 1.0, 1.0), RewardCost(
                "case_c": (ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), RC)}
 #: A case A subcase II model whose bound n_u is 85,494, with its reward structure
 DEEP = (ModelParams(2.13e6, 6.58e7, 234.0, 1.14e-6, 5.52e-4, 5.1e-5), RewardCost(539.0, 1.0))
+#: The sweep grids, as (rates, reward structure, param, from, to)
+GRIDS = ((RATES, RC, "R", 0.57, 0.84),
+         (ModelParams(4.0, 1.0, 3.0, 1.0, 1.0, 2.0), RewardCost(0.6, 1.0), "q21", 0.095, 1.05))
+GRID_STEPS = 2001
 REPEAT = 5
 
 
@@ -91,6 +100,8 @@ def layers() -> dict:
         "verify_threshold_3": lambda: verify_equilibrium(model, RC, PureThreshold(3)),
         "verify_deep_threshold_85494":
             lambda: verify_equilibrium(deep_model, DEEP[1], PureThreshold(85494)),
+        "sweep_columns": lambda: [sweep_columns(*grid, GRID_STEPS, SIGN_TOLERANCE)
+                                  for grid in GRIDS],
     }
 
 
