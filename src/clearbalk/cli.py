@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -29,7 +28,6 @@ import sys
 from pathlib import Path
 
 from .benefit import benefit_coefficients, net_benefit_ao
-from .codec import decode
 from .dominant import (
     KNIFE_TOLERANCE,
     DominantStrategySet,
@@ -154,57 +152,48 @@ def _decision_text(join: float | None) -> str:
     return "join (q=1)" if join >= 1.0 else "balk (q=0)"
 
 
-dominant_from_dict = functools.partial(decode, DominantStrategySet)
-
-
-_REGIME_NAMES = {
-    Regime.FULLY_UNOBSERVABLE: "fully-unobservable",
-    Regime.ALMOST_UNOBSERVABLE: "almost-unobservable",
-    Regime.FULLY_OBSERVABLE: "fully-observable",
-}
+def _labelled(rows) -> list[str]:
+    """The header lines of a report: each label padded to 15 columns, then its value."""
+    return [f"{label:<15} {value}" for label, value in rows]
 
 
 def _dominant_table(report: DominantStrategySet) -> str:
-    lines = [f"regime          {_REGIME_NAMES[report.regime]}"]
+    c = report.critical
     if report.regime is Regime.FULLY_UNOBSERVABLE:
-        lines.append(f"decision        {_decision_text(report.join)}")
-        lines.append(f"V_fu            {_fmt(report.critical.v_fu)}")
-        lines.append(f"S_fu            {_fmt(report.net_benefit)}")
+        rows = [("decision", _decision_text(report.join)), ("V_fu", _fmt(c.v_fu)),
+                ("S_fu", _fmt(report.net_benefit))]
     else:
-        for e in (0, 1):
-            lines.append(f"decision env {e + 1}  {_decision_text(report.join[e])}")
-        for e in (0, 1):
-            lines.append(f"S_au env {e + 1}      {_fmt(report.net_benefit[e])}")
-        lines.append(f"V_au_min        {_fmt(report.critical.v_au_min)}")
-        lines.append(f"V_au_max        {_fmt(report.critical.v_au_max)}")
-        lines.append(f"V_fu            {_fmt(report.critical.v_fu)}")
-    lines.append(f"knife_edge      {'yes' if report.knife_edge else 'no'}")
+        rows = [*((f"decision env {e}", _decision_text(j)) for e, j in enumerate(report.join, 1)),
+                *((f"S_au env {e}", _fmt(v)) for e, v in enumerate(report.net_benefit, 1)),
+                ("V_au_min", _fmt(c.v_au_min)), ("V_au_max", _fmt(c.v_au_max)),
+                ("V_fu", _fmt(c.v_fu))]
+    lines = _labelled([("regime", report.regime.name.lower().replace("_", "-")), *rows,
+                       ("knife_edge", "yes" if report.knife_edge else "no")])
     return "\n".join(lines) + "\n"
 
 
 def _equilibrium_table(report: EquilibriumReport) -> str:
-    lines = [
-        f"case            {report.case.kind.value} (product = {_fmt(report.case.product)})",
-        f"subcase         {report.subcase.value}",
-    ]
+    rows = [("case", f"{report.case.kind.value} (product = {_fmt(report.case.product)})"),
+            ("subcase", report.subcase.value)]
     if report.bounds is not None:
         b = report.bounds
-        lines.append(f"orientation     {b.orientation.value}")
-        lines.append("bounds          "
-                     f"n_l={_fmt(b.n_l)} n_u={_fmt(b.n_u)} "
-                     f"n_l_plus={_fmt(b.n_l_plus)} n_u_minus={_fmt(b.n_u_minus)}")
+        rows += [("orientation", b.orientation.value),
+                 ("bounds", f"n_l={_fmt(b.n_l)} n_u={_fmt(b.n_u)} "
+                            f"n_l_plus={_fmt(b.n_l_plus)} n_u_minus={_fmt(b.n_u_minus)}")]
     if report.social_optimum is not None:
-        lines.append(f"social_optimum  {format_strategy(report.social_optimum)}")
-    lines.append(f"social_coincides {'yes' if report.social_coincides else 'no'}")
-    lines.append(f"knife_edge      {'yes' if report.knife_edge else 'no'}")
+        rows.append(("social_optimum", format_strategy(report.social_optimum)))
+    lines = _labelled([*rows, ("social_coincides", "yes" if report.social_coincides else "no"),
+                       ("knife_edge", "yes" if report.knife_edge else "no")])
     lines.append("equilibria:")
-    for item in report.equilibria:
-        name = format_strategy(item.strategy) if item.strategy is not None else "(family)"
+    names = [format_strategy(item.strategy) if item.strategy is not None else "(family)"
+             for item in report.equilibria]
+    width = max([34, *map(len, names)])
+    for name, item in zip(names, report.equilibria):
         verdict = ""
         if item.verification is not None:
             verdict = "  verify=pass" if item.verification.passed else "  verify=FAIL"
         note = f"  [{item.note}]" if item.note else ""
-        lines.append(f"  {name:<34} {item.tag}{verdict}{note}")
+        lines.append(f"  {name:<{width}} {item.tag}{verdict}{note}")
     return "\n".join(lines) + "\n"
 
 

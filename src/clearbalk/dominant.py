@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 
-from .codec import Wire
+from .codec import Wire, decode
 from .model import RewardCost, ValidatedModel, banded_sign
 from .spectral import elementwise
 
@@ -76,6 +77,10 @@ class DominantStrategySet(Wire):
     net_benefit: float | tuple[float, float]
     critical: CriticalValues
     knife_edge: bool
+
+
+#: Rebuild a DominantStrategySet from its JSON dictionary form.
+dominant_from_dict = functools.partial(decode, DominantStrategySet)
 
 
 def critical_values(model: ValidatedModel) -> CriticalValues:

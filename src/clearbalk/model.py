@@ -115,6 +115,13 @@ class CaseLabel:
     product: float
 
 
+def env_index(env: int) -> int:
+    """The index, 0 or 1, of environment 1 or 2 in a pair; ValueError for any other."""
+    if env in (1, 2):
+        return env - 1
+    raise ValueError(f"environment must be 1 or 2, got {env}")
+
+
 def config_inputs(fields) -> tuple[ModelParams, RewardCost]:
     """The rates and the reward structure in a mapping of ``CONFIG_FIELDS``."""
     *rates, reward, cost = (fields[name] for name in CONFIG_FIELDS)

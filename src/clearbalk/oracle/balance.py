@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConsistencyError, FloatRangeError, SingularSystem
-from ..model import ModelParams, ValidatedModel
+from ..model import ModelParams, ValidatedModel, env_index
 from ..strategies import Strategy, certain_until
 
 #: Automatic truncation stops at the first level whose tail mass is below this.
@@ -178,14 +178,14 @@ class TruncatedSolution:
         return _vecmat(self.row(m - 1), self.tail_map)
 
     def pmf(self, n: int, env: int) -> float:
-        return self.row(n)[_env_index(env)]
+        return self.row(n)[env_index(env)]
 
     def env_marginal(self, env: int) -> float:
-        return self.head_tails[0][_env_index(env)]
+        return self.head_tails[0][env_index(env)]
 
     def tail(self, m: int, env: int) -> float:
         """Mass at levels >= m in the given environment (within truncation)."""
-        return self.tail_row(m)[_env_index(env)]
+        return self.tail_row(m)[env_index(env)]
 
     def total_mass(self) -> float:
         """Sum of the stored levels and the tail after them: 1 up to rounding."""
@@ -195,12 +195,6 @@ class TruncatedSolution:
     def masses(self) -> np.ndarray:
         """``masses[n, e]`` is ``pmf(n, e + 1)``: linear in ``level``, which ``pmf`` is not."""
         return np.array([self.row(n) for n in range(self.level + 1)])
-
-
-def _env_index(env: int) -> int:
-    if not 1 <= env <= 2:
-        raise ValueError(f"environment must be 1 or 2, got {env}")
-    return env - 1
 
 
 def _walk(p: ModelParams, strategy: Strategy, inv_b: Mat, y: Vec,

@@ -29,7 +29,7 @@ is simply the time to the next clearing, are summed with ``np.bincount``.
 The path is processed in blocks of at most ``_BLOCK`` events. The time,
 the level and the joiners of the open segment carry across a block
 boundary, so memory does not grow with the horizon. Statistics are
-collected after a warm-up fraction of the horizon and merged across
+collected after the first ``WARM_FRACTION`` of the horizon and merged across
 replications in index order, so identical inputs give bit-identical
 estimates.
 """
@@ -43,7 +43,7 @@ import numpy as np
 
 from ..codec import Wire
 from ..errors import FloatRangeError
-from ..model import RewardCost, ValidatedModel
+from ..model import RewardCost, ValidatedModel, env_index
 from ..strategies import Strategy, certain_until, format_strategy
 
 _BLOCK = 1 << 15
@@ -55,6 +55,9 @@ _VISIT_CAP = 2 ** 62 // (_BLOCK + 2)
 
 #: Event types of a path.
 ARRIVAL, CLEARING, SWITCH = 0, 1, 2
+
+#: Share of the horizon run before statistics are collected.
+WARM_FRACTION = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +91,9 @@ class SimEstimates(Wire):
     net_benefit_by_level_se: np.ndarray
 
     def _cell(self, n: int, env: int) -> tuple[int, int]:
-        if not 1 <= env <= 2:
-            raise ValueError(f"environment must be 1 or 2, got {env}")
         if n < 0 or n > self.track_levels:
             raise ValueError(f"level {n} is outside the tracked range")
-        return n, env - 1
+        return n, env_index(env)
 
     def pmf(self, n: int, env: int) -> float:
         """Estimated stationary mass of (n, env); lump row excluded."""
@@ -285,16 +286,6 @@ def _ratio(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(count > 0.0, total / np.maximum(count, 1.0), np.nan)
 
 
-def _run_replication(model: ValidatedModel, strategy: Strategy, horizon: float,
-                     rng: np.random.Generator, warm_fraction: float,
-                     track_levels: int):
-    tally = _Tally(strategy, horizon, warm_fraction * horizon, track_levels)
-    for block in _path_blocks(model, rng, horizon):
-        if tally.feed(*block):
-            break
-    return tally.estimates()
-
-
 def _merge(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error across replications, NaN-aware."""
     valid = ~np.isnan(stack)
@@ -312,7 +303,7 @@ def _merge(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
              horizon: float = 1e5, seed: int = 0, replications: int = 16,
-             warm_fraction: float = 0.1, track_levels: int = 40) -> SimEstimates:
+             track_levels: int = 40) -> SimEstimates:
     """Estimate stationary and arrival statistics by simulation.
 
     Output is bit-identical for identical (seed, replications, horizon)
@@ -328,36 +319,26 @@ def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
         raise ValueError(f"track_levels must be a nonnegative integer, got {track_levels!r}")
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    if not 0.0 <= warm_fraction < 1.0:
-        raise ValueError("warm_fraction must lie in [0, 1)")
 
-    streams = np.random.SeedSequence(seed).spawn(replications)
-    masses_r, palm_r, sojl_r, soje_r = [], [], [], []
-    events = 0
-    for child in streams:
-        rng = np.random.default_rng(child)
-        masses, palm, sojl, soje, n_events = _run_replication(
-            model, strategy, horizon, rng, warm_fraction, track_levels)
-        masses_r.append(masses)
-        palm_r.append(palm)
-        sojl_r.append(sojl)
-        soje_r.append(soje)
-        events += n_events
-
-    masses, masses_se = _merge(np.stack(masses_r))
-    palm, palm_se = _merge(np.stack(palm_r))
-    sojl, sojl_se = _merge(np.stack(sojl_r))
-    soje, soje_se = _merge(np.stack(soje_r))
-    net = rc.reward - rc.cost * sojl
-    net_se = rc.cost * sojl_se
+    runs = []
+    for child in np.random.SeedSequence(seed).spawn(replications):
+        tally = _Tally(strategy, horizon, WARM_FRACTION * horizon, track_levels)
+        for block in _path_blocks(model, np.random.default_rng(child), horizon):
+            if tally.feed(*block):
+                break
+        runs.append(tally.estimates())
+    *stats, events = zip(*runs)
+    (masses, masses_se), (palm, palm_se), (sojl, sojl_se), (soje, soje_se) = (
+        _merge(np.stack(stat)) for stat in stats)
 
     return SimEstimates(
         strategy=format_strategy(strategy), seed=seed, replications=replications,
-        horizon=horizon, warm_fraction=warm_fraction, track_levels=track_levels,
-        event_count=events,
+        horizon=horizon, warm_fraction=WARM_FRACTION, track_levels=track_levels,
+        event_count=sum(events),
         masses=masses, masses_se=masses_se,
         palm_env=palm, palm_env_se=palm_se,
         sojourn_by_level=sojl, sojourn_by_level_se=sojl_se,
         sojourn_by_env=soje, sojourn_by_env_se=soje_se,
-        net_benefit_by_level=net, net_benefit_by_level_se=net_se,
+        net_benefit_by_level=rc.reward - rc.cost * sojl,
+        net_benefit_by_level_se=rc.cost * sojl_se,
     )

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, FloatRangeError
-from .model import ValidatedModel
+from .model import ValidatedModel, env_index
 from .strategies import Strategy
 
 #: Masses more negative than this raise; tinier negatives clip to zero.
@@ -72,11 +72,7 @@ class SpectralData:
 
     def coefficients(self, env: int) -> tuple[float, float]:
         """Mixture coefficient pair (A_e, B_e) for environment ``env`` in {1, 2}."""
-        if env == 1:
-            return (self.a1, self.b1)
-        if env == 2:
-            return (self.a2, self.b2)
-        raise ValueError(f"environment must be 1 or 2, got {env}")
+        return ((self.a1, self.b1), (self.a2, self.b2))[env_index(env)]
 
 
 #: ``elementwise`` on Python floats: ``math`` and conditional expressions,
@@ -119,13 +115,20 @@ def derive_spectral(model: ValidatedModel) -> SpectralData:
     sq = xp.sqrt(delta)
     z2 = xp.divide(-(linear + sq), 2.0 * l1 * l2)
     z1 = xp.divide(k, l1 * l2 * z2)
+    # u1 = l1*z1 + mu1 + q12 = (sq + gap)/(2*l2) and v1 = l2*z1 + mu2 + q21 =
+    # (sq - gap)/(2*l1) have the product q12*q21: the one that adds sq and |gap|
+    # cancels nothing, the other is q12*q21 over it, and the a_e numerators are sums
+    up = gap >= 0.0
+    big = (sq + abs(gap)) / xp.where(up, 2.0 * l2, 2.0 * l1)
+    small = xp.where(up, p.q21, p.q12) * xp.divide(xp.where(up, p.q12, p.q21), big)
+    u1, v1 = xp.where(up, big, small), xp.where(up, small, big)
     pe1, pe2 = model.env_stationary
     return SpectralData(
         delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
         log_ratio=xp.log1p(-z1) - xp.log1p(-z2),
-        a1=xp.divide((p.mu1 * l2 * z1 + k) * pe1, sq * (1.0 - z1)),
+        a1=xp.divide((p.mu1 * v1 + p.mu2 * p.q12) * pe1, sq * (1.0 - z1)),
         b1=xp.divide(-(p.mu1 * l2 * z2 + k) * pe1, sq * (1.0 - z2)),
-        a2=xp.divide((p.mu2 * l1 * z1 + k) * pe2, sq * (1.0 - z1)),
+        a2=xp.divide((p.mu2 * u1 + p.mu1 * p.q21) * pe2, sq * (1.0 - z1)),
         b2=xp.divide(-(p.mu2 * l1 * z2 + k) * pe2, sq * (1.0 - z2)))
 
 
@@ -283,10 +286,9 @@ class StationaryDistribution:
         """Largest level with positive mass, or None for a geometric tail."""
         return None if self.pieces[-1].last == math.inf else self.pieces[-1].last
 
-    def _levels(self, piece: Piece, start: int, stop: float, env: int) -> float:
-        """Mass of ``env`` on the levels start..stop-1 of ``piece``."""
+    def _levels(self, piece: Piece, start: int, stop: float, a: float, b: float) -> float:
+        """Mass on the levels start..stop-1 of ``piece``, from an environment's (A_e, B_e)."""
         s = self.spec
-        a, b = s.coefficients(env)
         count = stop - start
         return branch_power(s.z1, start) * scaled_mixture(
             s.log_ratio, a, b, start,
@@ -294,18 +296,20 @@ class StationaryDistribution:
 
     def pmf(self, n: int, env: int) -> float:
         """Stationary mass of state (n, env), env in {1, 2}."""
-        if n < 0 or env not in (1, 2):
+        a, b = self.spec.coefficients(env)
+        if n < 0:
             raise ValueError(f"bad state ({n}, {env})")
         piece = piece_at(self.pieces, n)
         if piece is None:
             return 0.0
-        return _clip_mass(self._levels(piece, n, n + 1, env), f"pmf({n}, {env})")
+        return _clip_mass(self._levels(piece, n, n + 1, a, b), f"pmf({n}, {env})")
 
     def tail(self, m: int, env: int) -> float:
         """Closed-form tail mass: sum of pmf(n, env) over n >= m."""
-        if m < 0 or env not in (1, 2):
+        a, b = self.spec.coefficients(env)
+        if m < 0:
             raise ValueError(f"bad tail query ({m}, {env})")
-        total = sum((self._levels(piece, max(m, piece.first), piece.last + 1, env)
+        total = sum((self._levels(piece, max(m, piece.first), piece.last + 1, a, b)
                      for piece in self.pieces if m <= piece.last), 0.0)
         return _clip_mass(total, f"tail({m}, {env})")
 

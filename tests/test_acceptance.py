@@ -40,7 +40,8 @@ from clearbalk import (
     validate_params,
     verify_equilibrium,
 )
-from clearbalk.cli import dominant_from_dict, main as cli_main
+from clearbalk.cli import main as cli_main
+from clearbalk.dominant import dominant_from_dict
 from conftest import (
     PSTAR,
     Ctx,

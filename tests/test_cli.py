@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import signal
 
@@ -21,8 +22,9 @@ from clearbalk import (
     stationary_distribution,
 )
 from clearbalk import cli
-from clearbalk.cli import dominant_from_dict, main
-from clearbalk.equilibrium import SCAN_LIMIT
+from clearbalk.cli import main
+from clearbalk.dominant import dominant_from_dict
+from clearbalk.equilibrium import SCAN_LIMIT, SIGN_TOLERANCE
 from clearbalk.oracle import verify as oracle_verify
 from clearbalk.oracle.verify import (
     MASS_FLOOR,
@@ -30,6 +32,7 @@ from clearbalk.oracle.verify import (
     VerificationReport,
     verification_from_dict,
 )
+import decimal_reference
 from conftest import Ctx, PSTAR
 from clearbalk import RewardCost
 
@@ -189,6 +192,15 @@ def test_zero_tolerance_is_accepted(config, capsys):
     assert "n_l=2 n_u=3" in capsys.readouterr().out
 
 
+def test_equilibrium_table_puts_every_member_tag_at_one_offset(config, capsys):
+    # a mixed threshold's full-precision theta makes its name the longest
+    assert main(["equilibrium", "--config", config()]) == 0
+    members = capsys.readouterr().out.split("equilibria:\n")[1].splitlines()
+    found = [re.match(r"  (\S+) +(pure|mixed) ", line) for line in members]
+    assert any(len(m[1]) > 34 for m in found)
+    assert len({m.start(2) for m in found}) == 1
+
+
 # consistent model whose upper bound n_u lies past the listing cap
 PAST_CAP_CONFIG = {
     "lambda1": 122138.80182365495, "lambda2": 55271.63639674091,
@@ -209,8 +221,15 @@ def test_bound_past_the_cap_exits_3_without_traceback(config, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "ScanLimitExceeded" in err
-    assert (f"upper-threshold bound n_u = 94167842 lies above {SCAN_LIMIT}, "
-            "the most pure thresholds a report lists") in err
+    found = re.search(rf"upper-threshold bound n_u = (\d+) lies above {SCAN_LIMIT}, "
+                      "the most pure thresholds a report lists", err)
+    assert found
+    # alpha = R*d - C*a is 1e-11 of its terms here, so the float crossing keeps
+    # some 7 digits: n_u may lie 10 levels from the reference's 94,167,917
+    crossing = decimal_reference.upper_crossing(
+        [PAST_CAP_CONFIG[name] for name in RATES], PAST_CAP_CONFIG["R"],
+        PAST_CAP_CONFIG["C"], SIGN_TOLERANCE)
+    assert abs(int(found[1]) - math.ceil(crossing)) <= 10
 
 
 def test_stationary_csv(config, capsys):

@@ -5,12 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clearbalk import (
+    AlwaysJoin,
     CaseKind,
     ModelParams,
     NonPositiveRate,
     NonPositiveRewardCost,
     RewardCost,
     congestion_case,
+    simulate,
+    solve_truncated_balance,
+    stationary_distribution,
     validate_params,
 )
 from conftest import P0, PB, PSTAR, UNIT_RC
@@ -86,3 +90,19 @@ def test_case_product_reported():
     assert label.product == pytest.approx(
         (PSTAR.mu1 - PSTAR.mu2) * (model.rho1 - model.rho2), rel=1e-15)
     assert label.product < 0.0
+
+
+#: The stationary law of always-join on the reference model, by the route that gives it
+LAWS = {
+    "closed form": lambda ctx: stationary_distribution(ctx.model, ctx.spec, AlwaysJoin()),
+    "balance": lambda ctx: solve_truncated_balance(ctx.model, AlwaysJoin()),
+    "simulation": lambda ctx: simulate(ctx.model, ctx.rc, AlwaysJoin(), horizon=50.0,
+                                       replications=1, track_levels=2),
+}
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("env", [0, 3])
+def test_every_law_refuses_an_environment_other_than_1_or_2(pstar, law, env):
+    with pytest.raises(ValueError, match=f"^environment must be 1 or 2, got {env}$"):
+        LAWS[law](pstar).pmf(0, env)

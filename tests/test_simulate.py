@@ -134,7 +134,7 @@ def test_pmf_range_checks(pstar):
 
 @pytest.mark.parametrize("kw", [
     {"horizon": 0.0}, {"horizon": -1.0},
-    {"replications": 0}, {"warm_fraction": 1.0}, {"warm_fraction": -0.1},
+    {"replications": 0},
     {"horizon": math.nan}, {"horizon": math.inf}, {"seed": -1},
     {"track_levels": -1}, {"track_levels": -3}, {"track_levels": 2.0},
 ])

@@ -8,7 +8,10 @@ against the truncated balance-equation solver before freezing.
 import math
 import sys
 import time
+from dataclasses import astuple
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from clearbalk import (
@@ -25,6 +28,7 @@ from clearbalk import (
     stationary_distribution,
     validate_params,
 )
+import decimal_reference
 from conftest import random_join_vector, random_model
 
 
@@ -317,15 +321,33 @@ def test_env_marginals_hold_at_extreme_rates(rng):
 
 
 @pytest.mark.parametrize("rates, index, zero", [
-    ((2.5012082668376377e+91, 1.8989789798923698e+92, 39129.70276469971,
-      6.4946795141334224e-65, 2.1352571930307954e-134, 1.1218801652418336e-35), 0, True),
+    ((8.428349499734765e+144, 9.950678772403276e+83, 1.3438770712287926e+28,
+      3.1566781618436627e-140, 1.25454786987523e-12, 1.1380731494219493e-147), 0, True),
     ((1.583149837726647e+55, 1.4437508448393037e-11, 4.573385018438443e-84,
       1.7162191734312754e+42, 1.8162851849586138e-118, 3.998899524017126e+57), 2, False),
 ], ids=["zero-a1", "subnormal-a2"])
 def test_zero_and_subnormal_mixture_coefficients_are_accepted(rates, index, zero):
-    # only a NaN or infinite coefficient raises; these underflow in range
+    # only a NaN or infinite coefficient raises; these underflow in range: a1
+    # is 2.7e-399 in the first model, below half the smallest subnormal
     spec = spectral_quantities(validate_params(ModelParams(*rates), RewardCost(1.0, 1.0)))
     coefficient = (spec.a1, spec.b1, spec.a2, spec.b2)[index]
+    name = ("a1", "b1", "a2", "b2")[index]
+    want, check = (decimal_reference.spectral(rates, digits)[name] for digits in (100, 200))
+    assert abs(want - check) <= abs(want) * Decimal("1e-20")
     assert (coefficient == 0.0) is zero
+    assert coefficient == float(want)
     assert abs(coefficient) < sys.float_info.min
     assert all(math.isfinite(c) for c in (spec.a1, spec.b1, spec.a2, spec.b2))
+
+
+def test_roots_and_mixture_coefficients_match_the_decimal_reference():
+    # rates over 12 decades: taken as written, the numerators mu1*lambda2*z1 + K
+    # and mu2*lambda1*z1 + K cancel and lose up to 7e-5 of a1 and a2
+    rng = np.random.default_rng(13)
+    for _ in range(1000):
+        params = ModelParams(*np.exp(rng.uniform(-13.8, 13.8, size=6)).tolist())
+        spec = spectral_quantities(validate_params(params, RewardCost(1.0, 1.0)))
+        want = decimal_reference.spectral(astuple(params))
+        for name in ("z1", "a1", "a2"):
+            assert getattr(spec, name) == pytest.approx(float(want[name]), rel=1e-12,
+                                                        abs=0.0), name

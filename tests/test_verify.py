@@ -1,6 +1,7 @@
 """Best-response verifier built on the balance-equation oracle."""
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from clearbalk import (
 )
 from clearbalk.equilibrium import mixing_probability
 from clearbalk.oracle.verify import VERIFY_TOLERANCE, verification_from_dict
+import decimal_reference
 from conftest import PB, PSTAR
 
 
@@ -279,16 +281,26 @@ def test_threshold_runs_match_the_reference_walk():
                         for passed in (True, False)}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the absolute VERIFY_TOLERANCE band of 1e-8 is below the rounding "
-                          "of the net benefit at R = 1.3e4")
+# case A, subcase II with n_l = 3,572 and n_u = 4,562, where clearing is slow
+# and the rates lie ten decades apart
+LARGE_R = (ModelParams(1.0122738637355755, 986018.3753659689, 4.7947527257461365e-05,
+                       4352.909630747323, 1.2524648977612393e-05, 9.00207592809864e-06),
+           RewardCost(13246.360403503204, 1.0))
+
+
 def test_mixed_threshold_at_large_reward_verifies():
-    # case A, subcase II with n_l = 3,572: the closed form makes theta(3573)
-    # indifferent at level 3573, where the balance solve gives a net benefit of 3.2e-7
-    params = ModelParams(1.0122738637355755, 986018.3753659689, 4.7947527257461365e-05,
-                         4352.909630747323, 1.2524648977612393e-05, 9.00207592809864e-06)
-    rc = RewardCost(13246.360403503204, 1.0)
+    # the a2 numerator mu2*lambda1*z1 + K cancels here: taken as written it puts
+    # theta(3573) 2.8e-8 off, and the balance solve sees a net benefit of 3.2e-7
+    params, rc = LARGE_R
     model = validate_params(params, rc)
     coef = benefit_coefficients(model, spectral_quantities(model), rc)
     report = verify_equilibrium(model, rc, MixedThreshold(3573, mixing_probability(coef, 3573)))
     assert report.passed
+
+
+def test_mixing_probability_at_large_reward_matches_the_decimal_reference():
+    params, rc = LARGE_R
+    model = validate_params(params, rc)
+    coef = benefit_coefficients(model, spectral_quantities(model), rc)
+    want = decimal_reference.mixing_probability(astuple(params), rc.reward, rc.cost, 3573)
+    assert mixing_probability(coef, 3573) == pytest.approx(float(want), rel=1e-11, abs=0.0)

@@ -12,6 +12,9 @@ also timed on the deepest member ``threshold:85494`` of a deep family, rates
 is one call on each of two grids of 2,001 points: the reference model over R
 in 0.57..0.84, and the case B model, rates (4, 1, 3, 1, 1, 2) and R = 0.6,
 over q21 in 0.095..1.05; together they cross subcases I, II and III.
+``mixing_probability`` is timed at level 2 of the reference model, and
+``simulate`` as one replication of ``threshold:3`` on it, with horizon
+10,000 and seed 0.
 
 The script imports the package from the ``src`` directory of the checkout
 it lives in, so two checkouts can be timed side by side::
@@ -47,9 +50,10 @@ from clearbalk import (  # noqa: E402
     stationary_distribution,
     validate_params,
 )
-from clearbalk.equilibrium import Orientation, threshold_bounds  # noqa: E402
+from clearbalk.equilibrium import Orientation, mixing_probability, threshold_bounds  # noqa: E402
 from clearbalk.grid import sweep_columns  # noqa: E402
 from clearbalk.oracle.balance import solve_truncated_balance  # noqa: E402
+from clearbalk.oracle.simulate import simulate  # noqa: E402
 from clearbalk.oracle.verify import verify_equilibrium  # noqa: E402
 
 RATES = ModelParams(2.0, 1.0, 1.0, 3.0, 1.0, 2.0)
@@ -63,6 +67,8 @@ DEEP = (ModelParams(2.13e6, 6.58e7, 234.0, 1.14e-6, 5.52e-4, 5.1e-5), RewardCost
 GRIDS = ((RATES, RC, "R", 0.57, 0.84),
          (ModelParams(4.0, 1.0, 3.0, 1.0, 1.0, 2.0), RewardCost(0.6, 1.0), "q21", 0.095, 1.05))
 GRID_STEPS = 2001
+#: Simulated time of the one timed replication
+SIM_HORIZON = 1e4
 REPEAT = 5
 
 
@@ -86,6 +92,7 @@ def layers() -> dict:
         "congestion_case": lambda: congestion_case(model),
         "coefficients": lambda: benefit_coefficients(model, spec, RC),
         "threshold_bounds": lambda: threshold_bounds(coef, Orientation.THRESHOLD),
+        "mixing_probability": lambda: mixing_probability(coef, 2),
         "compute_equilibria_unverified": unverified(RATES, RC),
         **{f"compute_equilibria_unverified_{name}": unverified(*inputs)
            for name, inputs in OTHER_CASES.items()},
@@ -102,6 +109,8 @@ def layers() -> dict:
             lambda: verify_equilibrium(deep_model, DEEP[1], PureThreshold(85494)),
         "sweep_columns": lambda: [sweep_columns(*grid, GRID_STEPS, SIGN_TOLERANCE)
                                   for grid in GRIDS],
+        "simulate_threshold_3": lambda: simulate(model, RC, PureThreshold(3), SIM_HORIZON,
+                                                 seed=0, replications=1),
     }
 
 
