@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnreachableState
+from .errors import FloatRangeError, UnreachableState
 from .model import RewardCost, ValidatedModel
 from .spectral import SpectralData, branch_power, discounts, law_pieces, piece_at, scaled_mixture
 from .strategies import Strategy
@@ -165,6 +165,7 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
             strategy, where a conditional benefit is undefined. This
             includes the overflow level n0+1 of a mixed threshold with
             theta = 0.
+        FloatRangeError: If the arrival mass of level n underflows to 0.0.
         ValueError: For a negative n.
     """
     if n < 0:
@@ -177,6 +178,8 @@ def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,
         return scaled_mixture(coef.log_ratio, c1, c2, n, piece.d1, piece.d2)
 
     w1, w2 = (aggregate(coef.arrival_r1[e], coef.arrival_r2[e]) for e in (0, 1))
+    if w1 + w2 == 0.0:
+        raise FloatRangeError(f"the arrival mass of level {n} underflows to 0.0")
     palm = (w1 / (w1 + w2), w2 / (w1 + w2))
     s1, s2 = model.mean_clearing
     return BenefitValue(value=aggregate(coef.alpha, coef.beta) / aggregate(coef.d, coef.e),

@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
     def cells():
         reference = stationary_distribution(model, spectral_quantities(model), args.strategy)
         rows = [("n", "sim env1", "se", "ref env1", "sim env2", "se", "ref env2")]
-        for n in range(min(10, estimates.track_levels) + 1):
+        for n in range(11):   # TRACK_LEVELS, 40, holds them all
             rows.append((str(n), *(_fmt(value) for env in (1, 2) for value in (
                 estimates.pmf(n, env), estimates.pmf_se(n, env), reference.pmf(n, env)))))
         lines = []

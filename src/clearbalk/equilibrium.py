@@ -40,13 +40,13 @@ from dataclasses import dataclass, field
 
 from .benefit import BenefitCoefficients, f_eval, h_upper_limit
 from .codec import Wire, decode
-from .errors import NoInteriorRoot, ScanLimitExceeded
+from .errors import FloatRangeError, NoInteriorRoot, ScanLimitExceeded
 from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign, congestion_case
 # verify_equilibrium is looked up on its module at call time, where
 # perfbench's tracer wraps it
 from .oracle import verify as oracle_verify
 from .oracle.verify import VerificationReport
-from .spectral import SpectralData, discounts, elementwise
+from .spectral import FLOATS, SpectralData, discounts, elementwise
 from .strategies import (
     AlwaysBalk,
     AlwaysJoin,
@@ -104,6 +104,13 @@ bounds_from_dict = functools.partial(decode, ThresholdBounds)
 SUBCASES = tuple(Subcase)
 
 
+def arrival_masses(coef: BenefitCoefficients, orient) -> dict:
+    """The arrival masses that ``classify`` divides by, by name: d + e for h0, and
+    d for the large-n limit outside case C, which reads no limit (1.0 there)."""
+    return {"the arrival mass d + e of level 0": coef.d + coef.e,
+            "the r1-branch arrival mass d": elementwise(coef.d).where(orient != 0, coef.d, 1.0)}
+
+
 def classify(coef: BenefitCoefficients, orient, tolerance: float):
     """(subcase, n_l, n_u, n_l_plus, n_u_minus, band, h0, h_limit) of a model.
 
@@ -132,14 +139,19 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
     n_u, and the strict bounds read the signs at n_l and n_u - 1. Each
     banded value is monotone in n, so any level in a band lies next to n_l
     or n_u, where those signs see it.
+
+    Raises:
+        FloatRangeError: On floats, naming the first of ``arrival_masses``
+            that underflows to 0.0.
     """
     xp = elementwise(coef.alpha)
+    for name, mass in arrival_masses(coef, orient).items():
+        if xp is FLOATS and mass == 0.0:   # ``grid`` checks its columns itself
+            raise FloatRangeError(f"{name} underflows to 0.0")
     h0 = (coef.alpha + coef.beta) / (coef.d + coef.e)
     try:
         h_limit = h_upper_limit(coef)
-    except ZeroDivisionError:   # a float d of 0.0; case C reads no limit and goes on
-        if orient:
-            raise
+    except ZeroDivisionError:   # a float d of 0.0, in case C, which reads no limit
         h_limit = math.nan
     at_zero, at_limit = banded_sign(h0, tolerance), banded_sign(h_limit, tolerance)
     threshold = (orient * at_zero >= 0) * (1 + (orient * at_limit >= 0))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .benefit import BenefitCoefficients, benefit_coefficients
 from .dominant import fully_unobservable_value
-from .equilibrium import classify, equilibrium_members
+from .equilibrium import arrival_masses, classify, equilibrium_members
 from .errors import ClearbalkError, FloatRangeError, ScanLimitExceeded
 from .model import (
     CASE_OF_SIGN,
@@ -96,13 +96,20 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
         # orient = -case (1 in case A, -1 in B, 0 in C); classified: the levels and band
         subcase, *classified, h0, h_limit = classify(coef, -case, tolerance)
         out_of_range = ~in_float_range(model, spec)
+        massless = np.flatnonzero(~out_of_range & np.logical_or.reduce(
+            [mass == 0.0 for mass in arrival_masses(coef, -case).values()]))
         own = (case != 0) & (subcase == 1)   # subcase II of cases A and B
-        search = np.flatnonzero(own & ~out_of_range)
+        search = np.setdiff1d(np.flatnonzero(own & ~out_of_range), massless)
 
     errors = {}   # the error of each failed point, by grid index
     for i in np.flatnonzero(out_of_range).tolist():
         try:
             spectral_quantities(validate_params(*config_inputs(fields | {param: values[i]})))
+        except FloatRangeError as exc:
+            errors[i] = exc
+    for i, point in zip(massless.tolist(), _points(coef, massless)):
+        try:
+            classify(point, -int(case[i]), tolerance)
         except FloatRangeError as exc:
             errors[i] = exc
     keys = list(zip((case + 1).tolist(), subcase.tolist()))

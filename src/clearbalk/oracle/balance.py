@@ -270,14 +270,12 @@ def _truncation_level(run: _Run, tails: list[Vec], tail_map: Mat) -> int:
                         start + hi + 2)
 
 
-def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
-                            level: int | None = None) -> TruncatedSolution:
-    """Solve the balance equations truncated at ``level``.
+def solve_truncated_balance(model: ValidatedModel, strategy: Strategy) -> TruncatedSolution:
+    """Solve the balance equations truncated at an automatic level.
 
-    With ``level=None`` the truncation is chosen automatically: the
-    strategy's support bound plus a margin of two when joining stops at
-    some finite level, otherwise the first level whose tail mass is below
-    ``TAIL_TARGET``.
+    The level is the strategy's support bound plus a margin of two when
+    joining stops at some finite level, otherwise the first level whose
+    tail mass is below ``TAIL_TARGET``.
 
     Raises:
         SingularSystem: If a level mass comes out non-finite.
@@ -291,17 +289,15 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
     tail_map = (p.lambda1 * inv_b[0], p.lambda1 * inv_b[1],
                 p.lambda2 * inv_b[2], p.lambda2 * inv_b[3])
     drive = (model.env_stationary[0] * p.mu1, model.env_stationary[1] * p.mu2)   # of level 0
-    head, head_tails, y = _walk(p, strategy, inv_b, drive,
-                                range(2 if level is None else min(level, 2)))
+    head, head_tails, y = _walk(p, strategy, inv_b, drive, range(2))
     try:   # both terms of the discriminant underflow where rates lie some 1e160 apart
-        run = constant_step(p, head[-1]) if len(head) == 2 else None
+        run = constant_step(p, head[-1])
     except ZeroDivisionError:
         raise FloatRangeError("the constant step's discriminant underflows to 0.0") from None
     bound = strategy.support_bound()
-    if level is None:
-        level = bound + 2 if bound is not None else _truncation_level(run, head_tails, tail_map)
-        if level < len(head):   # the tail is below the target by level 1
-            head, head_tails, y = _walk(p, strategy, inv_b, drive, range(level))
+    level = bound + 2 if bound is not None else _truncation_level(run, head_tails, tail_map)
+    if level < len(head):   # the tail is below the target by level 1
+        head, head_tails, y = _walk(p, strategy, inv_b, drive, range(level))
     end = certain_until(strategy, min(level, 1), level)
     if bound is None and end < level:
         raise ConsistencyError(f"strategy {strategy!r} has no support bound but joins with "
@@ -315,8 +311,8 @@ def solve_truncated_balance(model: ValidatedModel, strategy: Strategy,
     cap.append(cap_tails[-1])
     if not np.isfinite([*head, *cap]).all():
         raise SingularSystem(f"balance recursion gave a non-finite mass by level {level}")
-    exact = bound is not None and level >= bound
-    sol = TruncatedSolution(level=level, residual=0.0, tail_mass=0.0 if exact else sum(cap[-1]),
+    sol = TruncatedSolution(level=level, residual=0.0,
+                            tail_mass=0.0 if bound is not None else sum(cap[-1]),
                             head=tuple(head), head_tails=tuple(head_tails), cap=tuple(cap),
                             cap_tails=tuple(cap_tails), run=run, tail_map=tail_map)
     return dataclasses.replace(sol, residual=_residual(model, strategy, sol))

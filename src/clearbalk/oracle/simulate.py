@@ -37,6 +37,7 @@ estimates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ ARRIVAL, CLEARING, SWITCH = 0, 1, 2
 
 #: Share of the horizon run before statistics are collected.
 WARM_FRACTION = 0.1
+
+#: Levels with a row of their own in the estimates; a lump row holds the rest.
+TRACK_LEVELS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +121,18 @@ def _path_blocks(model: ValidatedModel, rng: np.random.Generator, horizon: float
     mu = np.array([p.mu1, p.mu2])
     q = np.array([p.q12, p.q21])
     total = lam + mu + q
-    ends_visit = q / total
+    # below the normal floats, a visit's end probability draws _VISIT_CAP events all the same
+    ends_visit = np.maximum(q / total, sys.float_info.min)
     arrives = lam / (lam + mu)
-    rate = float(q[::-1] @ total) / float(q.sum())   # long-run events per unit time
-    if horizon * rate >= 2.0 ** 53:   # the mean gap is below the clock's spacing at the horizon
-        raise FloatRangeError(f"about {horizon * rate:.3g} events to the horizon {horizon:g}, "
+    pe1, pe2 = model.env_stationary
+    rate = pe1 * float(total[0]) + pe2 * float(total[1])   # long-run events per unit time
+    # the path starts in environment 1, whose share of the time decays from 1
+    # to pe1 at the rate q12 + q21; so many events precede the horizon on average
+    switch = float(q.sum())
+    due = horizon * rate + pe2 * float(total[0] - total[1]) * (-math.expm1(-switch * horizon)
+                                                              / switch)
+    if due >= 2.0 ** 53:   # the mean gap is below the clock's spacing at the horizon
+        raise FloatRangeError(f"about {due:.3g} events to the horizon {horizon:g}, "
                               "2**53 or more: simulated time cannot advance to it")
     per_two_visits = float((1.0 / ends_visit).sum())
     t, env, left = 0.0, 0, 0   # left: events still due in the current visit
@@ -302,8 +313,7 @@ def _merge(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
-             horizon: float = 1e5, seed: int = 0, replications: int = 16,
-             track_levels: int = 40) -> SimEstimates:
+             horizon: float = 1e5, seed: int = 0, replications: int = 16) -> SimEstimates:
     """Estimate stationary and arrival statistics by simulation.
 
     Output is bit-identical for identical (seed, replications, horizon)
@@ -315,14 +325,12 @@ def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    if not isinstance(track_levels, (int, np.integer)) or track_levels < 0:
-        raise ValueError(f"track_levels must be a nonnegative integer, got {track_levels!r}")
     if replications < 1:
         raise ValueError("replications must be at least 1")
 
     runs = []
     for child in np.random.SeedSequence(seed).spawn(replications):
-        tally = _Tally(strategy, horizon, WARM_FRACTION * horizon, track_levels)
+        tally = _Tally(strategy, horizon, WARM_FRACTION * horizon, TRACK_LEVELS)
         for block in _path_blocks(model, np.random.default_rng(child), horizon):
             if tally.feed(*block):
                 break
@@ -333,7 +341,7 @@ def simulate(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
 
     return SimEstimates(
         strategy=format_strategy(strategy), seed=seed, replications=replications,
-        horizon=horizon, warm_fraction=WARM_FRACTION, track_levels=track_levels,
+        horizon=horizon, warm_fraction=WARM_FRACTION, track_levels=TRACK_LEVELS,
         event_count=sum(events),
         masses=masses, masses_se=masses_se,
         palm_env=palm, palm_env_se=palm_se,

@@ -76,8 +76,8 @@ class VerificationReport(Wire):
 verification_from_dict = functools.partial(decode, VerificationReport)
 
 
-def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy,
-                       tol: float = VERIFY_TOLERANCE) -> VerificationReport:
+def verify_equilibrium(model: ValidatedModel, rc: RewardCost,
+                       strategy: Strategy) -> VerificationReport:
     """Check the equilibrium sign pattern at every reachable level.
 
     A level counts as reachable when its stationary mass under the
@@ -98,11 +98,7 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
         sojourn = (w1 * mean_s[0] + w2 * mean_s[1]) / (w1 + w2)
         net = rc.reward - rc.cost * sojourn
         jp = strategy.join_prob(n)
-        margin = tol - abs(net)
-        if jp >= 1.0:
-            margin = net + tol
-        elif jp <= 0.0:
-            margin = tol - net
+        margin = VERIFY_TOLERANCE + (net if jp >= 1.0 else -net if jp <= 0.0 else -abs(net))
         return CheckRecord(level=n, last_level=n, join_prob=jp, mass=m1 + m2,
                            net_benefit=net, margin=margin, ok=margin >= 0.0)
 
@@ -130,5 +126,6 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost, strategy: Strategy
                if mass(n) >= MASS_FLOOR]
 
     return VerificationReport(strategy=format_strategy(strategy), passed=all(c.ok for c in checks),
-                              checks=tuple(checks), tolerance=tol, mass_floor=MASS_FLOOR)
+                              checks=tuple(checks), tolerance=VERIFY_TOLERANCE,
+                              mass_floor=MASS_FLOOR)
 

@@ -115,21 +115,32 @@ def derive_spectral(model: ValidatedModel) -> SpectralData:
     sq = xp.sqrt(delta)
     z2 = xp.divide(-(linear + sq), 2.0 * l1 * l2)
     z1 = xp.divide(k, l1 * l2 * z2)
-    # u1 = l1*z1 + mu1 + q12 = (sq + gap)/(2*l2) and v1 = l2*z1 + mu2 + q21 =
-    # (sq - gap)/(2*l1) have the product q12*q21: the one that adds sq and |gap|
-    # cancels nothing, the other is q12*q21 over it, and the a_e numerators are sums
+    # u = l1*z + mu1 + q12 and v = l2*z + mu2 + q21 have the product q12*q21 at
+    # both roots: u1 = (sq + gap)/(2*l2) and v1 = (sq - gap)/(2*l1) at z1, and
+    # -u2 = (sq - gap)/(2*l2) and -v2 = (sq + gap)/(2*l1) at z2. At each root the
+    # factor that adds sq and |gap| cancels nothing, and the other is q12*q21 over
+    # it, times its mu before the last product so as not to underflow where the
+    # term does not. The numerators are mu1*v1 + mu2*q12 and mu2*u1 + mu1*q21 at
+    # z1, and mu1*|v2| - mu2*q12 and mu2*|u2| - mu1*q21 at z2, whose terms are
+    # each taken over sq before their products
     up = gap >= 0.0
-    big = (sq + abs(gap)) / xp.where(up, 2.0 * l2, 2.0 * l1)
-    small = xp.where(up, p.q21, p.q12) * xp.divide(xp.where(up, p.q12, p.q21), big)
-    u1, v1 = xp.where(up, big, small), xp.where(up, small, big)
+    q_big, q_small = xp.where(up, p.q21, p.q12), xp.where(up, p.q12, p.q21)
+    big1 = (sq + abs(gap)) / xp.where(up, 2.0 * l2, 2.0 * l1)   # u1 if up, else v1
+    small1 = q_big * (xp.where(up, p.mu1, p.mu2) * xp.divide(q_small, big1))
+    big2 = xp.divide(sq + abs(gap), sq) / xp.where(up, 2.0 * l1, 2.0 * l2)   # |v2|/sq if up
+    small2 = q_big * xp.divide(xp.where(up, p.mu2, p.mu1) * xp.divide(q_small, sq), big2 * sq)
     pe1, pe2 = model.env_stationary
     return SpectralData(
         delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
         log_ratio=xp.log1p(-z1) - xp.log1p(-z2),
-        a1=xp.divide((p.mu1 * v1 + p.mu2 * p.q12) * pe1, sq * (1.0 - z1)),
-        b1=xp.divide(-(p.mu1 * l2 * z2 + k) * pe1, sq * (1.0 - z2)),
-        a2=xp.divide((p.mu2 * u1 + p.mu1 * p.q21) * pe2, sq * (1.0 - z1)),
-        b2=xp.divide(-(p.mu2 * l1 * z2 + k) * pe2, sq * (1.0 - z2)))
+        a1=xp.divide((xp.where(up, small1, p.mu1 * big1) + p.mu2 * p.q12) * pe1,
+                     sq * (1.0 - z1)),
+        b1=xp.divide((xp.where(up, p.mu1 * big2, small2) - p.mu2 * xp.divide(p.q12, sq)) * pe1,
+                     1.0 - z2),
+        a2=xp.divide((xp.where(up, p.mu2 * big1, small1) + p.mu1 * p.q21) * pe2,
+                     sq * (1.0 - z1)),
+        b2=xp.divide((xp.where(up, small2, p.mu2 * big2) - p.mu1 * xp.divide(p.q21, sq)) * pe2,
+                     1.0 - z2))
 
 
 def _checked(model: ValidatedModel, spec: SpectralData) -> tuple[dict, dict]:

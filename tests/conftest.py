@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -141,3 +144,18 @@ def case_c_model(rng: np.random.Generator) -> ValidatedModel:
         params = ModelParams(lambda1=rho * mu1, lambda2=rho * mu2,
                              mu1=mu1, mu2=mu2, q12=q12, q21=q21)
     return validate_params(params, UNIT_RC)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float, *what):
+    """Fail the test, naming ``what``, if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"over {seconds} s: {what}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -316,7 +316,7 @@ def test_acceptance_simulation_agreement():
     ctx = Ctx(PSTAR, RewardCost(0.72, 1.0))
     start = time.monotonic()
     est = simulate(ctx.model, ctx.rc, AlwaysJoin(),
-                   horizon=1e5, seed=2026, replications=16, track_levels=40)
+                   horizon=1e5, seed=2026, replications=16)
     elapsed = time.monotonic() - start
     dist = stationary_distribution(ctx.model, ctx.spec, AlwaysJoin())
     inside = 0

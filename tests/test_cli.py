@@ -4,7 +4,7 @@ import csv
 import json
 import math
 import re
-import signal
+import warnings
 
 import pytest
 
@@ -33,7 +33,7 @@ from clearbalk.oracle.verify import (
     verification_from_dict,
 )
 import decimal_reference
-from conftest import Ctx, PSTAR
+from conftest import Ctx, PSTAR, time_limit
 from clearbalk import RewardCost
 
 BASE_CONFIG = {
@@ -340,50 +340,63 @@ def test_simulate_table_shows_reference(config, capsys):
 
 def test_simulate_refuses_more_events_than_the_clock_resolves(config, capsys):
     # lambda1 = 1e200 makes the mean gap between events far below the float
-    # spacing of the clock at the horizon, so simulated time cannot advance
-    def stop(signum, frame):
-        raise TimeoutError("simulate did not return within 1 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    # spacing of the clock at the horizon, so simulated time cannot advance;
+    # the count is 6.67e199 in the long run and 1.06e199 more from the start
+    # in environment 1
+    with time_limit(1.0, "simulate"):
         code = main(["simulate", "--config", config(lambda1=1e200), "--strategy", "always-join",
                      "--horizon", "1", "--replications", "1"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
     err = capsys.readouterr().err
     assert code == 3
-    assert err == ("numerical failure: FloatRangeError: about 6.67e+199 events to the "
+    assert err == ("numerical failure: FloatRangeError: about 7.72e+199 events to the "
                    "horizon 1, 2**53 or more: simulated time cannot advance to it\n")
+
+
+def test_simulate_counts_the_events_of_the_first_visit(config, capsys):
+    # about 4 events per unit time in the long run, but the path starts in
+    # environment 1, whose first visit holds about 1e100 events
+    path = config(lambda1=1e200, lambda2=1.0, mu1=1.0, mu2=1.0, q12=1e100, q21=1e-100)
+    with time_limit(1.0, "simulate"):
+        code = main(["simulate", "--config", path, "--strategy", "always-join", "--horizon", "1",
+                     "--replications", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: FloatRangeError: about 1e+100 events to the horizon 1, 2**53 or "
+        "more: simulated time cannot advance to it\n")
 
 
 def test_simulate_of_a_visit_past_the_int64_range_returns(config, capsys):
     # q = 1e-170 makes each visit's geometric event count saturate at
     # 2**63 - 1, where the sum of two draws wrapped and the loop never ended
-    def stop(signum, frame):
-        raise TimeoutError("simulate did not return within 5 s")
-
     path = config(**{**dict.fromkeys(RATES, 1e-170), "mu1": 1.0, "mu2": 1.0}, R=1.0)
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
+    with time_limit(5.0, "simulate"):
         code = main(["simulate", "--config", path, "--strategy", "always-join", "--horizon", "10",
                      "--replications", "1", "--format", "json"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     # no arrival and no switch before the horizon: all the mass is at (0, env 1)
     assert json.loads(out)["masses"][0] == [1.0, 0.0]
 
 
+def test_simulate_of_a_visit_whose_end_probability_underflows_returns(config, capsys):
+    # q12/(lambda1 + mu1 + q12) = 1e-383 is below the floats, where numpy's
+    # geometric draw refused a probability of 0.0
+    path = config(lambda1=1.0, lambda2=1.0, mu1=1e216, mu2=1.0, q12=1e-167, q21=1e-239)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", path, "--strategy", "always-join",
+                     "--horizon", "1e-212", "--replications", "1", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["event_count"] > 0
+
+
 def test_rejected_family_is_one_short_line(config, capsys, monkeypatch):
     # a verifier that rejects every mixed threshold of a family of 2,115
-    def reject_mixed(model, rc, strategy, tol=VERIFY_TOLERANCE):
+    def reject_mixed(model, rc, strategy):
         passed = not isinstance(strategy, MixedThreshold)
-        return VerificationReport(format_strategy(strategy), passed, (), tol, MASS_FLOOR)
+        return VerificationReport(format_strategy(strategy), passed, (), VERIFY_TOLERANCE,
+                                  MASS_FLOOR)
 
     monkeypatch.setattr(oracle_verify, "verify_equilibrium", reject_mixed)
     code = main(["equilibrium", "--config", config(lambda1=1490.0, lambda2=200.0, mu1=1.08e-4,
@@ -398,19 +411,11 @@ def test_rejected_family_is_one_short_line(config, capsys, monkeypatch):
 def test_large_family_verifies_with_few_checks_per_member(config, capsys):
     # case A, subcase II with n_u = 1,057: 1,058 pure and 1,057 mixed thresholds,
     # each verified by walking its first two and last few levels only
-    def stop(signum, frame):
-        raise TimeoutError("equilibrium did not return within 10 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
-    try:
+    with time_limit(10.0, "equilibrium"):
         code = main(["equilibrium", "--config", config(lambda1=1490.0, lambda2=200.0,
                                                        mu1=1.08e-4, mu2=1.04, q12=7.25e-3,
                                                        q21=2.36e-3, R=49.8),
                      "--format", "json"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     members = json.loads(capsys.readouterr().out)["equilibria"]
     assert len(members) == 2115
@@ -700,11 +705,10 @@ FLOAT_RANGE_CASES = [
     ({"lambda1": 1e-200, "lambda2": 1e-200}, "lambda1*lambda2 is 0.0" + OUT_OF_RANGE),
     ({"lambda1": 1e-100, "lambda2": 1e-100, **dict.fromkeys(RATES[2:], 1e-150)},
      "the discriminant is 0.0" + OUT_OF_RANGE),
-    # normal roots, but mu2*lambda1*z2 overflows and b2 is inf/inf
-    ({"lambda1": 3.7392847268567415e-28, "lambda2": 5.441428035100938e-137,
-      "mu1": 6.0158223037527514e-136, "mu2": 3.8433352287644057e+149,
-      "q12": 4.5647228989076634e+45, "q21": 2.7699979820638663e-80, "R": 1.0},
-     "the mixture coefficient b2 is nan, outside the range of finite floats"),
+    # normal roots, but the z2 factor |v2|/sqrt(delta), about 1/lambda1, overflows
+    # for a subnormal lambda1: the float b1 is inf, where 100 and 200 digits give 0.4995
+    ({"lambda1": 1e-310, "lambda2": 1e10, "mu1": 1e-3, "mu2": 1.0, "q12": 1e-3, "q21": 1.0,
+      "R": 1.0}, "the mixture coefficient b1 is inf, outside the range of finite floats"),
 ]
 FLOAT_RANGE_IDS = ["huge-lambda1", "huge-int-lambda1", "huge-lambda-product", "tiny-rates",
                    "huge-k", "tiny-lambda-product", "zero-discriminant", "nan-coefficient"]
@@ -723,6 +727,38 @@ def test_quantities_past_the_float_range_are_named(config, capsys, overrides, me
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure: FloatRangeError: {message}")
     assert err.count("\n") == 1
+
+
+# arrival masses that underflow to 0.0 where a subcommand divides by them: the
+# r1 branch's d (read by the large-n limit of cases A and B), d + e (read by h0)
+# and a level's own (read by its Palm weights)
+ZERO_D = {"lambda1": 586459035270.9109, "lambda2": 1.4606320045149506e-40,
+          "mu1": 7.100972772929663e-99, "mu2": 8.546002649162509e+58,
+          "q12": 1.255977720881509e+107, "q21": 5.0708971697664974e-259,
+          "R": 0.017708381774948673}
+ZERO_D_PLUS_E = {"lambda1": 2.3792432270161037e+203, "lambda2": 1.0697347133142987e-278,
+                 "mu1": 1.00661377743046e-06, "mu2": 1.1600561116257657e-287,
+                 "q12": 2.3477617057993297e+185, "q21": 2.049625519276266e-148,
+                 "R": 26863.16569389952}
+ZERO_LEVEL_MASS = {"lambda1": 6.025040528283326e+36, "lambda2": 8.744243035275419e-227,
+                   "mu1": 1.2068188803967966e-124, "mu2": 6.892462397796713e-26,
+                   "q12": 5.583559720834335e-60, "q21": 1.0776680861896632e-287,
+                   "R": 5758.840729315806}
+
+
+@pytest.mark.parametrize("overrides, argv, message", [
+    (ZERO_D, ["equilibrium"], "the r1-branch arrival mass d underflows to 0.0"),
+    (ZERO_D, ["sweep", "--param", "R", "--from", "0.0177", "--to", "0.0178", "--steps", "3"],
+     "the r1-branch arrival mass d underflows to 0.0 (3 of 3 grid points)"),
+    (ZERO_D_PLUS_E, ["analyze", "--info-level", "ao"],
+     "the arrival mass d + e of level 0 underflows to 0.0"),
+    (ZERO_LEVEL_MASS, ["benefit", "--strategy", "threshold:3"],
+     "the arrival mass of level 1 underflows to 0.0"),
+], ids=["zero-d", "zero-d-sweep", "zero-d-plus-e", "zero-level-mass"])
+def test_arrival_masses_that_underflow_are_named(config, capsys, overrides, argv, message):
+    code = main(argv[:1] + ["--config", config(**overrides)] + argv[1:])
+    err = capsys.readouterr().err
+    assert (code, err) == (3, f"numerical failure: FloatRangeError: {message}\n")
 
 
 @pytest.mark.parametrize("overrides, message", FLOAT_RANGE_CASES, ids=FLOAT_RANGE_IDS)

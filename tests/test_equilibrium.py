@@ -13,6 +13,7 @@ from clearbalk import (
     AlwaysJoin,
     BenefitCoefficients,
     CaseKind,
+    FloatRangeError,
     ModelParams,
     MixedThreshold,
     NoInteriorRoot,
@@ -515,6 +516,16 @@ def test_sign_rules_give_python_ints_and_the_same_on_columns():
     assert signs == [-1, -1, 0, 0, 0, 1, 1, -1]
     assert all(type(sign) is int for sign in signs)
     assert banded_sign(np.array(values), 1e-9).tolist() == signs
+
+
+@pytest.mark.parametrize("orient", [1, -1, 0])
+def test_an_arrival_mass_of_zero_is_named(orient):
+    # h0 divides by d + e in every case, and the limit by d outside case C
+    with pytest.raises(FloatRangeError, match=r"^the arrival mass d \+ e of level 0 underflows"):
+        classify(_synthetic(1.0, 0.0, d=0.0, e=0.0), orient, 1e-9)
+    if orient:
+        with pytest.raises(FloatRangeError, match="^the r1-branch arrival mass d underflows"):
+            classify(_synthetic(1.0, 0.0, d=0.0, e=1.0), orient, 1e-9)
 
 
 def test_case_c_classifies_where_the_limit_divides_by_zero():

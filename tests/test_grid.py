@@ -211,11 +211,15 @@ def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys
     # K underflows at q12 = 1e-170 only
     (ModelParams(1e-100, 1e-100, 1e-170, 1e-170, 1.0, 1e-170), 1e170, "q12", 1e-170, 1.0,
      "K = mu1*mu2 + mu1*q21 + mu2*q12 underflows to 0.0"),
-    # the mixture coefficient b2 is inf/inf from mu2 = 4.75e128 on
-    (ModelParams(3.7392847268567415e-28, 5.441428035100938e-137, 6.0158223037527514e-136,
-                 3.8433352287644057e+149, 4.5647228989076634e+45, 2.7699979820638663e-80),
-     1.0, "mu2", 3.8e99, 3.8e129, "the mixture coefficient b2 is nan"),
-], ids=["discriminant-overflow", "k-underflow", "nan-coefficient"])
+    # the mixture coefficient b1 overflows while lambda1 is subnormal, at the first point
+    (ModelParams(1e-310, 1e10, 1e-3, 1.0, 1e-3, 1.0), 1.0, "lambda1", 1e-310, 1e-300,
+     "the mixture coefficient b1 is inf"),
+    # the r1-branch arrival mass d underflows to 0.0 at the first point only
+    (ModelParams(586459035270.9109, 1.4606320045149506e-40, 7.100972772929663e-99,
+                 8.546002649162509e+58, 1.255977720881509e+107, 5.0708971697664974e-259),
+     0.017708381774948673, "lambda2", 1.4606320045149506e-40, 1e10,
+     "the r1-branch arrival mass d underflows to 0.0"),
+], ids=["discriminant-overflow", "k-underflow", "nan-coefficient", "zero-d"])
 def test_points_past_the_float_range_match_the_per_point_reference(
         tmp_path, monkeypatch, capsys, params, reward, param, start, stop, quantity):
     argv = ["sweep", "--config", _config(tmp_path, params, reward), "--param", param,

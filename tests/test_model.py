@@ -97,7 +97,7 @@ LAWS = {
     "closed form": lambda ctx: stationary_distribution(ctx.model, ctx.spec, AlwaysJoin()),
     "balance": lambda ctx: solve_truncated_balance(ctx.model, AlwaysJoin()),
     "simulation": lambda ctx: simulate(ctx.model, ctx.rc, AlwaysJoin(), horizon=50.0,
-                                       replications=1, track_levels=2),
+                                       replications=1),
 }
 
 

@@ -28,6 +28,7 @@ from clearbalk.oracle.simulate import (
     ARRIVAL,
     CLEARING,
     SWITCH,
+    TRACK_LEVELS,
     _path_blocks,
     _Tally,
 )
@@ -35,7 +36,7 @@ from conftest import PSTAR, random_model
 
 
 def test_identical_seeds_identical_estimates(pstar):
-    kw = dict(horizon=2000.0, seed=7, replications=4, track_levels=12)
+    kw = dict(horizon=2000.0, seed=7, replications=4)
     first = simulate(pstar.model, pstar.rc, AlwaysJoin(), **kw)
     second = simulate(pstar.model, pstar.rc, AlwaysJoin(), **kw)
     assert first.to_dict() == second.to_dict()
@@ -43,7 +44,7 @@ def test_identical_seeds_identical_estimates(pstar):
 
 
 def test_different_seed_differs(pstar):
-    kw = dict(horizon=2000.0, replications=2, track_levels=12)
+    kw = dict(horizon=2000.0, replications=2)
     a = simulate(pstar.model, pstar.rc, AlwaysJoin(), seed=1, **kw)
     b = simulate(pstar.model, pstar.rc, AlwaysJoin(), seed=2, **kw)
     assert a.event_count != b.event_count
@@ -51,7 +52,7 @@ def test_different_seed_differs(pstar):
 
 def test_masses_are_a_distribution(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysJoin(),
-                   horizon=5000.0, seed=3, replications=3, track_levels=20)
+                   horizon=5000.0, seed=3, replications=3)
     total = est.masses.sum()
     assert total == pytest.approx(1.0, abs=1e-12)
     assert (est.masses >= 0.0).all()
@@ -59,7 +60,7 @@ def test_masses_are_a_distribution(pstar):
 
 def test_estimates_near_closed_form(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysJoin(),
-                   horizon=20000.0, seed=11, replications=6, track_levels=20)
+                   horizon=20000.0, seed=11, replications=6)
     want = {(0, 1): 3.0 / 11.0, (1, 1): 0.16804407713498623}
     for (n, env), value in want.items():
         se = est.pmf_se(n, env)
@@ -72,7 +73,7 @@ def test_estimates_near_closed_form(pstar):
 
 def test_net_benefit_decomposition(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysJoin(),
-                   horizon=3000.0, seed=5, replications=3, track_levels=10)
+                   horizon=3000.0, seed=5, replications=3)
     for n in range(5):
         want = 0.72 - est.sojourn_by_level[n]
         got = est.net_benefit_by_level[n]
@@ -84,7 +85,7 @@ def test_net_benefit_decomposition(pstar):
 
 def test_threshold_strategy_respects_support(pstar):
     est = simulate(pstar.model, pstar.rc, PureThreshold(3),
-                   horizon=3000.0, seed=9, replications=2, track_levels=10)
+                   horizon=3000.0, seed=9, replications=2)
     assert est.pmf(4, 1) == 0.0
     assert est.pmf(4, 2) == 0.0
     assert est.pmf(3, 1) + est.pmf(3, 2) > 0.0
@@ -92,14 +93,14 @@ def test_threshold_strategy_respects_support(pstar):
 
 def test_join_vector_supported(pstar):
     est = simulate(pstar.model, pstar.rc, JoinVector((1.0, 0.5)),
-                   horizon=3000.0, seed=13, replications=2, track_levels=10)
+                   horizon=3000.0, seed=13, replications=2)
     assert est.pmf(2, 1) + est.pmf(2, 2) > 0.0
     assert est.pmf(3, 1) == 0.0
 
 
 def test_balk_everything_empty(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysBalk(),
-                   horizon=2000.0, seed=4, replications=2, track_levels=5)
+                   horizon=2000.0, seed=4, replications=2)
     assert est.pmf(0, 1) + est.pmf(0, 2) == pytest.approx(1.0, abs=1e-12)
     assert all(math.isnan(v) for v in est.sojourn_by_env)
     assert all(math.isnan(v) for v in est.sojourn_by_level)
@@ -107,7 +108,7 @@ def test_balk_everything_empty(pstar):
 
 def test_to_dict_is_json_safe(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysBalk(),
-                   horizon=1000.0, seed=6, replications=2, track_levels=5)
+                   horizon=1000.0, seed=6, replications=2)
     blob = json.dumps(est.to_dict(), sort_keys=True, allow_nan=False)
     data = json.loads(blob)
     # unobserved sojourns serialize as nulls, not NaN
@@ -117,15 +118,15 @@ def test_to_dict_is_json_safe(pstar):
 
 def test_pmf_range_checks(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysJoin(),
-                   horizon=500.0, seed=8, replications=1, track_levels=6)
+                   horizon=500.0, seed=8, replications=1)
     with pytest.raises(ValueError):
-        est.pmf(7, 1)
+        est.pmf(TRACK_LEVELS + 1, 1)
     with pytest.raises(ValueError):
         est.pmf(0, 3)
     with pytest.raises(ValueError):
         est.pmf_se(0, 0)
     # the standard errors check their level the way the masses do
-    for n in (-1, 7, 8):
+    for n in (-1, TRACK_LEVELS + 1, TRACK_LEVELS + 2):
         with pytest.raises(ValueError, match="outside the tracked range"):
             est.pmf(n, 1)
         with pytest.raises(ValueError, match="outside the tracked range"):
@@ -136,7 +137,6 @@ def test_pmf_range_checks(pstar):
     {"horizon": 0.0}, {"horizon": -1.0},
     {"replications": 0},
     {"horizon": math.nan}, {"horizon": math.inf}, {"seed": -1},
-    {"track_levels": -1}, {"track_levels": -3}, {"track_levels": 2.0},
 ])
 def test_invalid_arguments(pstar, kw):
     base = dict(horizon=100.0, seed=0, replications=1)
@@ -147,7 +147,7 @@ def test_invalid_arguments(pstar, kw):
 
 def test_single_replication_has_no_se(pstar):
     est = simulate(pstar.model, pstar.rc, AlwaysJoin(),
-                   horizon=500.0, seed=2, replications=1, track_levels=6)
+                   horizon=500.0, seed=2, replications=1)
     assert math.isnan(est.pmf_se(0, 1))
 
 
@@ -305,7 +305,7 @@ def test_families_agree_with_closed_form(params, strategy, seed):
     model = validate_params(params, RewardCost(0.72, 1.0))
     dist = stationary_distribution(model, spectral_quantities(model), strategy)
     est = simulate(model, RewardCost(0.72, 1.0), strategy,
-                   horizon=1e4, seed=seed, replications=16, track_levels=8)
+                   horizon=1e4, seed=seed, replications=16)
     _within(est, dist.pmf)
 
 
@@ -313,14 +313,14 @@ def test_join_vector_agrees_with_balance_solve(pstar):
     strategy = JoinVector((1.0, 0.5, 0.25))
     sol = solve_truncated_balance(pstar.model, strategy)
     est = simulate(pstar.model, pstar.rc, strategy,
-                   horizon=1e4, seed=39, replications=16, track_levels=8)
+                   horizon=1e4, seed=39, replications=16)
     _within(est, sol.pmf)
 
 
 def test_high_threshold_walks_only_reachable_levels(pstar, monkeypatch):
     # no segment reaches 10**9, so the threshold joins like always-join,
     # and the certain-join walk stops at the highest level a segment can reach
-    kw = dict(horizon=200.0, seed=11, replications=2, track_levels=12)
+    kw = dict(horizon=200.0, seed=11, replications=2)
     calls = [0]
     join_prob = PureThreshold.join_prob
 

@@ -340,14 +340,27 @@ def test_zero_and_subnormal_mixture_coefficients_are_accepted(rates, index, zero
     assert all(math.isfinite(c) for c in (spec.a1, spec.b1, spec.a2, spec.b2))
 
 
+def test_a_coefficient_whose_quotient_factor_underflows_keeps_its_digits():
+    # v1 = q21*q12/u1 is 1.5e-333 and underflows, but mu1*v1 = 1.8e-203 does
+    # not, and a1 = 2.6e-271 is a normal float; the textbook numerator cancels
+    # some 270 digits, so the reference takes 400 and 800
+    rates = (1.32e-21, 3.29e-67, 1.18e130, 1.12e-131, 3.06e-141, 5.81e-63)
+    spec = spectral_quantities(validate_params(ModelParams(*rates), RewardCost(1.0, 1.0)))
+    want, check = (decimal_reference.spectral(rates, digits)["a1"] for digits in (400, 800))
+    assert abs(want - check) <= abs(want) * Decimal("1e-20")
+    assert spec.a1 == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert spec.a1 >= sys.float_info.min
+
+
 def test_roots_and_mixture_coefficients_match_the_decimal_reference():
-    # rates over 12 decades: taken as written, the numerators mu1*lambda2*z1 + K
-    # and mu2*lambda1*z1 + K cancel and lose up to 7e-5 of a1 and a2
+    # rates over 12 decades: taken as written, the numerators mu1*lambda2*z1 + K,
+    # mu2*lambda1*z1 + K and their z2 forms cancel, and lose up to 7e-5 of a1 and
+    # a2 and all the digits of b1 and b2
     rng = np.random.default_rng(13)
     for _ in range(1000):
         params = ModelParams(*np.exp(rng.uniform(-13.8, 13.8, size=6)).tolist())
         spec = spectral_quantities(validate_params(params, RewardCost(1.0, 1.0)))
         want = decimal_reference.spectral(astuple(params))
-        for name in ("z1", "a1", "a2"):
+        for name in ("z1", "a1", "a2", "b1", "b2"):
             assert getattr(spec, name) == pytest.approx(float(want[name]), rel=1e-12,
                                                         abs=0.0), name

@@ -21,6 +21,7 @@ from clearbalk import (
     verify_equilibrium,
 )
 from clearbalk.equilibrium import mixing_probability
+from clearbalk.oracle import verify as oracle_verify
 from clearbalk.oracle.verify import VERIFY_TOLERANCE, verification_from_dict
 import decimal_reference
 from conftest import PB, PSTAR
@@ -107,11 +108,12 @@ def test_report_round_trips(pstar):
     assert verification_from_dict(json.loads(blob)) == report
 
 
-def test_custom_tolerance_loosens_verdict(pstar):
+def test_custom_tolerance_loosens_verdict(pstar, monkeypatch):
     strict = verify_equilibrium(pstar.model, pstar.rc, PureThreshold(1))
     assert not strict.passed
-    loose = verify_equilibrium(pstar.model, pstar.rc, PureThreshold(1), tol=1.0)
-    assert loose.passed
+    monkeypatch.setattr(oracle_verify, "VERIFY_TOLERANCE", 1.0)
+    loose = verify_equilibrium(pstar.model, pstar.rc, PureThreshold(1))
+    assert loose.passed and loose.tolerance == 1.0
 
 
 def _reference_checks(model, rc, strategy, tol, mass_floor):
