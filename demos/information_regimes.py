@@ -11,11 +11,10 @@ decision in each regime.
 
 from clearbalk import (
     ModelParams,
+    Regime,
     RewardCost,
     critical_values,
-    dominant_almost_unobservable,
-    dominant_fully_observable,
-    dominant_fully_unobservable,
+    dominant_strategies,
     validate_params,
 )
 
@@ -51,9 +50,7 @@ def main() -> None:
     for r in (0.45, 0.55, 0.65, 0.70, 0.72, 0.76, 0.80):
         rc = RewardCost(float(r), 1.0)
         model = validate_params(PARAMS, rc)
-        fu = dominant_fully_unobservable(model, rc)
-        au = dominant_almost_unobservable(model, rc)
-        fo = dominant_fully_observable(model, rc)
+        fu, au, fo = (dominant_strategies(model, rc, regime) for regime in Regime)
         au_txt = f"{describe(au.join[0])} / {describe(au.join[1])}"
         fo_txt = f"{describe(fo.join[0])} / {describe(fo.join[1])}"
         print(f"{r:>6.2f}  {describe(fu.join):<12} {au_txt:<26} {fo_txt:<26}")

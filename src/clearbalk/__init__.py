@@ -67,9 +67,7 @@ from .dominant import (
     DominantStrategySet,
     Regime,
     critical_values,
-    dominant_almost_unobservable,
-    dominant_fully_observable,
-    dominant_fully_unobservable,
+    dominant_strategies,
 )
 from .benefit import (
     BenefitCoefficients,
@@ -144,9 +142,7 @@ __all__ = [
     "DominantStrategySet",
     "Regime",
     "critical_values",
-    "dominant_almost_unobservable",
-    "dominant_fully_observable",
-    "dominant_fully_unobservable",
+    "dominant_strategies",
     "BenefitCoefficients",
     "BenefitValue",
     "benefit_coefficients",

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 from .errors import FloatRangeError, UnreachableState
 from .model import RewardCost, ValidatedModel
-from .spectral import SpectralData, branch_power, discounts, law_pieces, piece_at, scaled_mixture
+from .spectral import (SpectralData, branch_power, discounts, elementwise, law_pieces, piece_at,
+                       scaled_mixture)
 from .strategies import Strategy
 
 
@@ -148,9 +149,10 @@ def h_upper_limit(coef: BenefitCoefficients) -> float:
 
     r1 > r2 makes the r1 branch dominate, so the conditional sojourn tends
     to a/d. Computing the limit analytically avoids iterating n upward into
-    floating-point underflow. Elementwise on numpy columns too (``grid``).
+    floating-point underflow. Elementwise on numpy columns too (``grid``);
+    a d of 0.0 gives an IEEE infinity or NaN.
     """
-    return coef.reward - coef.cost * coef.a / coef.d
+    return coef.reward - coef.cost * elementwise(coef.a).divide(coef.a, coef.d)
 
 
 def net_benefit_ao(model: ValidatedModel, coef: BenefitCoefficients,

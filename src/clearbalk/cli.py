@@ -28,14 +28,7 @@ import sys
 from pathlib import Path
 
 from .benefit import benefit_coefficients, net_benefit_ao
-from .dominant import (
-    KNIFE_TOLERANCE,
-    DominantStrategySet,
-    Regime,
-    dominant_almost_unobservable,
-    dominant_fully_observable,
-    dominant_fully_unobservable,
-)
+from .dominant import KNIFE_TOLERANCE, DominantStrategySet, Regime, dominant_strategies
 from .equilibrium import SIGN_TOLERANCE, EquilibriumReport, compute_equilibria
 from .errors import (
     ClearbalkError,
@@ -220,12 +213,7 @@ def cmd_analyze(args) -> int:
         return _run_equilibrium(args)
     model, rc = _load_config(args.config)
     tolerance = args.tolerance if args.tolerance is not None else KNIFE_TOLERANCE
-    runner = {
-        "fu": dominant_fully_unobservable,
-        "au": dominant_almost_unobservable,
-        "fo": dominant_fully_observable,
-    }[args.info_level]
-    report = runner(model, rc, tolerance)
+    report = dominant_strategies(model, rc, Regime(args.info_level), tolerance)
     _render(args, report.to_dict, lambda: _dominant_table(report))
     return 0
 

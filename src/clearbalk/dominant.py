@@ -12,8 +12,11 @@ regimes and the best response is outright dominant:
   pays off iff R/C exceeds E[S_e], giving a per-environment pair of
   decisions;
 * fully observable: seeing the queue length on top of the environment adds
-  nothing (the sojourn does not depend on it), so the answer coincides
-  with the almost unobservable one.
+  nothing (the sojourn does not depend on it), so the answer is the almost
+  unobservable one under its own regime tag.
+
+``dominant_strategies`` makes the one comparison of R/C with the critical
+values of any of the three regimes.
 
 Equalities produce indifference: any mixture is dominant, reported as a
 free coordinate plus a knife-edge flag since the classification is
@@ -22,7 +25,6 @@ tolerance-dependent in floating point.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 from dataclasses import dataclass
@@ -117,46 +119,24 @@ def _compare(ratio: float, critical: float, tolerance: float) -> int:
     return banded_sign(ratio - critical, tolerance * max(abs(ratio), abs(critical)))
 
 
-def _join(sign: int) -> float | None:
-    """The dominant joining probability for a comparison, None where every one is."""
-    return None if sign == 0 else float(sign > 0)
+def dominant_strategies(model: ValidatedModel, rc: RewardCost, regime: Regime,
+                        tolerance: float = KNIFE_TOLERANCE) -> DominantStrategySet:
+    """Dominant joining decisions in a regime without queue-length feedback.
 
-
-def dominant_fully_unobservable(model: ValidatedModel, rc: RewardCost,
-                                tolerance: float = KNIFE_TOLERANCE) -> DominantStrategySet:
-    """Dominant joining probability when nothing is observed.
-
-    Join (q=1) when R/C > V_fu, balk (q=0) when R/C < V_fu, and report the
-    whole family q in [0, 1] at equality within the relative tolerance.
+    R/C is compared with each critical value of the regime: V_fu when
+    nothing is observed, E[S_e] per environment otherwise. Join (q=1) above
+    it, balk (q=0) below it, and report a free coordinate (None, any q in
+    [0, 1]) at equality within the relative tolerance. The fully
+    unobservable report has one scalar decision and net benefit.
     """
     crit = critical_values(model)
-    sign = _compare(rc.reward / rc.cost, crit.v_fu, tolerance)
-    return DominantStrategySet(
-        Regime.FULLY_UNOBSERVABLE,
-        DominanceKind.INDIFFERENCE_FAMILY if sign == 0 else DominanceKind.UNIQUE_PURE,
-        join=_join(sign), net_benefit=rc.reward - rc.cost * crit.v_fu,
-        critical=crit, knife_edge=sign == 0)
-
-
-def dominant_almost_unobservable(model: ValidatedModel, rc: RewardCost,
-                                 tolerance: float = KNIFE_TOLERANCE) -> DominantStrategySet:
-    """Dominant per-environment joining pair when only the environment is seen."""
-    signs = [_compare(rc.reward / rc.cost, mean_s, tolerance) for mean_s in model.mean_clearing]
+    values = (crit.v_fu,) if regime is Regime.FULLY_UNOBSERVABLE else model.mean_clearing
+    signs = [_compare(rc.reward / rc.cost, value, tolerance) for value in values]
+    join = tuple(None if sign == 0 else float(sign > 0) for sign in signs)
+    net_benefit = tuple(rc.reward - rc.cost * value for value in values)
+    if regime is Regime.FULLY_UNOBSERVABLE:
+        (join,), (net_benefit,) = join, net_benefit
     knife = 0 in signs
     return DominantStrategySet(
-        Regime.ALMOST_UNOBSERVABLE,
-        DominanceKind.INDIFFERENCE_FAMILY if knife else DominanceKind.UNIQUE_PURE,
-        join=tuple(map(_join, signs)),
-        net_benefit=tuple(rc.reward - rc.cost * mean_s for mean_s in model.mean_clearing),
-        critical=critical_values(model), knife_edge=knife)
-
-
-def dominant_fully_observable(model: ValidatedModel, rc: RewardCost,
-                              tolerance: float = KNIFE_TOLERANCE) -> DominantStrategySet:
-    """Same decisions as the almost unobservable regime.
-
-    The observed queue length never changes a joiner's sojourn in a
-    clearing system, so the extra information is superfluous.
-    """
-    base = dominant_almost_unobservable(model, rc, tolerance)
-    return dataclasses.replace(base, regime=Regime.FULLY_OBSERVABLE)
+        regime, DominanceKind.INDIFFERENCE_FAMILY if knife else DominanceKind.UNIQUE_PURE,
+        join=join, net_benefit=net_benefit, critical=crit, knife_edge=knife)

@@ -149,10 +149,9 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
         if xp is FLOATS and mass == 0.0:   # ``grid`` checks its columns itself
             raise FloatRangeError(f"{name} underflows to 0.0")
     h0 = (coef.alpha + coef.beta) / (coef.d + coef.e)
-    try:
-        h_limit = h_upper_limit(coef)
-    except ZeroDivisionError:   # a float d of 0.0, in case C, which reads no limit
-        h_limit = math.nan
+    # a float d of 0.0 passes the mass checks in case C alone, where the benefit
+    # is the same at every level, so its limit is h0
+    h_limit = xp.where(coef.d == 0.0, h0, h_upper_limit(coef))
     at_zero, at_limit = banded_sign(h0, tolerance), banded_sign(h_limit, tolerance)
     threshold = (orient * at_zero >= 0) * (1 + (orient * at_limit >= 0))
     subcase = (orient == 0) * (at_zero + 1) + (orient != 0) * threshold

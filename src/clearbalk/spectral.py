@@ -124,22 +124,29 @@ def derive_spectral(model: ValidatedModel) -> SpectralData:
     # z1, and mu1*|v2| - mu2*q12 and mu2*|u2| - mu1*q21 at z2, whose terms are
     # each taken over sq before their products
     up = gap >= 0.0
+
+    def over_sq(mu, q):
+        # mu*q/sq, the quotient first unless it is not a normal float; sq is
+        # at most 1.4e154, so mu*q is finite where q/sq underflows
+        ratio = xp.divide(q, sq)
+        return xp.where(_normal(ratio), mu * ratio, xp.divide(mu * q, sq))
+
     q_big, q_small = xp.where(up, p.q21, p.q12), xp.where(up, p.q12, p.q21)
     big1 = (sq + abs(gap)) / xp.where(up, 2.0 * l2, 2.0 * l1)   # u1 if up, else v1
     small1 = q_big * (xp.where(up, p.mu1, p.mu2) * xp.divide(q_small, big1))
     big2 = xp.divide(sq + abs(gap), sq) / xp.where(up, 2.0 * l1, 2.0 * l2)   # |v2|/sq if up
-    small2 = q_big * xp.divide(xp.where(up, p.mu2, p.mu1) * xp.divide(q_small, sq), big2 * sq)
+    small2 = q_big * xp.divide(over_sq(xp.where(up, p.mu2, p.mu1), q_small), big2 * sq)
     pe1, pe2 = model.env_stationary
     return SpectralData(
         delta=delta, z1=z1, z2=z2, r1=1.0 / (1.0 - z1), r2=1.0 / (1.0 - z2),
         log_ratio=xp.log1p(-z1) - xp.log1p(-z2),
         a1=xp.divide((xp.where(up, small1, p.mu1 * big1) + p.mu2 * p.q12) * pe1,
                      sq * (1.0 - z1)),
-        b1=xp.divide((xp.where(up, p.mu1 * big2, small2) - p.mu2 * xp.divide(p.q12, sq)) * pe1,
+        b1=xp.divide((xp.where(up, p.mu1 * big2, small2) - over_sq(p.mu2, p.q12)) * pe1,
                      1.0 - z2),
         a2=xp.divide((xp.where(up, p.mu2 * big1, small1) + p.mu1 * p.q21) * pe2,
                      sq * (1.0 - z1)),
-        b2=xp.divide((xp.where(up, small2, p.mu2 * big2) - p.mu1 * xp.divide(p.q21, sq)) * pe2,
+        b2=xp.divide((xp.where(up, small2, p.mu2 * big2) - over_sq(p.mu1, p.q21)) * pe2,
                      1.0 - z2))
 
 

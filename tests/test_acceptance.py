@@ -19,13 +19,14 @@ from clearbalk import (
     CaseKind,
     MixedThreshold,
     PureThreshold,
+    Regime,
     ReverseThreshold,
     RewardCost,
     Subcase,
     benefit_coefficients,
     compute_equilibria,
     critical_values,
-    dominant_fully_unobservable,
+    dominant_strategies,
     f_eval,
     g_eval,
     h_lower,
@@ -423,7 +424,7 @@ def test_acceptance_cli_determinism_and_round_trip(tmp_path):
     assert cli_main(["analyze", "--config", cfg, "--info-level", "fu",
                      "--format", "json", "--out", str(fu_path)]) == 0
     fu_round = (dominant_from_dict(json.loads(fu_path.read_text()))
-                == dominant_fully_unobservable(ctx.model, ctx.rc))
+                == dominant_strategies(ctx.model, ctx.rc, Regime.FULLY_UNOBSERVABLE))
 
     eq_path = tmp_path / "eq.json"
     assert cli_main(["equilibrium", "--config", cfg, "--format", "json",

@@ -12,10 +12,9 @@ from clearbalk import (
     JoinVector,
     MixedThreshold,
     PureThreshold,
+    Regime,
     compute_equilibria,
-    dominant_almost_unobservable,
-    dominant_fully_observable,
-    dominant_fully_unobservable,
+    dominant_strategies,
     format_strategy,
     net_benefit_ao,
     report_from_dict,
@@ -78,7 +77,8 @@ def test_analyze_fu_json_round_trip(config, capsys):
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     ctx = Ctx(PSTAR, RewardCost(0.72, 1.0))
-    assert dominant_from_dict(data) == dominant_fully_unobservable(ctx.model, ctx.rc)
+    assert dominant_from_dict(data) == dominant_strategies(ctx.model, ctx.rc,
+                                                             Regime.FULLY_UNOBSERVABLE)
 
 
 @pytest.mark.parametrize("level", ["au", "fo"])
@@ -89,8 +89,7 @@ def test_analyze_au_fo_json_round_trip(config, capsys, level, reward):
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     ctx = Ctx(PSTAR, RewardCost(reward, 1.0))
-    runner = {"au": dominant_almost_unobservable, "fo": dominant_fully_observable}[level]
-    want = runner(ctx.model, ctx.rc)
+    want = dominant_strategies(ctx.model, ctx.rc, Regime(level))
     assert (None in want.join) == (reward != 0.6)
     assert dominant_from_dict(data) == want
 

@@ -9,9 +9,7 @@ from clearbalk import (
     Regime,
     RewardCost,
     critical_values,
-    dominant_almost_unobservable,
-    dominant_fully_observable,
-    dominant_fully_unobservable,
+    dominant_strategies,
 )
 from conftest import random_model
 
@@ -32,7 +30,7 @@ def test_v_fu_bracketed_by_au_criticals(rng):
 
 
 def test_fully_unobservable_balk_side(pstar):
-    result = dominant_fully_unobservable(pstar.model, RewardCost(0.6, 1.0))
+    result = dominant_strategies(pstar.model, RewardCost(0.6, 1.0), Regime.FULLY_UNOBSERVABLE)
     assert result.regime is Regime.FULLY_UNOBSERVABLE
     assert result.kind is DominanceKind.UNIQUE_PURE
     assert result.join == 0.0
@@ -41,7 +39,7 @@ def test_fully_unobservable_balk_side(pstar):
 
 
 def test_fully_unobservable_join_side(pstar):
-    result = dominant_fully_unobservable(pstar.model, pstar.rc)
+    result = dominant_strategies(pstar.model, pstar.rc, Regime.FULLY_UNOBSERVABLE)
     assert result.join == 1.0
     assert result.net_benefit == pytest.approx(0.02, rel=1e-12)
 
@@ -49,14 +47,14 @@ def test_fully_unobservable_join_side(pstar):
 def test_fully_unobservable_knife_edge(pstar):
     # R/C exactly at the critical value: every mixture is dominant
     for rc in (RewardCost(0.7, 1.0), RewardCost(7.0, 10.0)):
-        result = dominant_fully_unobservable(pstar.model, rc)
+        result = dominant_strategies(pstar.model, rc, Regime.FULLY_UNOBSERVABLE)
         assert result.kind is DominanceKind.INDIFFERENCE_FAMILY
         assert result.join is None
         assert result.knife_edge
 
 
 def test_almost_unobservable_splits_by_environment(pstar):
-    result = dominant_almost_unobservable(pstar.model, RewardCost(0.6, 1.0))
+    result = dominant_strategies(pstar.model, RewardCost(0.6, 1.0), Regime.ALMOST_UNOBSERVABLE)
     assert result.regime is Regime.ALMOST_UNOBSERVABLE
     assert result.join == (0.0, 1.0)
     assert result.net_benefit[0] == pytest.approx(-0.15, rel=1e-12)
@@ -65,7 +63,7 @@ def test_almost_unobservable_splits_by_environment(pstar):
 
 
 def test_almost_unobservable_knife_edge_single_env(pstar):
-    result = dominant_almost_unobservable(pstar.model, RewardCost(0.75, 1.0))
+    result = dominant_strategies(pstar.model, RewardCost(0.75, 1.0), Regime.ALMOST_UNOBSERVABLE)
     assert result.kind is DominanceKind.INDIFFERENCE_FAMILY
     assert result.join == (None, 1.0)
     assert result.knife_edge
@@ -75,8 +73,8 @@ def test_fully_observable_matches_almost_unobservable(pstar, rng):
     models = [pstar.model] + [random_model(rng) for _ in range(20)]
     for model in models:
         rc = RewardCost(0.6, 1.0)
-        au = dominant_almost_unobservable(model, rc)
-        fo = dominant_fully_observable(model, rc)
+        au = dominant_strategies(model, rc, Regime.ALMOST_UNOBSERVABLE)
+        fo = dominant_strategies(model, rc, Regime.FULLY_OBSERVABLE)
         assert fo.regime is Regime.FULLY_OBSERVABLE
         assert dataclasses.replace(fo, regime=Regime.ALMOST_UNOBSERVABLE) == au
 
@@ -92,7 +90,7 @@ def test_regime_tags_are_short_codes():
 def test_extreme_reward_always_joins(rng):
     for _ in range(20):
         model = random_model(rng)
-        rich = dominant_fully_unobservable(model, RewardCost(1e6, 1.0))
+        rich = dominant_strategies(model, RewardCost(1e6, 1.0), Regime.FULLY_UNOBSERVABLE)
         assert rich.join == 1.0
-        poor = dominant_fully_unobservable(model, RewardCost(1e-9, 1.0))
+        poor = dominant_strategies(model, RewardCost(1e-9, 1.0), Regime.FULLY_UNOBSERVABLE)
         assert poor.join == 0.0

@@ -530,6 +530,7 @@ def test_an_arrival_mass_of_zero_is_named(orient):
 
 def test_case_c_classifies_where_the_limit_divides_by_zero():
     # d underflows to 0.0 in some models at the edge of the float range;
-    # case C reads only h0 = (alpha + beta)/(d + e), so it needs no limit
-    subcase, *_, band, h0, _ = classify(_synthetic(1.0, 0.0, d=0.0, e=1.0), 0, 1e-9)
-    assert (subcase, band, h0) == (2, False, 1.0)
+    # case C reads only h0 = (alpha + beta)/(d + e), which is also its limit,
+    # since the benefit is the same at every level
+    subcase, *_, band, h0, h_limit = classify(_synthetic(1.0, 0.0, d=0.0, e=1.0), 0, 1e-9)
+    assert (subcase, band, h0, h_limit) == (2, False, 1.0, 1.0)

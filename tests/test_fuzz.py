@@ -1,6 +1,7 @@
 """Every subcommand on seeded configs over the whole float range.
 
-Rates are log-uniform in 1e-300..1e300 and R in e^-20..e^20, with C = 1.
+Rates are log-uniform in 1e-300..1e300 and R in e^-20..e^20, with C = 1;
+a second draw sets mu2 = mu1, for case C.
 Each call must end within ``CALL_LIMIT`` with exit 0, 2 or 3 and at most
 one line on stderr, with no traceback and no warning; ``sweep`` must also
 write the bytes of its per-point reference.
@@ -18,6 +19,10 @@ from conftest import time_limit
 from test_grid import assert_matches_reference
 
 CONFIGS = 300
+
+#: Configs with mu2 = mu1, and the seed of their own draw.
+CASE_C_CONFIGS = 100
+CASE_C_SEED = 2027
 
 #: Seconds a single call may take.
 CALL_LIMIT = 5.0
@@ -49,11 +54,9 @@ def _commands(config: dict) -> list[list[str]]:
     ]
 
 
-def test_every_subcommand_ends_cleanly(tmp_path, monkeypatch, capsys):
-    rng = random.Random(2026)
+def _check_every_subcommand(configs, tmp_path, monkeypatch, capsys) -> None:
     path = tmp_path / "fuzz.json"
-    for _ in range(CONFIGS):
-        config = _draw(rng)
+    for config in configs:
         path.write_text(json.dumps(config))
         for argv in _commands(config):
             argv = argv[:1] + ["--config", str(path)] + argv[1:]
@@ -72,3 +75,17 @@ def test_every_subcommand_ends_cleanly(tmp_path, monkeypatch, capsys):
             code = cli.main(argv)
         err = capsys.readouterr().err
         assert code in (0, 3) and err.count("\n") <= 1, (argv, config, code, err)
+
+
+def test_every_subcommand_ends_cleanly(tmp_path, monkeypatch, capsys):
+    rng = random.Random(2026)
+    _check_every_subcommand((_draw(rng) for _ in range(CONFIGS)), tmp_path, monkeypatch, capsys)
+
+
+def test_every_subcommand_ends_cleanly_in_case_c(tmp_path, monkeypatch, capsys):
+    # mu2 = mu1 puts a model in case C, which the draw above reaches with
+    # probability zero
+    rng = random.Random(CASE_C_SEED)
+    configs = ({**config, "mu2": config["mu1"]}
+               for config in (_draw(rng) for _ in range(CASE_C_CONFIGS)))
+    _check_every_subcommand(configs, tmp_path, monkeypatch, capsys)

@@ -45,6 +45,11 @@ PARAMS = ("R", "C", "lambda1", "lambda2", "mu1", "mu2", "q12", "q21")
 PAST_CAP = ModelParams(122138.80182365495, 55271.63639674091, 0.038823142603324645,
                        0.0012200002100189568, 0.0014219869022153516, 0.0006898391676283957)
 
+# case C with a float d of 0.0, which the large-n limit R - C*a/d divides by
+CASE_C_ZERO_D = ModelParams(1.128209438100654e22, 5.615931821492883e-152,
+                            1.3615158599899018e92, 1.3615158599899018e92,
+                            4.855245127377703e167, 2.858000814625628e-229)
+
 
 def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
                value: float, tolerance: float) -> dict:
@@ -76,7 +81,8 @@ def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
         "equilibria": listed,
         "v_fu": crit.v_fu,
         "h_upper_0": h_upper(coef, 0),
-        "h_limit": h_upper_limit(coef),
+        # a float d of 0.0 passes in case C alone, where h_upper is h0 at every level
+        "h_limit": h_upper(coef, 0) if coef.d == 0.0 else h_upper_limit(coef),
     }
 
 
@@ -188,6 +194,8 @@ def test_seeded_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsy
     (PSTAR, 0.72, "mu1", 3.0 * (1.0 - 4 * CASE_TOLERANCE), 3.0 * (1.0 + 4 * CASE_TOLERANCE), 41),
     (PSTAR, 0.72, "lambda1", (1.0 - 4 * CASE_TOLERANCE) / 3.0, (1.0 + 4 * CASE_TOLERANCE) / 3.0,
      41),
+    # case C whose float d is 0.0: h_limit is h0, not nan
+    (CASE_C_ZERO_D, 1.0, "R", 0.5, 1.5, 3),
 ])
 def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys, params,
                                                    reward, param, start, stop, steps):
@@ -197,6 +205,8 @@ def test_named_grids_match_the_per_point_reference(tmp_path, monkeypatch, capsys
     if params is P0 and param == "R":
         assert [row[6] for row in rows] == ["always-balk", "always-balk", "family",
                                             "always-join", "always-join"]
+    if params is CASE_C_ZERO_D:
+        assert [row[9] for row in rows] == [row[8] for row in rows] == ["0.5", "1", "1.5"]
     if params is PB:
         assert any(row[6].startswith("reverse:0:") for row in rows)
     if params is PAST_CAP:

@@ -352,6 +352,24 @@ def test_a_coefficient_whose_quotient_factor_underflows_keeps_its_digits():
     assert spec.a1 >= sys.float_info.min
 
 
+@pytest.mark.parametrize("rates, name", [
+    ((1.393423734360144e+230, 2.1255107297209488e-163, 6.029717644825546e+263,
+      1.5140921441544608e-218, 2.810550591440074e-150, 1.240006045013765e-247), "b2"),
+    ((8.879111756758156e-52, 3.9246308277216866e+191, 4.2877923317869595e-183,
+      3.1115919811266964e+201, 1.5062878015813894e-233, 2.1295821477897758e+173), "b1"),
+    ((6.606803499753262e-110, 3.196504216692705e+118, 1.4540606305219413e-208,
+      3.959010907239569e+162, 1.4748347063813766e-195, 2.3860898781833593e+248), "b1"),
+], ids=["b2-1e-118", "b1-1e-192", "b1-1e-302"])
+def test_a_b_coefficient_whose_q_over_sqrt_delta_underflows_keeps_its_digits(rates, name):
+    # from the e^+-690 draw of default_rng(5): q/sqrt(delta) underflows to 0.0
+    # or a subnormal, while mu*q/sqrt(delta) is a normal float
+    spec = spectral_quantities(validate_params(ModelParams(*rates), RewardCost(1.0, 1.0)))
+    want, check = (decimal_reference.spectral(rates, digits)[name] for digits in (400, 800))
+    assert abs(want - check) <= abs(want) * Decimal("1e-20")
+    assert getattr(spec, name) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert abs(getattr(spec, name)) >= sys.float_info.min
+
+
 def test_roots_and_mixture_coefficients_match_the_decimal_reference():
     # rates over 12 decades: taken as written, the numerators mu1*lambda2*z1 + K,
     # mu2*lambda1*z1 + K and their z2 forms cancel, and lose up to 7e-5 of a1 and

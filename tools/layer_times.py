@@ -4,7 +4,9 @@ Each layer is one call, timed with ``timeit``: the best of 5 repeats of
 ``--number`` calls, divided by the number, in microseconds. Without
 ``--number``, ``timeit``'s autorange picks it per layer (at least 0.2 s
 per repeat). The model is rates (2, 1, 1, 3, 1, 2), R = 0.72, C = 1 (case
-A, subcase II); ``compute_equilibria`` is also timed on a case B model,
+A, subcase II). ``dominant_strategies`` is timed in the fully and the
+almost unobservable regime, as ``analyze --info-level fu`` and ``au`` call
+it. ``compute_equilibria`` is also timed on a case B model,
 rates (1, 6, 1, 3, 1, 1) and R = 0.475 (subcase II), and on a case C
 model, rates (1, 1, 1, 1, 1, 1) and R = 0.72 (subcase I). The verifier is
 also timed on the deepest member ``threshold:85494`` of a deep family, rates
@@ -42,10 +44,12 @@ from clearbalk import (  # noqa: E402
     ModelParams,
     PureThreshold,
     SIGN_TOLERANCE,
+    Regime,
     RewardCost,
     benefit_coefficients,
     compute_equilibria,
     congestion_case,
+    dominant_strategies,
     spectral_quantities,
     stationary_distribution,
     validate_params,
@@ -91,6 +95,8 @@ def layers() -> dict:
         "spectral": lambda: spectral_quantities(model),
         "congestion_case": lambda: congestion_case(model),
         "coefficients": lambda: benefit_coefficients(model, spec, RC),
+        "dominant_fu": lambda: dominant_strategies(model, RC, Regime.FULLY_UNOBSERVABLE),
+        "dominant_au": lambda: dominant_strategies(model, RC, Regime.ALMOST_UNOBSERVABLE),
         "threshold_bounds": lambda: threshold_bounds(coef, Orientation.THRESHOLD),
         "mixing_probability": lambda: mixing_probability(coef, 2),
         "compute_equilibria_unverified": unverified(RATES, RC),
