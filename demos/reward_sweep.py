@@ -8,14 +8,15 @@ behavior with a narrow mixing window in between.
 """
 
 from clearbalk import (
+    AlwaysJoin,
     ModelParams,
     RewardCost,
     benefit_coefficients,
     compute_equilibria,
     critical_values,
     format_strategy,
-    h_upper,
     h_upper_limit,
+    net_benefit_ao,
     spectral_quantities,
     validate_params,
 )
@@ -34,7 +35,7 @@ def sweep(params: ModelParams, rewards) -> None:
     crit = critical_values(probe)
     print(f"  blind-join critical reward: {crit.v_fu:.6f}")
     print(f"  join-at-empty critical reward: "
-          f"{1.0 - h_upper(base, 0):.6f}")
+          f"{1.0 - net_benefit_ao(probe, base, AlwaysJoin(), 0).value:.6f}")
     print(f"  join-in-a-crowd critical reward: "
           f"{1.0 - h_upper_limit(base):.6f}")
     print()

@@ -8,6 +8,7 @@ optimal threshold by a direct welfare scan.
 """
 
 from clearbalk import (
+    AlwaysJoin,
     ModelParams,
     PureThreshold,
     RewardCost,
@@ -15,8 +16,7 @@ from clearbalk import (
     compute_equilibria,
     critical_values,
     format_strategy,
-    h_lower,
-    h_upper,
+    net_benefit_ao,
     spectral_quantities,
     stationary_distribution,
     validate_params,
@@ -61,7 +61,9 @@ def main() -> None:
     print("net benefit of joining at level n when everyone joins (upper)")
     print("and when the queue is capped just below n (lower):")
     for n in range(5):
-        print(f"  n = {n}:  upper {h_upper(coef, n):+.6f}   lower {h_lower(coef, n):+.6f}")
+        upper = net_benefit_ao(model, coef, AlwaysJoin(), n).value
+        lower = net_benefit_ao(model, coef, PureThreshold(n), n).value
+        print(f"  n = {n}:  upper {upper:+.6f}   lower {lower:+.6f}")
     print()
 
     report = compute_equilibria(model, spec, coef, RC, verify=True)

@@ -75,8 +75,6 @@ from .benefit import (
     benefit_coefficients,
     f_eval,
     g_eval,
-    h_lower,
-    h_upper,
     h_upper_limit,
     net_benefit_ao,
 )
@@ -148,8 +146,6 @@ __all__ = [
     "benefit_coefficients",
     "f_eval",
     "g_eval",
-    "h_lower",
-    "h_upper",
     "h_upper_limit",
     "net_benefit_ao",
     "SIGN_TOLERANCE",

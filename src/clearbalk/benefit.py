@@ -19,12 +19,12 @@ The discounted aggregates
 with alpha = R*D - C*A and beta = R*E - C*B collect the net benefit across
 a (1-theta)-discounted tail of levels; G is always strictly positive, so
 sign questions about conditional benefits reduce to sign questions about
-F. The two envelopes H_upper(n) = F(n,1)/G(n,1) and
-H_lower(n) = F(n,0)/G(n,0) are the benefits of joining at n when the
-population joins up to n (exclusive) and through n (inclusive),
-respectively. ``net_benefit_ao`` takes the same ratio with the divisors of
-the piece of the strategy's law (see ``spectral``) that holds level n, for
-every strategy, join vectors included.
+F. ``net_benefit_ao`` gives the benefit of joining at n against any stated
+strategy, with the divisors of the piece of its law (see ``spectral``)
+that holds level n. F(n, 1)/G(n, 1) is its value against a strategy that
+joins with certainty through n (``AlwaysJoin``, ``PureThreshold(n + 1)``),
+and F(n, 0)/G(n, 0) against ``PureThreshold(n)``, where level n holds the
+whole always-join tail.
 """
 
 from __future__ import annotations
@@ -107,45 +107,20 @@ def benefit_coefficients(model: ValidatedModel, spec: SpectralData,
     )
 
 
-def scaled_aggregate(coef: BenefitCoefficients, c1: float, c2: float,
-                     n: int, theta: float) -> float:
-    """c1*r1**n/(1-(1-theta)*r1) + c2*r2**n/(1-(1-theta)*r2), divided by r1**n.
-
-    With (c1, c2) = (alpha, beta) this is F(n, theta)/r1**n, with (d, e)
-    G(n, theta)/r1**n. Ratios of such sums equal the unscaled ratios and
-    stay finite at levels where r1**n itself underflows (small r1).
-    """
-    return scaled_mixture(coef.log_ratio, c1, c2, n, *discounts(coef.z1, coef.z2, theta))
-
-
 def f_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
     """Discounted net-benefit aggregate F(n, theta) in closed form."""
-    return branch_power(coef.z1, n) * scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
+    return branch_power(coef.z1, n) * scaled_mixture(coef.log_ratio, coef.alpha, coef.beta, n,
+                                                     *discounts(coef.z1, coef.z2, theta))
 
 
 def g_eval(coef: BenefitCoefficients, n: int, theta: float) -> float:
     """Discounted arrival-mass aggregate G(n, theta); strictly positive."""
-    return branch_power(coef.z1, n) * scaled_aggregate(coef, coef.d, coef.e, n, theta)
-
-
-def _benefit(coef: BenefitCoefficients, n: int, theta: float) -> float:
-    """F(n, theta)/G(n, theta), the benefit at n of a (1-theta)-discounted tail."""
-    return (scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
-            / scaled_aggregate(coef, coef.d, coef.e, n, theta))
-
-
-def h_upper(coef: BenefitCoefficients, n: int) -> float:
-    """Benefit of joining at n when the population joins strictly below n only."""
-    return _benefit(coef, n, 1.0)
-
-
-def h_lower(coef: BenefitCoefficients, n: int) -> float:
-    """Benefit of joining at n when the population joins through n as well."""
-    return _benefit(coef, n, 0.0)
+    return branch_power(coef.z1, n) * scaled_mixture(coef.log_ratio, coef.d, coef.e, n,
+                                                     *discounts(coef.z1, coef.z2, theta))
 
 
 def h_upper_limit(coef: BenefitCoefficients) -> float:
-    """Analytic large-n limit of h_upper: R - C*a/d.
+    """Analytic large-n limit of F(n, 1)/G(n, 1): R - C*a/d.
 
     r1 > r2 makes the r1 branch dominate, so the conditional sojourn tends
     to a/d. Computing the limit analytically avoids iterating n upward into

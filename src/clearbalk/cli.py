@@ -52,8 +52,9 @@ class _InputError(Exception):
 
 
 def _fmt(value: float | None) -> str:
-    """Float cell with 12 significant digits; 'inf' for infinities, '' for None."""
-    return "" if value is None else f"{value:.12g}"
+    """Float cell with 12 significant digits; 'inf' for infinities, '-' for NaN, '' for None."""
+    text = "" if value is None else f"{value:.12g}"
+    return "-" if text == "nan" else text
 
 
 def _json_text(payload) -> str:
@@ -289,12 +290,8 @@ def cmd_simulate(args) -> int:
                 estimates.pmf(n, env), estimates.pmf_se(n, env), reference.pmf(n, env)))))
         lines = []
         for e, ref_s in enumerate(model.mean_clearing):
-            mean = estimates.sojourn_by_env[e]
-            se = estimates.sojourn_by_env_se[e]
-            mean_text = "-" if math.isnan(mean) else _fmt(float(mean))
-            se_text = "-" if math.isnan(se) else _fmt(float(se))
-            lines.append(f"sojourn env {e + 1}: sim {mean_text} (se {se_text}), "
-                         f"expected {_fmt(ref_s)}")
+            lines.append(f"sojourn env {e + 1}: sim {_fmt(estimates.sojourn_by_env[e])} "
+                         f"(se {_fmt(estimates.sojourn_by_env_se[e])}), expected {_fmt(ref_s)}")
         lines.append(f"events: {estimates.event_count}")
         return _cells_text(rows, "table") + "\n".join(lines) + "\n"
 
@@ -334,7 +331,11 @@ def _build_parser() -> argparse.ArgumentParser:
     tolerant = argparse.ArgumentParser(add_help=False)
     tolerant.add_argument("--tolerance", type=_flag(float, lambda v: 0.0 <= v < math.inf,
                                                     "finite and nonnegative"),
-                          help="override the sign-test tolerance")
+                          help="sign band: with analyze --info-level fu, au or fo the "
+                               "relative band on R/C around a critical value (default "
+                               f"{KNIFE_TOLERANCE:g}); with ao, equilibrium and sweep the "
+                               "absolute band on the G-normalized F, the benefit F/G "
+                               f"(default {SIGN_TOLERANCE:g})")
 
     parser = argparse.ArgumentParser(
         prog="clearbalk",

@@ -164,7 +164,7 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
     e1, e2 = discounts(coef.z1, coef.z2, 0.0)
 
     def value(n, d1, d2):
-        # orient*F(n, theta)/G(n, 1) as scaled_aggregate forms them
+        # orient*F(n, theta)/G(n, 1), both divided by r1**n as scaled_mixture forms them
         power = xp.exp(n * log_ratio)
         return orient * xp.divide(coef.alpha / d1 + coef.beta * power / d2,
                                   coef.d + coef.e * power)

@@ -21,8 +21,6 @@ from clearbalk import (
     critical_values,
     f_eval,
     g_eval,
-    h_lower,
-    h_upper,
     h_upper_limit,
     net_benefit_ao,
     solve_truncated_balance,
@@ -54,11 +52,19 @@ def test_f_goldens(pstar):
 
 def test_h_goldens(pstar):
     coef = pstar.coef
-    assert h_upper(coef, 0) == pytest.approx(0.04, abs=1e-13)
-    assert h_upper(coef, 1) == pytest.approx(0.0096551724137931034, abs=1e-13)
-    assert h_upper(coef, 2) == pytest.approx(2.2598870056497175e-4, abs=1e-13)
-    assert h_lower(coef, 2) == pytest.approx(-0.0016216216216216216, abs=1e-13)
-    assert h_lower(coef, 3) == pytest.approx(-0.0030434782608695652, abs=1e-13)
+    model = pstar.model
+
+    def upper(n):
+        return net_benefit_ao(model, coef, AlwaysJoin(), n).value
+
+    def lower(n):
+        return net_benefit_ao(model, coef, PureThreshold(n), n).value
+
+    assert upper(0) == pytest.approx(0.04, abs=1e-13)
+    assert upper(1) == pytest.approx(0.0096551724137931034, abs=1e-13)
+    assert upper(2) == pytest.approx(2.2598870056497175e-4, abs=1e-13)
+    assert lower(2) == pytest.approx(-0.0016216216216216216, abs=1e-13)
+    assert lower(3) == pytest.approx(-0.0030434782608695652, abs=1e-13)
     limit = 0.72 - (5.0 + math.sqrt(5.0)) / 10.0
     assert h_upper_limit(coef) == pytest.approx(limit, abs=1e-13)
     assert coef.a / coef.d == pytest.approx((5.0 + math.sqrt(5.0)) / 10.0, rel=1e-13)
@@ -70,7 +76,8 @@ def test_empty_queue_benefit_equals_unconditional(rng):
         model = random_model(rng)
         ctx = Ctx(model.params, RewardCost(0.9, 1.3))
         v_fu = critical_values(model).v_fu
-        assert h_lower(ctx.coef, 0) == pytest.approx(0.9 - 1.3 * v_fu, abs=1e-10)
+        at_empty = net_benefit_ao(ctx.model, ctx.coef, PureThreshold(0), 0).value
+        assert at_empty == pytest.approx(0.9 - 1.3 * v_fu, abs=1e-10)
 
 
 def test_tail_recurrences(rng):
@@ -131,7 +138,8 @@ def test_benefit_envelope_monotone_in_n(rng, builder, direction):
             assert ae_bd < 0.0
         else:
             assert abs(ae_bd) <= 1e-9 * scale
-        values = [h_upper(ctx.coef, n) for n in range(16)]
+        values = [net_benefit_ao(ctx.model, ctx.coef, AlwaysJoin(), n).value
+                  for n in range(16)]
         _assert_monotone(values, direction)
         first = values[1] - values[0]
         if direction != 0:
@@ -157,7 +165,8 @@ def test_dispatch_always_join(pstar):
     assert sum(result.palm) == pytest.approx(1.0, abs=1e-14)
     for n in range(1, 8):
         got = net_benefit_ao(pstar.model, pstar.coef, AlwaysJoin(), n)
-        assert got.value == pytest.approx(h_upper(pstar.coef, n), abs=1e-14)
+        want = f_eval(pstar.coef, n, 1.0) / g_eval(pstar.coef, n, 1.0)
+        assert got.value == pytest.approx(want, abs=1e-14)
 
 
 def test_dispatch_palm_matches_stationary_law(pstar):
@@ -176,9 +185,11 @@ def test_dispatch_pure_threshold(pstar):
     strat = PureThreshold(3)
     for n in range(3):
         got = net_benefit_ao(pstar.model, pstar.coef, strat, n)
-        assert got.value == pytest.approx(h_upper(pstar.coef, n), abs=1e-14)
+        want = f_eval(pstar.coef, n, 1.0) / g_eval(pstar.coef, n, 1.0)
+        assert got.value == pytest.approx(want, abs=1e-14)
     at = net_benefit_ao(pstar.model, pstar.coef, strat, 3)
-    assert at.value == pytest.approx(h_lower(pstar.coef, 3), abs=1e-14)
+    want = f_eval(pstar.coef, 3, 0.0) / g_eval(pstar.coef, 3, 0.0)
+    assert at.value == pytest.approx(want, abs=1e-14)
     with pytest.raises(UnreachableState):
         net_benefit_ao(pstar.model, pstar.coef, strat, 4)
 
@@ -198,7 +209,8 @@ def test_dispatch_mixed_threshold(pstar):
 def test_dispatch_balk_like(pstar):
     for strat in (AlwaysBalk(), ReverseThreshold(2, 0.5), ReverseThreshold(0, 0.0)):
         got = net_benefit_ao(pstar.model, pstar.coef, strat, 0)
-        assert got.value == pytest.approx(h_lower(pstar.coef, 0), abs=1e-14)
+        want = f_eval(pstar.coef, 0, 0.0) / g_eval(pstar.coef, 0, 0.0)
+        assert got.value == pytest.approx(want, abs=1e-14)
         assert got.value == pytest.approx(0.02, abs=1e-13)
         with pytest.raises(UnreachableState):
             net_benefit_ao(pstar.model, pstar.coef, strat, 1)
@@ -211,7 +223,8 @@ def test_dispatch_reverse_interior(pstar):
         want = f_eval(pstar.coef, n, 0.4) / g_eval(pstar.coef, n, 0.4)
         assert got.value == pytest.approx(want, abs=1e-14)
     full = net_benefit_ao(pstar.model, pstar.coef, ReverseThreshold(0, 1.0), 2)
-    assert full.value == pytest.approx(h_upper(pstar.coef, 2), abs=1e-14)
+    want = f_eval(pstar.coef, 2, 1.0) / g_eval(pstar.coef, 2, 1.0)
+    assert full.value == pytest.approx(want, abs=1e-14)
 
 
 def test_dispatch_rejections(pstar):

@@ -37,10 +37,9 @@ from clearbalk import (
     threshold_bounds,
     validate_params,
 )
-from clearbalk.benefit import scaled_aggregate
 from clearbalk.equilibrium import SCAN_LIMIT, classify
 from clearbalk.model import banded_sign
-from clearbalk.spectral import FLOATS
+from clearbalk.spectral import FLOATS, discounts, scaled_mixture
 from conftest import (
     P0,
     PB,
@@ -196,8 +195,10 @@ def _reference_bounds(coef, orientation, tolerance):
 
     def sign(n, theta):
         # F(n, theta)/G(n, 1), both divided by r1**n
-        return banded(scaled_aggregate(coef, coef.alpha, coef.beta, n, theta)
-                      / scaled_aggregate(coef, coef.d, coef.e, n, 1.0))
+        f = scaled_mixture(coef.log_ratio, coef.alpha, coef.beta, n,
+                           *discounts(coef.z1, coef.z2, theta))
+        g = scaled_mixture(coef.log_ratio, coef.d, coef.e, n, *discounts(coef.z1, coef.z2, 1.0))
+        return banded(f / g)
 
     def bounds(subcase, nl, nu, nlp, num):
         return ThresholdBounds(orientation, subcase, nl, nu, nlp, num, band_hit)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from clearbalk import (
+    AlwaysJoin,
     CASE_TOLERANCE,
     CaseKind,
     ClearbalkError,
@@ -30,8 +31,8 @@ from clearbalk import (
     congestion_case,
     critical_values,
     format_strategy,
-    h_upper,
     h_upper_limit,
+    net_benefit_ao,
     spectral_quantities,
     validate_params,
 )
@@ -66,6 +67,7 @@ def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
     report = compute_equilibria(model, spec, coef, rc, verify=False,
                                 tolerance=tolerance)
     crit = critical_values(model)
+    at_zero = net_benefit_ao(model, coef, AlwaysJoin(), 0).value
     if report.equilibria and report.equilibria[0].strategy is None:
         listed = "family"
     else:
@@ -80,9 +82,9 @@ def _sweep_row(base_params: ModelParams, base_rc: RewardCost, param: str,
         "n_u": bounds.get("n_u"),
         "equilibria": listed,
         "v_fu": crit.v_fu,
-        "h_upper_0": h_upper(coef, 0),
-        # a float d of 0.0 passes in case C alone, where h_upper is h0 at every level
-        "h_limit": h_upper(coef, 0) if coef.d == 0.0 else h_upper_limit(coef),
+        "h_upper_0": at_zero,
+        # a float d of 0.0 passes in case C alone, where the benefit is h0 at every level
+        "h_limit": at_zero if coef.d == 0.0 else h_upper_limit(coef),
     }
 
 
@@ -131,10 +133,12 @@ def assert_matches_reference(monkeypatch, capsys, argv):
 
 
 def _critical_rewards(params: ModelParams) -> tuple[float, float]:
-    """R at which h_upper(0) and the large-n limit change sign, at C = 1."""
+    """R at which the benefit at 0 against always-join and its large-n limit
+    change sign, at C = 1."""
     model = validate_params(params, RewardCost(1.0, 1.0))
     coef = benefit_coefficients(model, spectral_quantities(model), RewardCost(1.0, 1.0))
-    at_zero = 1.0 - h_upper(coef, 0)      # the conditional sojourn at level 0
+    # the conditional sojourn at level 0
+    at_zero = 1.0 - net_benefit_ao(model, coef, AlwaysJoin(), 0).value
     limit = coef.a / coef.d
     return min(at_zero, limit), max(at_zero, limit)
 

@@ -24,7 +24,7 @@ from clearbalk.equilibrium import mixing_probability
 from clearbalk.oracle import verify as oracle_verify
 from clearbalk.oracle.verify import VERIFY_TOLERANCE, verification_from_dict
 import decimal_reference
-from conftest import PB, PSTAR
+from conftest import PB, PSTAR, Ctx
 
 
 def test_equilibrium_threshold_passes(pstar):
@@ -306,3 +306,13 @@ def test_mixing_probability_at_large_reward_matches_the_decimal_reference():
     coef = benefit_coefficients(model, spectral_quantities(model), rc)
     want = decimal_reference.mixing_probability(astuple(params), rc.reward, rc.cost, 3573)
     assert mixing_probability(coef, 3573) == pytest.approx(float(want), rel=1e-11, abs=0.0)
+
+
+def test_mixing_probability_near_zero_matches_the_decimal_reference_absolutely():
+    # theta(0) is about 4e-5, the difference of two terms of about 0.093 in the
+    # numerator, so the float alpha's 7.3e-15 relative error comes out 8.5e-11
+    # relative; absolutely it stays near 3.4e-15
+    params = ModelParams(3.66685, 1.0, 1.0, 3.0, 1.0, 2.0)
+    ctx = Ctx(params, RewardCost(0.72, 1.0))
+    want = decimal_reference.mixing_probability(astuple(params), 0.72, 1.0, 0)
+    assert mixing_probability(ctx.coef, 0) == pytest.approx(float(want), rel=0.0, abs=1e-14)

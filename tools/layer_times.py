@@ -14,9 +14,9 @@ also timed on the deepest member ``threshold:85494`` of a deep family, rates
 is one call on each of two grids of 2,001 points: the reference model over R
 in 0.57..0.84, and the case B model, rates (4, 1, 3, 1, 1, 2) and R = 0.6,
 over q21 in 0.095..1.05; together they cross subcases I, II and III.
-``mixing_probability`` is timed at level 2 of the reference model, and
-``simulate`` as one replication of ``threshold:3`` on it, with horizon
-10,000 and seed 0.
+``mixing_probability`` is timed at level 2 of the reference model,
+``net_benefit_ao`` at level 3 under ``threshold:3``, and ``simulate`` as one
+replication of ``threshold:3`` on it, with horizon 10,000 and seed 0.
 
 The script imports the package from the ``src`` directory of the checkout
 it lives in, so two checkouts can be timed side by side::
@@ -50,6 +50,7 @@ from clearbalk import (  # noqa: E402
     compute_equilibria,
     congestion_case,
     dominant_strategies,
+    net_benefit_ao,
     spectral_quantities,
     stationary_distribution,
     validate_params,
@@ -99,6 +100,7 @@ def layers() -> dict:
         "dominant_au": lambda: dominant_strategies(model, RC, Regime.ALMOST_UNOBSERVABLE),
         "threshold_bounds": lambda: threshold_bounds(coef, Orientation.THRESHOLD),
         "mixing_probability": lambda: mixing_probability(coef, 2),
+        "net_benefit_threshold_3": lambda: net_benefit_ao(model, coef, PureThreshold(3), 3),
         "compute_equilibria_unverified": unverified(RATES, RC),
         **{f"compute_equilibria_unverified_{name}": unverified(*inputs)
            for name, inputs in OTHER_CASES.items()},
