@@ -36,7 +36,8 @@ def welfare_rate(model, spec, rc, strategy) -> float:
     dist = stationary_distribution(model, spec, strategy)
     s1, s2 = model.mean_clearing
     p = model.params
-    top = dist.support_bound if dist.support_bound is not None else 200
+    bound = strategy.support_bound()
+    top = bound if bound is not None else 200
     flow1 = sum(p.lambda1 * dist.pmf(n, 1) * strategy.join_prob(n)
                 for n in range(top + 1))
     flow2 = sum(p.lambda2 * dist.pmf(n, 2) * strategy.join_prob(n)
@@ -59,7 +60,7 @@ def main() -> None:
     print()
 
     print("net benefit of joining at level n when everyone joins (upper)")
-    print("and when the queue is capped just below n (lower):")
+    print("and when the others join only below n, capping the queue at n (lower):")
     for n in range(5):
         upper = net_benefit_ao(model, coef, AlwaysJoin(), n).value
         lower = net_benefit_ao(model, coef, PureThreshold(n), n).value

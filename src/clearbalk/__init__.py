@@ -85,11 +85,8 @@ from .equilibrium import (
     Orientation,
     Subcase,
     ThresholdBounds,
-    bounds_from_dict,
     compute_equilibria,
     mixing_probability,
-    report_from_dict,
-    threshold_bounds,
 )
 from .oracle import (
     CheckRecord,
@@ -154,11 +151,8 @@ __all__ = [
     "Orientation",
     "Subcase",
     "ThresholdBounds",
-    "bounds_from_dict",
     "compute_equilibria",
     "mixing_probability",
-    "report_from_dict",
-    "threshold_bounds",
     "CheckRecord",
     "SimEstimates",
     "TruncatedSolution",

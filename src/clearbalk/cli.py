@@ -191,13 +191,17 @@ def _equilibrium_table(report: EquilibriumReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_equilibrium(args) -> int:
+def cmd_analyze(args) -> int:
     model, rc = _load_config(args.config)
+    if args.info_level != "ao":
+        tolerance = args.tolerance if args.tolerance is not None else KNIFE_TOLERANCE
+        report = dominant_strategies(model, rc, Regime(args.info_level), tolerance)
+        _render(args, report.to_dict, lambda: _dominant_table(report))
+        return 0
     tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, rc)
-    report = compute_equilibria(model, spec, coef, rc, verify=True,
-                                tolerance=tolerance)
+    report = compute_equilibria(model, spec, coef, rc, verify=True, tolerance=tolerance)
     _render(args, report.to_dict, lambda: _equilibrium_table(report))
     failed = [item for item in report.equilibria
               if item.verification is not None and not item.verification.passed]
@@ -206,16 +210,6 @@ def _run_equilibrium(args) -> int:
               f"{len(report.equilibria)} members, the first {format_strategy(failed[0].strategy)}",
               file=sys.stderr)
         return 3
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    if args.info_level == "ao":
-        return _run_equilibrium(args)
-    model, rc = _load_config(args.config)
-    tolerance = args.tolerance if args.tolerance is not None else KNIFE_TOLERANCE
-    report = dominant_strategies(model, rc, Regime(args.info_level), tolerance)
-    _render(args, report.to_dict, lambda: _dominant_table(report))
     return 0
 
 
@@ -351,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", parents=[common, tolerant],
                        help="alias for analyze --info-level ao")
-    p.set_defaults(func=_run_equilibrium, formats=("table", "json"))
+    p.set_defaults(func=cmd_analyze, info_level="ao", formats=("table", "json"))
 
     p = sub.add_parser("stationary", parents=[common],
                        help="stationary distribution under a strategy")

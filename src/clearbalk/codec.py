@@ -114,7 +114,12 @@ def decode(cls: type, wire: dict):
 
 
 class Wire:
-    """Mixin giving a dataclass its JSON wire form as ``to_dict()``."""
+    """Mixin giving a dataclass its JSON wire form: ``to_dict()``, and
+    ``from_dict(wire)`` to rebuild it."""
 
     def to_dict(self) -> dict:
         return encode(type(self), self)
+
+    @classmethod
+    def from_dict(cls, wire: dict):
+        return decode(cls, wire)

@@ -26,10 +26,9 @@ tolerance-dependent in floating point.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
-from .codec import Wire, decode
+from .codec import Wire
 from .model import RewardCost, ValidatedModel, banded_sign
 from .spectral import elementwise
 
@@ -79,10 +78,6 @@ class DominantStrategySet(Wire):
     net_benefit: float | tuple[float, float]
     critical: CriticalValues
     knife_edge: bool
-
-
-#: Rebuild a DominantStrategySet from its JSON dictionary form.
-dominant_from_dict = functools.partial(decode, DominantStrategySet)
 
 
 def critical_values(model: ValidatedModel) -> CriticalValues:

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
 
 from .benefit import BenefitCoefficients, f_eval, h_upper_limit
-from .codec import Wire, decode
+from .codec import Wire
 from .errors import FloatRangeError, NoInteriorRoot, ScanLimitExceeded
 from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign, congestion_case
 # verify_equilibrium is looked up on its module at call time, where
@@ -94,10 +93,6 @@ class ThresholdBounds(Wire):
     n_l_plus: float
     n_u_minus: float
     knife_edge: bool
-
-
-#: Rebuild ThresholdBounds from its JSON dictionary form.
-bounds_from_dict = functools.partial(decode, ThresholdBounds)
 
 
 #: ``Subcase`` in the order of the index that ``classify`` gives.
@@ -193,20 +188,6 @@ _ORIENTATIONS = {CaseKind.CASE_A: (Orientation.THRESHOLD, 1),
                  CaseKind.CASE_B: (Orientation.REVERSE, -1), CaseKind.CASE_C: (None, 0)}
 
 
-def threshold_bounds(coef: BenefitCoefficients, orientation: Orientation,
-                     tolerance: float = SIGN_TOLERANCE) -> ThresholdBounds:
-    """The subcase and the equilibrium bounds of ``classify``, as
-    ``equilibrium_members`` gives them.
-
-    Raises:
-        ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT``, the most pure
-            thresholds a report lists.
-    """
-    index, *levels, band, _, _ = classify(
-        coef, 1 if orientation is Orientation.THRESHOLD else -1, tolerance)
-    return _bounds(orientation, index, levels, band)
-
-
 def _bounds(orientation: Orientation, index: int, levels, band: bool) -> ThresholdBounds:
     """Bounds of ``classify``'s subcase ``index``, ``levels`` and ``band``; ints outside III."""
     subcase = SUBCASES[index]
@@ -275,10 +256,6 @@ class EquilibriumReport(Wire):
     social_coincides: bool
     knife_edge: bool
     tolerance: float = field(default=SIGN_TOLERANCE)
-
-
-#: Rebuild an EquilibriumReport from its JSON dictionary form.
-report_from_dict = functools.partial(decode, EquilibriumReport)
 
 
 def compute_equilibria(model: ValidatedModel, spec: SpectralData,

@@ -13,6 +13,7 @@ and at the first point of each other (case, subcase), for all its points.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -75,10 +76,14 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
 
     Raises:
         NonPositiveRate, NonPositiveRewardCost: For the first grid value
-            that ``validate_params`` rejects, with its message.
+            that ``validate_params`` rejects, with its message, or for the
+            lower end where ``stop - start`` overflows.
     """
     fields = dict(zip(CONFIG_FIELDS, (*vars(params).values(), rc.reward, rc.cost)))
     step = (stop - start) / (steps - 1)
+    if math.isinf(step):   # the ends have opposite signs, so the lower one is not positive
+        fields[param] = min(start, stop)
+        validate_params(*config_inputs(fields))
     values = start + np.arange(steps) * step
     bad = ~(np.isfinite(values) & (values > 0.0))
     if bad.any():

@@ -13,7 +13,7 @@ Two numerical oracles and a best-response checker:
 
 from .balance import TruncatedSolution, solve_truncated_balance
 from .simulate import SimEstimates, simulate
-from .verify import CheckRecord, VerificationReport, verification_from_dict, verify_equilibrium
+from .verify import CheckRecord, VerificationReport, verify_equilibrium
 
 __all__ = [
     "TruncatedSolution",
@@ -22,6 +22,5 @@ __all__ = [
     "simulate",
     "CheckRecord",
     "VerificationReport",
-    "verification_from_dict",
     "verify_equilibrium",
 ]

@@ -180,9 +180,6 @@ class TruncatedSolution:
     def pmf(self, n: int, env: int) -> float:
         return self.row(n)[env_index(env)]
 
-    def env_marginal(self, env: int) -> float:
-        return self.head_tails[0][env_index(env)]
-
     def tail(self, m: int, env: int) -> float:
         """Mass at levels >= m in the given environment (within truncation)."""
         return self.tail_row(m)[env_index(env)]

@@ -30,7 +30,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 
-from ..codec import Wire, decode
+from ..codec import Wire
 from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
 from .balance import bisect_first, solve_truncated_balance
@@ -70,10 +70,6 @@ class VerificationReport(Wire):
 
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(c for c in self.checks if not c.ok)
-
-
-#: Rebuild a VerificationReport from its JSON dictionary form.
-verification_from_dict = functools.partial(decode, VerificationReport)
 
 
 def verify_equilibrium(model: ValidatedModel, rc: RewardCost,

@@ -299,11 +299,6 @@ class StationaryDistribution:
     spec: SpectralData
     pieces: tuple[Piece, ...]
 
-    @property
-    def support_bound(self) -> int | None:
-        """Largest level with positive mass, or None for a geometric tail."""
-        return None if self.pieces[-1].last == math.inf else self.pieces[-1].last
-
     def _levels(self, piece: Piece, start: int, stop: float, a: float, b: float) -> float:
         """Mass on the levels start..stop-1 of ``piece``, from an environment's (A_e, B_e)."""
         s = self.spec
@@ -330,10 +325,6 @@ class StationaryDistribution:
         total = sum((self._levels(piece, max(m, piece.first), piece.last + 1, a, b)
                      for piece in self.pieces if m <= piece.last), 0.0)
         return _clip_mass(total, f"tail({m}, {env})")
-
-    def env_marginal(self, env: int) -> float:
-        """Marginal stationary probability of environment ``env``."""
-        return self.tail(0, env)
 
     def total_mass(self) -> float:
         """Closed-form total mass; equals 1 up to rounding."""

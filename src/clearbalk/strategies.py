@@ -174,23 +174,6 @@ def certain_until(strategy: Strategy, start: int, reach: int) -> int:
     return reach
 
 
-def format_strategy(strategy: Strategy) -> str:
-    """Render a strategy as its descriptor string (inverse of parse_strategy)."""
-    if isinstance(strategy, AlwaysJoin):
-        return "always-join"
-    if isinstance(strategy, AlwaysBalk):
-        return "always-balk"
-    if isinstance(strategy, PureThreshold):
-        return f"threshold:{strategy.n0}"
-    if isinstance(strategy, MixedThreshold):
-        return f"mixed-threshold:{strategy.n0}:{strategy.theta!r}"
-    if isinstance(strategy, ReverseThreshold):
-        return f"reverse:{strategy.n0}:{strategy.theta!r}"
-    if isinstance(strategy, JoinVector):
-        return "vector:" + ",".join(repr(p) for p in strategy.probs)
-    raise TypeError(f"not a strategy: {strategy!r}")
-
-
 #: Each descriptor head: its class and the converter of each ``:``-separated
 #: field. The one field of ``vector`` holds its ``,``-separated entries.
 _DESCRIPTORS = {
@@ -201,6 +184,20 @@ _DESCRIPTORS = {
     "reverse": (ReverseThreshold, (int, float)),
     "vector": (JoinVector, (lambda entries: tuple(map(float, entries.split(","))),)),
 }
+_HEADS = {make: head for head, (make, _) in _DESCRIPTORS.items()}
+
+
+def format_strategy(strategy: Strategy) -> str:
+    """Render a strategy as its descriptor string (inverse of parse_strategy):
+    its head in ``_DESCRIPTORS``, then the ``repr`` of each field."""
+    text = _HEADS.get(type(strategy))
+    if text is None:
+        raise TypeError(f"not a strategy: {strategy!r}")
+    for name in strategy.__match_args__:
+        value = getattr(strategy, name)
+        text += ":" + (repr(value) if isinstance(value, (int, float))
+                       else ",".join(map(repr, value)))
+    return text
 
 
 def parse_strategy(text: str) -> Strategy:

@@ -17,6 +17,8 @@ from clearbalk import (
     AlwaysBalk,
     AlwaysJoin,
     CaseKind,
+    DominantStrategySet,
+    EquilibriumReport,
     MixedThreshold,
     PureThreshold,
     Regime,
@@ -31,7 +33,6 @@ from clearbalk import (
     g_eval,
     h_upper_limit,
     net_benefit_ao,
-    report_from_dict,
     simulate,
     solve_truncated_balance,
     spectral_quantities,
@@ -40,7 +41,6 @@ from clearbalk import (
     verify_equilibrium,
 )
 from clearbalk.cli import main as cli_main
-from clearbalk.dominant import dominant_from_dict
 from conftest import (
     PSTAR,
     Ctx,
@@ -425,13 +425,13 @@ def test_acceptance_cli_determinism_and_round_trip(tmp_path):
     fu_path = tmp_path / "fu.json"
     assert cli_main(["analyze", "--config", cfg, "--info-level", "fu",
                      "--format", "json", "--out", str(fu_path)]) == 0
-    fu_round = (dominant_from_dict(json.loads(fu_path.read_text()))
+    fu_round = (DominantStrategySet.from_dict(json.loads(fu_path.read_text()))
                 == dominant_strategies(ctx.model, ctx.rc, Regime.FULLY_UNOBSERVABLE))
 
     eq_path = tmp_path / "eq.json"
     assert cli_main(["equilibrium", "--config", cfg, "--format", "json",
                      "--out", str(eq_path)]) == 0
-    eq_round = (report_from_dict(json.loads(eq_path.read_text()))
+    eq_round = (EquilibriumReport.from_dict(json.loads(eq_path.read_text()))
                 == compute_equilibria(ctx.model, ctx.spec, ctx.coef, ctx.rc))
 
     stable = True

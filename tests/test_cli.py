@@ -9,28 +9,24 @@ import warnings
 import pytest
 
 from clearbalk import (
+    DominantStrategySet,
+    EquilibriumReport,
     JoinVector,
     MixedThreshold,
     PureThreshold,
     Regime,
+    SimEstimates,
     compute_equilibria,
     dominant_strategies,
     format_strategy,
     net_benefit_ao,
-    report_from_dict,
     stationary_distribution,
 )
 from clearbalk import cli
 from clearbalk.cli import main
-from clearbalk.dominant import dominant_from_dict
 from clearbalk.equilibrium import SCAN_LIMIT, SIGN_TOLERANCE
 from clearbalk.oracle import verify as oracle_verify
-from clearbalk.oracle.verify import (
-    MASS_FLOOR,
-    VERIFY_TOLERANCE,
-    VerificationReport,
-    verification_from_dict,
-)
+from clearbalk.oracle.verify import MASS_FLOOR, VERIFY_TOLERANCE, VerificationReport
 import decimal_reference
 from conftest import Ctx, PSTAR, time_limit
 from clearbalk import RewardCost
@@ -77,8 +73,8 @@ def test_analyze_fu_json_round_trip(config, capsys):
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     ctx = Ctx(PSTAR, RewardCost(0.72, 1.0))
-    assert dominant_from_dict(data) == dominant_strategies(ctx.model, ctx.rc,
-                                                             Regime.FULLY_UNOBSERVABLE)
+    assert DominantStrategySet.from_dict(data) == dominant_strategies(
+        ctx.model, ctx.rc, Regime.FULLY_UNOBSERVABLE)
 
 
 @pytest.mark.parametrize("level", ["au", "fo"])
@@ -91,7 +87,7 @@ def test_analyze_au_fo_json_round_trip(config, capsys, level, reward):
     ctx = Ctx(PSTAR, RewardCost(reward, 1.0))
     want = dominant_strategies(ctx.model, ctx.rc, Regime(level))
     assert (None in want.join) == (reward != 0.6)
-    assert dominant_from_dict(data) == want
+    assert DominantStrategySet.from_dict(data) == want
 
 
 def test_analyze_au_table(config, capsys):
@@ -107,7 +103,7 @@ def test_analyze_ao_json_round_trip(config, capsys):
     data = json.loads(capsys.readouterr().out)
     ctx = Ctx(PSTAR, RewardCost(0.72, 1.0))
     want = compute_equilibria(ctx.model, ctx.spec, ctx.coef, ctx.rc)
-    assert report_from_dict(data) == want
+    assert EquilibriumReport.from_dict(data) == want
 
 
 def test_equilibrium_alias_matches_analyze(config, capsys):
@@ -138,9 +134,9 @@ def test_slow_clearing_equilibrium_json_lists_runs(config, capsys):
     assert wire["passed"]
     assert len(wire["checks"]) <= 4
     assert wire["checks"][-1]["last_level"] > 1e5
-    report = verification_from_dict(wire)
+    report = VerificationReport.from_dict(wire)
     assert report.to_dict() == wire
-    assert verification_from_dict(json.loads(json.dumps(report.to_dict()))) == report
+    assert VerificationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
 def test_slowest_clearing_equilibrium_verifies(config, capsys):
@@ -325,6 +321,16 @@ def test_simulate_outputs_are_reproducible(config, tmp_path, capsys):
     data = json.loads(first.read_text())
     assert data["seed"] == 42
     assert data["replications"] == 2
+
+
+def test_simulate_json_round_trip(config, capsys):
+    # one replication leaves every standard error NaN, written as null
+    assert main(["simulate", "--config", config(), "--strategy", "threshold:3",
+                 "--horizon", "200", "--replications", "1", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"masses_se": [\n    [\n      null,' in out
+    estimates = SimEstimates.from_dict(json.loads(out))
+    assert json.dumps(estimates.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n" == out
 
 
 def test_simulate_table_shows_reference(config, capsys):
@@ -669,6 +675,16 @@ def test_sweep_rejects_a_nonpositive_rate_as_input(config, capsys):
     assert main(["sweep", "--config", config(), "--param", "mu1",
                  "--from", "-1", "--to", "1", "--steps", "3"]) == 2
     assert "mu1" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_step_that_overflows(config, capsys):
+    # stop - start overflows to -inf; the grid would read inf * 0 = NaN at its
+    # first point, with a numpy warning, which the suite turns into an error
+    assert main(["sweep", "--config", config(), "--param", "R",
+                 "--from", "1e308", "--to=-1e308", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reward must be strictly positive and finite, got -1e+308\n"
 
 
 @pytest.mark.parametrize("argv", [

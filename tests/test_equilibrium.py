@@ -13,6 +13,7 @@ from clearbalk import (
     AlwaysJoin,
     BenefitCoefficients,
     CaseKind,
+    EquilibriumReport,
     FloatRangeError,
     ModelParams,
     MixedThreshold,
@@ -21,23 +22,21 @@ from clearbalk import (
     PureThreshold,
     ReverseThreshold,
     RewardCost,
+    SIGN_TOLERANCE,
     ScanLimitExceeded,
     Subcase,
     ThresholdBounds,
     benefit_coefficients,
-    bounds_from_dict,
     compute_equilibria,
     f_eval,
     g_eval,
     h_upper_limit,
     mixing_probability,
-    report_from_dict,
     solve_truncated_balance,
     spectral_quantities,
-    threshold_bounds,
     validate_params,
 )
-from clearbalk.equilibrium import SCAN_LIMIT, classify
+from clearbalk.equilibrium import SCAN_LIMIT, classify, equilibrium_members
 from clearbalk.model import banded_sign
 from clearbalk.spectral import FLOATS, discounts, scaled_mixture
 from conftest import (
@@ -159,8 +158,9 @@ def test_scan_limit_guard():
         reward=1.0, cost=1.0,
         arrival_r1=(1.0, 1.0), arrival_r2=(0.05, 0.05),
     )
+    index, *levels, band, _, _ = classify(coef, 1, SIGN_TOLERANCE)
     with pytest.raises(ScanLimitExceeded):
-        threshold_bounds(coef, Orientation.THRESHOLD)
+        equilibrium_members(CaseKind.CASE_A, coef, index, levels, band)
 
 
 @pytest.mark.parametrize("orientation, alpha, beta, a", [
@@ -178,20 +178,25 @@ def test_scan_limit_names_orientation(orientation, alpha, beta, a):
     )
     message = (f"upper-{orientation.value} bound n_u = inf lies above {SCAN_LIMIT}, "
                "the most pure thresholds a report lists")
+    # case A lists thresholds, case B (F negated) reverse thresholds
+    kind, orient = ((CaseKind.CASE_A, 1) if orientation is Orientation.THRESHOLD
+                    else (CaseKind.CASE_B, -1))
+    index, *levels, band, _, _ = classify(coef, orient, SIGN_TOLERANCE)
     with pytest.raises(ScanLimitExceeded, match=message):
-        threshold_bounds(coef, orientation)
+        equilibrium_members(kind, coef, index, levels, band)
 
 
-def _reference_bounds(coef, orientation, tolerance):
-    """Reference bounds by a level-by-level scan: up to n_u, then down to n_l."""
-    s = 1 if orientation is Orientation.THRESHOLD else -1
+def _reference_bounds(coef, orient, tolerance):
+    """(subcase index, n_l, n_u, n_l_plus, n_u_minus, band) of ``classify`` in
+    case A (``orient`` 1) or B (-1), by a level-by-level scan: up to n_u, then
+    down to n_l."""
     band_hit = False
 
     def banded(value):
         nonlocal band_hit
         sign = banded_sign(value, tolerance)
         band_hit = band_hit or sign == 0
-        return s * sign
+        return orient * sign
 
     def sign(n, theta):
         # F(n, theta)/G(n, 1), both divided by r1**n
@@ -201,7 +206,7 @@ def _reference_bounds(coef, orientation, tolerance):
         return banded(f / g)
 
     def bounds(subcase, nl, nu, nlp, num):
-        return ThresholdBounds(orientation, subcase, nl, nu, nlp, num, band_hit)
+        return list(Subcase).index(subcase), nl, nu, nlp, num, band_hit
 
     sign_at_zero = sign(0, 1.0)
     sign_limit = banded(h_upper_limit(coef))
@@ -239,14 +244,14 @@ def test_bounds_match_the_level_scan():
             reward = limit + 10.0 ** rng.uniform(-6.0, 0.0) * (edge - limit)
         coef = Ctx(params, RewardCost(reward, 1.0)).coef
         tolerance = float(10.0 ** rng.uniform(-12.0, -3.0))
-        for orientation in Orientation:
-            got = threshold_bounds(coef, orientation, tolerance)
-            assert got == _reference_bounds(coef, orientation, tolerance)
-            key = (orientation, got.subcase, got.knife_edge)
+        for orient in (1, -1):
+            index, *levels, band, _, _ = classify(coef, orient, tolerance)
+            assert (index, *levels, band) == _reference_bounds(coef, orient, tolerance)
+            key = (orient, index, band)
             seen[key] = seen.get(key, 0) + 1
-    for orientation in Orientation:
-        assert seen.get((orientation, Subcase.II, False), 0) >= 200
-        assert seen.get((orientation, Subcase.II, True), 0) >= 200
+    for orient in (1, -1):   # subcase II has index 1
+        assert seen.get((orient, 1, False), 0) >= 200
+        assert seen.get((orient, 1, True), 0) >= 200
 
 
 def _count_exp_calls(monkeypatch):
@@ -263,7 +268,7 @@ def _count_exp_calls(monkeypatch):
 
 def _reference_model_exp_calls(calls):
     calls[0] = 0
-    assert threshold_bounds(Ctx(PSTAR, RewardCost(0.72, 1.0)).coef, Orientation.THRESHOLD).n_u == 3
+    assert classify(Ctx(PSTAR, RewardCost(0.72, 1.0)).coef, 1, SIGN_TOLERANCE)[2] == 3   # n_u
     return calls[0]
 
 
@@ -272,8 +277,8 @@ def test_long_range_bounds_take_few_sign_tests(monkeypatch):
                          q12=5.52e-4, q21=5.1e-5)
     ctx = Ctx(params, RewardCost(539.0, 1.0))
     calls = _count_exp_calls(monkeypatch)
-    b = threshold_bounds(ctx.coef, Orientation.THRESHOLD)
-    assert (b.subcase, b.n_l, b.n_u) == (Subcase.II, 0, 85_494)
+    index, n_l, n_u, *_ = classify(ctx.coef, 1, SIGN_TOLERANCE)
+    assert (index, n_l, n_u) == (1, 0, 85_494)   # subcase II
     long_range = calls[0]
     # as many evaluations as at n_u = 3: the bounds are logarithms, not searches
     assert 0 < long_range == _reference_model_exp_calls(calls)
@@ -285,8 +290,9 @@ def test_bound_past_the_cap_raises_after_few_sign_tests(monkeypatch):
                          q12=0.0014219869022153516, q21=0.0006898391676283957)
     ctx = Ctx(params, RewardCost(519.3780290194833, 1.0))
     calls = _count_exp_calls(monkeypatch)
+    index, *levels, band, _, _ = classify(ctx.coef, 1, SIGN_TOLERANCE)
     with pytest.raises(ScanLimitExceeded):
-        threshold_bounds(ctx.coef, Orientation.THRESHOLD)
+        equilibrium_members(CaseKind.CASE_A, ctx.coef, index, levels, band)
     past_cap = calls[0]
     # as many evaluations as at n_u = 3: the bounds are logarithms, not searches
     assert 0 < past_cap == _reference_model_exp_calls(calls)
@@ -296,13 +302,13 @@ def test_report_round_trips_through_json(pstar, pb):
     for ctx in (pstar, pb):
         report = _report(ctx)
         blob = json.dumps(report.to_dict(), sort_keys=True)
-        assert report_from_dict(json.loads(blob)) == report
+        assert EquilibriumReport.from_dict(json.loads(blob)) == report
 
 
 def test_family_report_round_trips():
     report = _report(Ctx(P0, RewardCost(1.0, 1.0)), verify=False)
     blob = json.dumps(report.to_dict(), sort_keys=True)
-    assert report_from_dict(json.loads(blob)) == report
+    assert EquilibriumReport.from_dict(json.loads(blob)) == report
 
 
 def test_bounds_infinity_encoding():
@@ -310,7 +316,7 @@ def test_bounds_infinity_encoding():
                         math.inf, math.inf, math.inf, math.inf, False)
     d = b.to_dict()
     assert d["n_u"] == "inf"
-    assert bounds_from_dict(d) == b
+    assert ThresholdBounds.from_dict(d) == b
 
 
 def test_enum_wire_values():

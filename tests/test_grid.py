@@ -280,9 +280,8 @@ def test_sweep_runs_no_per_point_analysis(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("per-point analysis called during a sweep")
 
-    for module, name in ((cli, "compute_equilibria"), (equilibrium, "compute_equilibria"),
-                         (equilibrium, "threshold_bounds")):
-        monkeypatch.setattr(module, name, refuse, raising=False)
+    for module, name in ((cli, "compute_equilibria"), (equilibrium, "compute_equilibria")):
+        monkeypatch.setattr(module, name, refuse)
     argv = ["sweep", "--config", _config(tmp_path, PSTAR, 0.72), "--param", "R",
             "--from", "0.55", "--to", "0.85", "--steps", "301"]
     code, out, _ = _run(capsys, argv)

@@ -110,8 +110,8 @@ def test_masses_solve_the_generator(pstar, strategy):
 def test_env_marginals(pstar):
     sol = solve_truncated_balance(pstar.model, AlwaysJoin())
     pe1, pe2 = pstar.model.env_stationary
-    assert sol.env_marginal(1) == pytest.approx(pe1, abs=1e-11)
-    assert sol.env_marginal(2) == pytest.approx(pe2, abs=1e-11)
+    assert sol.tail(0, 1) == pytest.approx(pe1, abs=1e-11)
+    assert sol.tail(0, 2) == pytest.approx(pe2, abs=1e-11)
 
 
 def test_random_agreement_with_closed_form(rng):

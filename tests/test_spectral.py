@@ -90,7 +90,7 @@ def test_always_join_masses_and_tails(pstar):
     assert dist.tail(2, 1) == pytest.approx(0.22589531680440771, rel=1e-13)
     assert dist.tail(2, 2) == pytest.approx(0.057851239669421488, rel=1e-13)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-13)
-    assert dist.support_bound is None
+    assert dist.pieces[-1].last == math.inf
 
 
 def test_env_marginals_recover_environment_law(rng):
@@ -99,8 +99,8 @@ def test_env_marginals_recover_environment_law(rng):
         spec = spectral_quantities(model)
         dist = stationary_distribution(model, spec, AlwaysJoin())
         pe1, pe2 = model.env_stationary
-        assert dist.env_marginal(1) == pytest.approx(pe1, rel=1e-10)
-        assert dist.env_marginal(2) == pytest.approx(pe2, rel=1e-10)
+        assert dist.tail(0, 1) == pytest.approx(pe1, rel=1e-10)
+        assert dist.tail(0, 2) == pytest.approx(pe2, rel=1e-10)
 
 
 def test_threshold_law_head_and_lump(pstar):
@@ -113,7 +113,7 @@ def test_threshold_law_head_and_lump(pstar):
     assert dist.pmf(2, 1) == pytest.approx(aj.tail(2, 1), rel=1e-13)
     assert dist.pmf(2, 2) == pytest.approx(aj.tail(2, 2), rel=1e-13)
     assert dist.pmf(3, 1) == 0.0
-    assert dist.support_bound == 2
+    assert dist.pieces[-1].last == 2
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -123,7 +123,7 @@ def test_mixed_threshold_overflow_masses(pstar):
     assert dist.pmf(3, 1) == pytest.approx(0.11983471074380165, rel=1e-12)
     assert dist.pmf(2, 2) == pytest.approx(0.028925619834710744, rel=1e-12)
     assert dist.pmf(3, 2) == pytest.approx(0.028925619834710744, rel=1e-12)
-    assert dist.support_bound == 3
+    assert dist.pieces[-1].last == 3
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -134,7 +134,7 @@ def test_reverse_interior_masses(pstar):
     assert dist.pmf(0, 2) == pytest.approx(0.25287356321839080, rel=1e-12)
     assert dist.pmf(2, 2) == pytest.approx(0.018143820651657642, rel=1e-12)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-13)
-    assert dist.support_bound is None
+    assert dist.pieces[-1].last == math.inf
 
 
 def test_reverse_endpoints(pstar):
@@ -300,7 +300,7 @@ def test_far_threshold_law_in_constant_time():
         assert dist.tail(0, env) == pytest.approx(model.env_stationary[env - 1], rel=1e-12)
         assert dist.pmf(n0 + 2, env) == dist.tail(n0 + 2, env) == 0.0
     assert len(dist.pieces) == 3
-    assert dist.support_bound == n0 + 1
+    assert dist.pieces[-1].last == n0 + 1
     assert time.perf_counter() - start < 0.05
 
 
@@ -316,7 +316,7 @@ def test_env_marginals_hold_at_extreme_rates(rng):
                          MixedThreshold(n0, theta), ReverseThreshold(0, theta)):
             dist = stationary_distribution(model, spec, strategy)
             for env in (1, 2):
-                assert dist.env_marginal(env) == pytest.approx(
+                assert dist.tail(0, env) == pytest.approx(
                     model.env_stationary[env - 1], rel=1e-12)
 
 

@@ -22,7 +22,7 @@ from clearbalk import (
 )
 from clearbalk.equilibrium import mixing_probability
 from clearbalk.oracle import verify as oracle_verify
-from clearbalk.oracle.verify import VERIFY_TOLERANCE, verification_from_dict
+from clearbalk.oracle.verify import VERIFY_TOLERANCE, VerificationReport
 import decimal_reference
 from conftest import PB, PSTAR, Ctx
 
@@ -105,7 +105,7 @@ def test_mass_floor_skips_unreachable(pstar):
 def test_report_round_trips(pstar):
     report = verify_equilibrium(pstar.model, pstar.rc, PureThreshold(2))
     blob = json.dumps(report.to_dict(), sort_keys=True)
-    assert verification_from_dict(json.loads(blob)) == report
+    assert VerificationReport.from_dict(json.loads(blob)) == report
 
 
 def test_custom_tolerance_loosens_verdict(pstar, monkeypatch):

@@ -55,7 +55,7 @@ from clearbalk import (  # noqa: E402
     stationary_distribution,
     validate_params,
 )
-from clearbalk.equilibrium import Orientation, mixing_probability, threshold_bounds  # noqa: E402
+from clearbalk.equilibrium import classify, mixing_probability  # noqa: E402
 from clearbalk.grid import sweep_columns  # noqa: E402
 from clearbalk.oracle.balance import solve_truncated_balance  # noqa: E402
 from clearbalk.oracle.simulate import simulate  # noqa: E402
@@ -98,7 +98,7 @@ def layers() -> dict:
         "coefficients": lambda: benefit_coefficients(model, spec, RC),
         "dominant_fu": lambda: dominant_strategies(model, RC, Regime.FULLY_UNOBSERVABLE),
         "dominant_au": lambda: dominant_strategies(model, RC, Regime.ALMOST_UNOBSERVABLE),
-        "threshold_bounds": lambda: threshold_bounds(coef, Orientation.THRESHOLD),
+        "classify": lambda: classify(coef, 1, SIGN_TOLERANCE),
         "mixing_probability": lambda: mixing_probability(coef, 2),
         "net_benefit_threshold_3": lambda: net_benefit_ao(model, coef, PureThreshold(3), 3),
         "compute_equilibria_unverified": unverified(RATES, RC),
