@@ -36,6 +36,7 @@ from .errors import (
 )
 from .model import (
     CASE_TOLERANCE,
+    SIGN_TOLERANCE,
     CaseKind,
     CaseLabel,
     ModelParams,
@@ -79,7 +80,6 @@ from .benefit import (
     net_benefit_ao,
 )
 from .equilibrium import (
-    SIGN_TOLERANCE,
     EquilibriumItem,
     EquilibriumReport,
     Orientation,
@@ -112,6 +112,7 @@ __all__ = [
     "StrategyParseError",
     "UnreachableState",
     "CASE_TOLERANCE",
+    "SIGN_TOLERANCE",
     "CaseKind",
     "CaseLabel",
     "ModelParams",
@@ -145,7 +146,6 @@ __all__ = [
     "g_eval",
     "h_upper_limit",
     "net_benefit_ao",
-    "SIGN_TOLERANCE",
     "EquilibriumItem",
     "EquilibriumReport",
     "Orientation",

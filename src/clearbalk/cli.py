@@ -28,8 +28,8 @@ import sys
 from pathlib import Path
 
 from .benefit import benefit_coefficients, net_benefit_ao
-from .dominant import KNIFE_TOLERANCE, DominantStrategySet, Regime, dominant_strategies
-from .equilibrium import SIGN_TOLERANCE, EquilibriumReport, compute_equilibria
+from .dominant import DominantStrategySet, Regime, dominant_strategies
+from .equilibrium import EquilibriumReport, compute_equilibria
 from .errors import (
     ClearbalkError,
     ConsistencyError,
@@ -39,7 +39,7 @@ from .errors import (
     UnreachableState,
 )
 from .grid import SWEEP_FIELDS, sweep_columns
-from .model import CONFIG_FIELDS, config_inputs, validate_params
+from .model import CONFIG_FIELDS, SIGN_TOLERANCE, config_inputs, validate_params
 from .oracle.simulate import simulate
 from .spectral import spectral_quantities, stationary_distribution
 from .strategies import Strategy, format_strategy, parse_strategy
@@ -194,14 +194,12 @@ def _equilibrium_table(report: EquilibriumReport) -> str:
 def cmd_analyze(args) -> int:
     model, rc = _load_config(args.config)
     if args.info_level != "ao":
-        tolerance = args.tolerance if args.tolerance is not None else KNIFE_TOLERANCE
-        report = dominant_strategies(model, rc, Regime(args.info_level), tolerance)
+        report = dominant_strategies(model, rc, Regime(args.info_level), args.tolerance)
         _render(args, report.to_dict, lambda: _dominant_table(report))
         return 0
-    tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, rc)
-    report = compute_equilibria(model, spec, coef, rc, verify=True, tolerance=tolerance)
+    report = compute_equilibria(model, spec, coef, rc, verify=True, tolerance=args.tolerance)
     _render(args, report.to_dict, lambda: _equilibrium_table(report))
     failed = [item for item in report.equilibria
               if item.verification is not None and not item.verification.passed]
@@ -295,9 +293,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     model, rc = _load_config(args.config)
-    tolerance = args.tolerance if args.tolerance is not None else SIGN_TOLERANCE
     columns, failures = sweep_columns(model.params, rc, args.param, args.start, args.stop,
-                                      args.steps, tolerance)
+                                      args.steps, args.tolerance)
 
     def payload():
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
@@ -323,13 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["table", "json", "csv"],
                         help="output format (default depends on the subcommand)")
     tolerant = argparse.ArgumentParser(add_help=False)
-    tolerant.add_argument("--tolerance", type=_flag(float, lambda v: 0.0 <= v < math.inf,
-                                                    "finite and nonnegative"),
-                          help="sign band: with analyze --info-level fu, au or fo the "
-                               "relative band on R/C around a critical value (default "
-                               f"{KNIFE_TOLERANCE:g}); with ao, equilibrium and sweep the "
-                               "absolute band on the G-normalized F, the benefit F/G "
-                               f"(default {SIGN_TOLERANCE:g})")
+    tolerant.add_argument("--tolerance", default=SIGN_TOLERANCE,
+                          type=_flag(float, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+                          help="sign band as a share of R: a net benefit within tolerance*R of "
+                               "zero is a knife edge (default %(default)g)")
 
     parser = argparse.ArgumentParser(
         prog="clearbalk",

@@ -29,11 +29,8 @@ import enum
 from dataclasses import dataclass
 
 from .codec import Wire
-from .model import RewardCost, ValidatedModel, banded_sign
+from .model import SIGN_TOLERANCE, RewardCost, ValidatedModel, banded_sign
 from .spectral import elementwise
-
-#: Relative equality band when comparing R/C against a critical value.
-KNIFE_TOLERANCE = 1e-9
 
 
 class Regime(enum.Enum):
@@ -109,24 +106,20 @@ def fully_unobservable_value(model: ValidatedModel) -> float:
     return (w1 * p.mu2 + w2 * p.mu1) / ((w1 + w2) * k) + (p.q21 + p.q12) / k
 
 
-def _compare(ratio: float, critical: float, tolerance: float) -> int:
-    """Sign of ratio - critical with a relative equality band."""
-    return banded_sign(ratio - critical, tolerance * max(abs(ratio), abs(critical)))
-
-
 def dominant_strategies(model: ValidatedModel, rc: RewardCost, regime: Regime,
-                        tolerance: float = KNIFE_TOLERANCE) -> DominantStrategySet:
+                        tolerance: float = SIGN_TOLERANCE) -> DominantStrategySet:
     """Dominant joining decisions in a regime without queue-length feedback.
 
     R/C is compared with each critical value of the regime: V_fu when
     nothing is observed, E[S_e] per environment otherwise. Join (q=1) above
     it, balk (q=0) below it, and report a free coordinate (None, any q in
-    [0, 1]) at equality within the relative tolerance. The fully
+    [0, 1]) where R/C lies within tolerance*R/C of it. The fully
     unobservable report has one scalar decision and net benefit.
     """
     crit = critical_values(model)
     values = (crit.v_fu,) if regime is Regime.FULLY_UNOBSERVABLE else model.mean_clearing
-    signs = [_compare(rc.reward / rc.cost, value, tolerance) for value in values]
+    ratio = rc.reward / rc.cost
+    signs = [banded_sign(ratio - value, tolerance * ratio) for value in values]
     join = tuple(None if sign == 0 else float(sign > 0) for sign in signs)
     net_benefit = tuple(rc.reward - rc.cost * value for value in values)
     if regime is Regime.FULLY_UNOBSERVABLE:

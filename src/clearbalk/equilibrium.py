@@ -19,7 +19,7 @@ from a handful of integer bounds:
   the sign of the constant benefit picks always-balk, always-join, or
   declares every threshold and reverse-threshold strategy an equilibrium.
 
-Sign tests run on F values normalized by G(n, 1) with an absolute band;
+Sign tests run on F values normalized by G(n, 1) with a band of tolerance*R;
 band hits follow the weak/strict-inequality conventions of the exact
 theory and set a knife-edge flag, since the classification is then
 tolerance-dependent. Along n each normalized F is a two-term geometric
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 from .benefit import BenefitCoefficients, f_eval, h_upper_limit
 from .codec import Wire
 from .errors import FloatRangeError, NoInteriorRoot, ScanLimitExceeded
-from .model import CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign, congestion_case
+from .model import (SIGN_TOLERANCE, CaseKind, CaseLabel, RewardCost, ValidatedModel, banded_sign,
+                    congestion_case)
 # verify_equilibrium is looked up on its module at call time, where
 # perfbench's tracer wraps it
 from .oracle import verify as oracle_verify
@@ -54,9 +55,6 @@ from .strategies import (
     ReverseThreshold,
     Strategy,
 )
-
-#: Absolute band for sign tests on G(n,1)-normalized F values.
-SIGN_TOLERANCE = 1e-9
 
 #: Most pure thresholds a report lists: a larger upper bound n_u raises
 #: ScanLimitExceeded.
@@ -114,13 +112,13 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
     ``elementwise``: Python ints, floats and bools on floats, and the same
     entry by entry on numpy columns (``grid``).
 
-    The banded signs of h0 = F(0, 1)/G(0, 1) = (alpha + beta)/(d + e) and of
-    its large-n limit h_limit give the subcase: in cases A and B, I (index
-    0) where orient*h0 < 0, else III (2) where orient*h_limit >= 0, else II
-    (1); in case C, h0 alone gives I, II (in the band) or III. ``band`` is
-    whether a sign fell in the band: h0's, h_limit's outside case C, and
-    in subcase II those at the levels below. Outside subcase II of cases A
-    and B the levels are 0 in subcase I and inf otherwise.
+    The signs of h0 = F(0, 1)/G(0, 1) = (alpha + beta)/(d + e) and of its
+    large-n limit h_limit, banded by ``width`` = tolerance*R, give the subcase:
+    in cases A and B, I (index 0) where orient*h0 < 0, else III (2) where
+    orient*h_limit >= 0, else II (1); in case C, h0 alone gives I, II (in the
+    band) or III. ``band`` is whether a sign fell in the band: h0's, h_limit's
+    outside case C, and in subcase II those at the levels below. Outside subcase
+    II of cases A and B the levels are 0 in subcase I and inf otherwise.
 
     Divided by r1**n, orient*F(n, theta)/G(n, 1) is orient*(A + B*s)/(d + e*s)
     with s = (r2/r1)**n, A = alpha/delta1(theta), B = beta/delta2(theta) and
@@ -129,8 +127,8 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
     As s falls from 1 toward 0, it holds at every level when c1 <= 0 and
     c0 passes it, from level ceil(log(-c0/c1)/log_ratio) when c1 > 0, and
     never when c0 fails it; the signs on either side of that level undo a
-    rounding of the logarithm. n_u is the first level of ``< -tolerance``
-    at theta = 1, n_l the first of ``<= tolerance`` at theta = 0 if below
+    rounding of the logarithm. n_u is the first level of ``< -width``
+    at theta = 1, n_l the first of ``<= width`` at theta = 0 if below
     n_u, and the strict bounds read the signs at n_l and n_u - 1. Each
     banded value is monotone in n, so any level in a band lies next to n_l
     or n_u, where those signs see it.
@@ -147,7 +145,8 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
     # a float d of 0.0 passes the mass checks in case C alone, where the benefit
     # is the same at every level, so its limit is h0
     h_limit = xp.where(coef.d == 0.0, h0, h_upper_limit(coef))
-    at_zero, at_limit = banded_sign(h0, tolerance), banded_sign(h_limit, tolerance)
+    width = tolerance * coef.reward
+    at_zero, at_limit = banded_sign(h0, width), banded_sign(h_limit, width)
     threshold = (orient * at_zero >= 0) * (1 + (orient * at_limit >= 0))
     subcase = (orient == 0) * (at_zero + 1) + (orient != 0) * threshold
     band = (at_zero == 0) | ((orient != 0) & (at_limit == 0))
@@ -173,13 +172,13 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
         holds = test(value(level, d1, d2), bound) | (level == math.inf)
         return xp.where(below, level - 1.0, xp.where(holds, level, level + 1.0))
 
-    n_u = first(1.0, 1.0, -tolerance, operator.lt)
-    n_l = xp.minimum(first(e1, e2, tolerance, operator.le), n_u)
+    n_u = first(1.0, 1.0, -width, operator.lt)
+    n_l = xp.minimum(first(e1, e2, width, operator.le), n_u)
     at_l, below_u = value(n_l, e1, e2), value(n_u - 1.0, 1.0, 1.0)
-    strict = (xp.where(at_l < -tolerance, n_l, n_l + 1.0),
-              xp.where(below_u > tolerance, n_u, n_u - 1.0))
+    strict = (xp.where(at_l < -width, n_l, n_l + 1.0),
+              xp.where(below_u > width, n_u, n_u - 1.0))
     levels = [xp.where(search, level, fill) for level, fill in zip((n_l, n_u, *strict), levels)]
-    hit = (abs(at_l) <= tolerance) | (abs(below_u) <= tolerance)
+    hit = (abs(at_l) <= width) | (abs(below_u) <= width)
     return (subcase, *levels, band | (search & hit), h0, h_limit)
 
 
@@ -276,9 +275,9 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     optimum: it is asserted, not checked, and in case B subcase II it can
     be wrong.
 
-    When ``verify`` is set, every concrete equilibrium is checked by the
-    balance-oracle best-response verifier and the per-strategy report is
-    attached.
+    The sign band is tolerance*R. When ``verify`` is set, every concrete
+    equilibrium is checked by the balance-oracle best-response verifier and
+    the per-strategy report is attached.
     """
     case = congestion_case(model)
     index, *levels, band, _, _ = classify(coef, _ORIENTATIONS[case.kind][1], tolerance)

@@ -13,7 +13,6 @@ and at the first point of each other (case, subcase), for all its points.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -75,13 +74,13 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
     ``error:<class>`` and None elsewhere.
 
     Raises:
-        NonPositiveRate, NonPositiveRewardCost: For the first grid value
-            that ``validate_params`` rejects, with its message, or for the
-            lower end where ``stop - start`` overflows.
+        NonPositiveRate, NonPositiveRewardCost: For the lower end, as given,
+            where it is not positive, else for the first grid value that
+            ``validate_params`` rejects, with its message.
     """
     fields = dict(zip(CONFIG_FIELDS, (*vars(params).values(), rc.reward, rc.cost)))
     step = (stop - start) / (steps - 1)
-    if math.isinf(step):   # the ends have opposite signs, so the lower one is not positive
+    if min(start, stop) <= 0.0:   # refused as given, not as the rounded grid value
         fields[param] = min(start, stop)
         validate_params(*config_inputs(fields))
     values = start + np.arange(steps) * step

@@ -40,6 +40,9 @@ from .errors import FloatRangeError, NonPositiveRate, NonPositiveRewardCost
 #: Relative tolerance for classifying the congestion product as zero.
 CASE_TOLERANCE = 1e-12
 
+#: Default sign band of every regime: a net benefit within this share of R is zero.
+SIGN_TOLERANCE = 1e-9
+
 #: The fields of a config: the six rates of ``ModelParams``, then R and C.
 CONFIG_FIELDS = ("lambda1", "lambda2", "mu1", "mu2", "q12", "q21", "R", "C")
 

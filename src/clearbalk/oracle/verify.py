@@ -35,7 +35,7 @@ from ..model import RewardCost, ValidatedModel
 from ..strategies import Strategy, format_strategy
 from .balance import bisect_first, solve_truncated_balance
 
-#: Sign tolerance for the best-response inequalities.
+#: Sign band of the best-response inequalities, as a share of the reward R.
 VERIFY_TOLERANCE = 1e-8
 
 #: Levels with less stationary mass than this are treated as unreachable.
@@ -80,11 +80,12 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost,
     strategy is at least ``MASS_FLOOR``. At each such level the expected
     sojourn is the arrival-weighted mixture of the per-environment mean
     clearing times, and the margin is the distance to the nearest
-    violated inequality (negative when violated).
+    violated inequality (negative when violated), plus the band ``VERIFY_TOLERANCE``*R.
     """
     p = model.params
     lam = (p.lambda1, p.lambda2)
     mean_s = model.mean_clearing
+    band = VERIFY_TOLERANCE * rc.reward
     solution = solve_truncated_balance(model, strategy)
 
     @functools.cache   # the bisections revisit levels
@@ -94,7 +95,7 @@ def verify_equilibrium(model: ValidatedModel, rc: RewardCost,
         sojourn = (w1 * mean_s[0] + w2 * mean_s[1]) / (w1 + w2)
         net = rc.reward - rc.cost * sojourn
         jp = strategy.join_prob(n)
-        margin = VERIFY_TOLERANCE + (net if jp >= 1.0 else -net if jp <= 0.0 else -abs(net))
+        margin = band + (net if jp >= 1.0 else -net if jp <= 0.0 else -abs(net))
         return CheckRecord(level=n, last_level=n, join_prob=jp, mass=m1 + m2,
                            net_benefit=net, margin=margin, ok=margin >= 0.0)
 

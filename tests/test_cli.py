@@ -24,7 +24,7 @@ from clearbalk import (
 )
 from clearbalk import cli
 from clearbalk.cli import main
-from clearbalk.equilibrium import SCAN_LIMIT, SIGN_TOLERANCE
+from clearbalk.equilibrium import SCAN_LIMIT
 from clearbalk.oracle import verify as oracle_verify
 from clearbalk.oracle.verify import MASS_FLOOR, VERIFY_TOLERANCE, VerificationReport
 import decimal_reference
@@ -95,6 +95,29 @@ def test_analyze_au_table(config, capsys):
     out = capsys.readouterr().out
     assert "decision env 1  balk (q=0)" in out
     assert "decision env 2  join (q=1)" in out
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 30])
+def test_analyze_au_table_at_a_knife_edge(config, capsys, scale):
+    # R/C = E[S_1] = 6/8 on the reference rates, in any unit of money
+    assert main(["analyze", "--config", config(R=0.75 * scale, C=scale),
+                 "--info-level", "au"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "decision env 1  indifferent (any q in [0, 1])" in lines
+    assert "decision env 2  join (q=1)" in lines
+    assert "S_au env 1      0" in lines
+    assert "knife_edge      yes" in lines
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e12])
+def test_equilibrium_in_any_unit_of_money(config, capsys, scale):
+    assert main(["equilibrium", "--config", config(R=0.72 * scale, C=scale)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "subcase         II" in lines
+    assert "knife_edge      no" in lines
+    members = [line.split()[0] for line in lines[lines.index("equilibria:") + 1:]]
+    assert members[:2] == ["threshold:2", "threshold:3"]
+    assert len(members) == 3 and members[2].startswith("mixed-threshold:2:0.857142857142")
 
 
 def test_analyze_ao_json_round_trip(config, capsys):
@@ -211,8 +234,9 @@ PAST_CAP_CONFIG = {
      "--to", "519.3780290194833", "--steps", "2"],
 ])
 def test_bound_past_the_cap_exits_3_without_traceback(config, capsys, command):
+    # the limit is -8.6e-12 of R: inside the default band (see below), outside 1e-12
     path = config(**PAST_CAP_CONFIG)
-    assert main(command[:1] + ["--config", path] + command[1:]) == 3
+    assert main(command[:1] + ["--config", path] + command[1:] + ["--tolerance", "1e-12"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "ScanLimitExceeded" in err
@@ -220,11 +244,23 @@ def test_bound_past_the_cap_exits_3_without_traceback(config, capsys, command):
                       "the most pure thresholds a report lists", err)
     assert found
     # alpha = R*d - C*a is 1e-11 of its terms here, so the float crossing keeps
-    # some 7 digits: n_u may lie 10 levels from the reference's 94,167,917
+    # some 7 digits: n_u may lie 10 levels from the reference's 93,727,585
     crossing = decimal_reference.upper_crossing(
         [PAST_CAP_CONFIG[name] for name in RATES], PAST_CAP_CONFIG["R"],
-        PAST_CAP_CONFIG["C"], SIGN_TOLERANCE)
+        PAST_CAP_CONFIG["C"], 1e-12 * PAST_CAP_CONFIG["R"])
     assert abs(int(found[1]) - math.ceil(crossing)) <= 10
+
+
+def test_bound_past_the_cap_is_a_knife_edge_at_the_default_band(config, capsys):
+    # the limit, -8.6e-12 of R, lies within the default band of 1e-9 of R
+    assert main(["equilibrium", "--config", config(**PAST_CAP_CONFIG)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "subcase         III" in lines
+    assert "knife_edge      yes" in lines
+    assert lines[lines.index("equilibria:") + 1:] == [
+        "  always-join                        pure  verify=pass"]
 
 
 def test_stationary_csv(config, capsys):
@@ -566,6 +602,15 @@ def test_config_not_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["analyze", "--config", str(path), "--info-level", "fu"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config must be a JSON object\n"
+
+
 def test_config_int_past_the_digit_limit(tmp_path, capsys):
     # json refuses ints of more than 4,300 digits with a plain ValueError on
     # Pythons that have the limit; the rest parse it and find it not finite
@@ -685,6 +730,19 @@ def test_sweep_refuses_a_step_that_overflows(config, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: reward must be strictly positive and finite, got -1e+308\n"
+
+
+@pytest.mark.parametrize("param, start, stop, message", [
+    ("R", "0.3", "-0.1", "reward must be strictly positive and finite, got -0.1"),
+    ("mu1", "1e308", "-1e300", "rate mu1 must be strictly positive and finite, got -1e+300"),
+])
+def test_sweep_refuses_a_nonpositive_end_as_given(config, capsys, param, start, stop, message):
+    # the grid's last value start + 2*step rounds away from the end given
+    assert main(["sweep", "--config", config(), "--param", param,
+                 f"--from={start}", f"--to={stop}", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

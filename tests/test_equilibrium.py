@@ -246,7 +246,8 @@ def test_bounds_match_the_level_scan():
         tolerance = float(10.0 ** rng.uniform(-12.0, -3.0))
         for orient in (1, -1):
             index, *levels, band, _, _ = classify(coef, orient, tolerance)
-            assert (index, *levels, band) == _reference_bounds(coef, orient, tolerance)
+            assert (index, *levels, band) == _reference_bounds(coef, orient,
+                                                               tolerance * coef.reward)
             key = (orient, index, band)
             seen[key] = seen.get(key, 0) + 1
     for orient in (1, -1):   # subcase II has index 1
@@ -290,7 +291,8 @@ def test_bound_past_the_cap_raises_after_few_sign_tests(monkeypatch):
                          q12=0.0014219869022153516, q21=0.0006898391676283957)
     ctx = Ctx(params, RewardCost(519.3780290194833, 1.0))
     calls = _count_exp_calls(monkeypatch)
-    index, *levels, band, _, _ = classify(ctx.coef, 1, SIGN_TOLERANCE)
+    # the limit is -8.6e-12 of R: a knife edge of subcase III at the default band
+    index, *levels, band, _, _ = classify(ctx.coef, 1, 1e-12)
     with pytest.raises(ScanLimitExceeded):
         equilibrium_members(CaseKind.CASE_A, ctx.coef, index, levels, band)
     past_cap = calls[0]

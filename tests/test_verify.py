@@ -60,7 +60,8 @@ def test_always_join_fails_outside_its_subcase(pstar):
     assert min(failing) == 3
     for c in report.checks:
         assert c.join_prob == 1.0
-        assert c.margin == pytest.approx(c.net_benefit + report.tolerance, abs=1e-15)
+        assert c.margin == pytest.approx(c.net_benefit + report.tolerance * pstar.rc.reward,
+                                         abs=1e-15)
 
 
 def test_mixed_threshold_interior_margin(pstar):
@@ -70,8 +71,9 @@ def test_mixed_threshold_interior_margin(pstar):
     assert len(interior) == 1
     c = interior[0]
     assert c.level == 2
-    assert abs(c.net_benefit) <= report.tolerance
-    assert c.margin == pytest.approx(report.tolerance - abs(c.net_benefit), abs=1e-15)
+    band = report.tolerance * pstar.rc.reward
+    assert abs(c.net_benefit) <= band
+    assert c.margin == pytest.approx(band - abs(c.net_benefit), abs=1e-15)
 
 
 def test_reverse_mixed_passes(pb):
@@ -94,7 +96,7 @@ def test_balk_checks_only_empty_level():
     c = report.checks[0]
     assert c.join_prob == 0.0
     assert c.net_benefit < 0.0
-    assert c.margin == pytest.approx(report.tolerance - c.net_benefit, abs=1e-15)
+    assert c.margin == pytest.approx(report.tolerance * 0.46 - c.net_benefit, abs=1e-15)
 
 
 def test_mass_floor_skips_unreachable(pstar):
@@ -202,7 +204,8 @@ def test_runs_match_the_reference_walk():
     slowest, outcomes = 1.0, set()
     for model, rc, strategy in _reference_cases(200):
         report = verify_equilibrium(model, rc, strategy)
-        reference = _reference_checks(model, rc, strategy, report.tolerance, report.mass_floor)
+        reference = _reference_checks(model, rc, strategy, report.tolerance * rc.reward,
+                                      report.mass_floor)
         assert report.passed == all(ok for _, _, _, ok in reference)
         by_level = {n: (mass, margin, ok) for n, mass, margin, ok in reference}
         covered = [n for c in report.checks for n in range(c.level, c.last_level + 1)]
@@ -262,7 +265,8 @@ def test_threshold_runs_match_the_reference_walk():
     outcomes, split_runs = set(), 0
     for model, rc, strategy in _threshold_cases(200):
         report = verify_equilibrium(model, rc, strategy)
-        reference = _reference_checks(model, rc, strategy, report.tolerance, report.mass_floor)
+        reference = _reference_checks(model, rc, strategy, report.tolerance * rc.reward,
+                                      report.mass_floor)
         assert report.passed == all(ok for _, _, _, ok in reference)
         by_level = {n: (mass, margin, ok) for n, mass, margin, ok in reference}
         covered = [n for c in report.checks for n in range(c.level, c.last_level + 1)]
