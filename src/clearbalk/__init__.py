@@ -26,12 +26,10 @@ from .errors import (
     ClearbalkError,
     ConsistencyError,
     FloatRangeError,
+    InputError,
     NoInteriorRoot,
-    NonPositiveRate,
-    NonPositiveRewardCost,
     ScanLimitExceeded,
     SingularSystem,
-    StrategyParseError,
     UnreachableState,
 )
 from .model import (
@@ -104,12 +102,10 @@ __all__ = [
     "ClearbalkError",
     "ConsistencyError",
     "FloatRangeError",
+    "InputError",
     "NoInteriorRoot",
-    "NonPositiveRate",
-    "NonPositiveRewardCost",
     "ScanLimitExceeded",
     "SingularSystem",
-    "StrategyParseError",
     "UnreachableState",
     "CASE_TOLERANCE",
     "SIGN_TOLERANCE",

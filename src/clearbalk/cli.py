@@ -11,10 +11,10 @@ table read the closed-form law of any strategy, join vectors included.
 All subcommands read the same JSON config (six rates plus R and C),
 print a table by default or machine-readable JSON/CSV on request, and
 use exit codes 0 (success), 2 (input error: argparse reports a bad flag,
-descriptor or format before any work, the handler a bad config), 3 (internal
-consistency failure, or any other package error, such as a bound n_u past
-the listing cap; the one-line message names the error class, and ``sweep``
-still writes the row of each failed grid point, as ``error:<class>``).
+descriptor or format before any work, the handler any other ``InputError``),
+3 (internal consistency failure, or any other package error, such as a bound
+n_u past the listing cap; the one-line message names the error class, and
+``sweep`` still writes the row of each failed grid point, as ``error:<class>``).
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .equilibrium import EquilibriumReport, compute_equilibria
 from .errors import (
     ClearbalkError,
     ConsistencyError,
-    NonPositiveRate,
-    NonPositiveRewardCost,
-    StrategyParseError,
+    InputError,
     UnreachableState,
 )
 from .grid import SWEEP_FIELDS, sweep_columns
@@ -45,10 +43,6 @@ from .spectral import spectral_quantities, stationary_distribution
 from .strategies import Strategy, format_strategy, parse_strategy
 
 _SWEEP_FLOATS = ("value", "v_fu", "h_upper_0", "h_limit")
-
-
-class _InputError(Exception):
-    """User-facing input problem; maps to exit code 2."""
 
 
 def _fmt(value: float | None) -> str:
@@ -89,7 +83,7 @@ def _render(args, payload, cells) -> None:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
-            raise _InputError(f"cannot write report {args.out}: {exc.strerror}")
+            raise InputError(f"cannot write report {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -98,19 +92,19 @@ def _load_config(path: str):
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise _InputError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     except OSError as exc:
-        raise _InputError(f"cannot read config {path}: {exc.strerror}")
+        raise InputError(f"cannot read config {path}: {exc.strerror}")
     except ValueError as exc:   # JSONDecodeError, or an int past the digit limit
-        raise _InputError(f"config is not valid JSON: {exc}")
+        raise InputError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
-        raise _InputError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     missing = [f for f in CONFIG_FIELDS if f not in raw]
     if missing:
-        raise _InputError("config is missing required field(s): " + ", ".join(missing))
+        raise InputError("config is missing required field(s): " + ", ".join(missing))
     extra = sorted(k for k in raw if k not in CONFIG_FIELDS)
     if extra:
-        raise _InputError("config has unknown field(s): " + ", ".join(extra))
+        raise InputError("config has unknown field(s): " + ", ".join(extra))
     params, rc = config_inputs(raw)
     return validate_params(params, rc), rc
 
@@ -136,7 +130,7 @@ def _flag(convert, ok, need: str):
 def _strategy(text: str) -> Strategy:
     try:
         return parse_strategy(text)
-    except StrategyParseError as exc:
+    except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -324,6 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           type=_flag(float, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
                           help="sign band as a share of R: a net benefit within tolerance*R of "
                                "zero is a knife edge (default %(default)g)")
+    strategic = argparse.ArgumentParser(add_help=False)
+    strategic.add_argument("--strategy", type=_strategy, required=True,
+                           help="strategy descriptor")
 
     parser = argparse.ArgumentParser(
         prog="clearbalk",
@@ -341,25 +338,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="alias for analyze --info-level ao")
     p.set_defaults(func=cmd_analyze, info_level="ao", formats=("table", "json"))
 
-    p = sub.add_parser("stationary", parents=[common],
+    p = sub.add_parser("stationary", parents=[common, strategic],
                        help="stationary distribution under a strategy")
-    p.add_argument("--strategy", type=_strategy, required=True, help="strategy descriptor")
     p.add_argument("--max-n", type=_flag(int, lambda v: v >= 0, "a nonnegative integer"),
                    default=10, help="largest level to print")
     p.set_defaults(func=cmd_stationary, formats=("table", "json", "csv"))
 
-    p = sub.add_parser("benefit", parents=[common],
+    p = sub.add_parser("benefit", parents=[common, strategic],
                        help="conditional net benefit of joining per level")
-    p.add_argument("--strategy", type=_strategy, required=True, help="strategy descriptor")
     p.add_argument("--levels", default="0..5", help="level span: 'n' or 'a..b'",
                    type=_flag(lambda text: [int(x) for x in text.split("..", 1)],
                               lambda span: 0 <= span[0] <= span[-1],
                               "'n' or 'a..b' with 0 <= a <= b"))
     p.set_defaults(func=cmd_benefit, formats=("table", "json", "csv"))
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, strategic],
                        help="discrete-event simulation estimates")
-    p.add_argument("--strategy", type=_strategy, required=True, help="strategy descriptor")
     p.add_argument("--horizon", type=_flag(float, lambda v: 0.0 < v < math.inf,
                                            "positive and finite"),
                    default=1e5, help="simulated time per replication")
@@ -389,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --format: {args.format} is not supported by {args.command}")
     try:
         return args.func(args)
-    except (_InputError, NonPositiveRate, NonPositiveRewardCost) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

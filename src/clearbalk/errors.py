@@ -1,9 +1,8 @@
 """Exception hierarchy.
 
 Every error raised by this package derives from :class:`ClearbalkError`, so
-callers can catch one base type. Subclasses separate bad user input (rates,
-reward/cost, strategy descriptors) from internal consistency failures that
-indicate a numerical breakdown rather than a caller mistake.
+callers can catch one base type. :class:`InputError` is every refused input;
+the other subclasses are numerical or internal failures, not caller mistakes.
 """
 
 from __future__ import annotations
@@ -13,16 +12,8 @@ class ClearbalkError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonPositiveRate(ClearbalkError):
-    """A rate parameter is zero, negative, or not finite."""
-
-
-class NonPositiveRewardCost(ClearbalkError):
-    """Reward or waiting cost is zero, negative, or not finite."""
-
-
-class StrategyParseError(ClearbalkError, ValueError):
-    """A strategy descriptor string does not match the grammar."""
+class InputError(ClearbalkError, ValueError):
+    """A refused rate, R, C, strategy descriptor, config or report path."""
 
 
 class UnreachableState(ClearbalkError):

@@ -69,25 +69,23 @@ def sweep_columns(params: ModelParams, rc: RewardCost, param: str, start: float,
     as one list per field of ``SWEEP_FIELDS``, and the errors of the points
     that failed, in grid order.
 
-    The grid values are ``start + i*step``, the floats of a scalar loop. A
-    point that fails keeps its value, with the equilibria cell
-    ``error:<class>`` and None elsewhere.
+    The grid values are ``start + i*step``, the floats of a scalar loop, or
+    the nearer end where that rounds to 0.0 or overflows. A point that fails
+    keeps its value, with the equilibria cell ``error:<class>`` and None elsewhere.
 
     Raises:
-        NonPositiveRate, NonPositiveRewardCost: For the lower end, as given,
-            where it is not positive, else for the first grid value that
-            ``validate_params`` rejects, with its message.
+        InputError: For the lower end, else the upper, as given, where it
+            is not a finite number > 0, with the message of ``validate_params``.
     """
     fields = dict(zip(CONFIG_FIELDS, (*vars(params).values(), rc.reward, rc.cost)))
-    step = (stop - start) / (steps - 1)
-    if min(start, stop) <= 0.0:   # refused as given, not as the rounded grid value
-        fields[param] = min(start, stop)
-        validate_params(*config_inputs(fields))
-    values = start + np.arange(steps) * step
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        fields[param] = values[bad.argmax()].item()
-        validate_params(*config_inputs(fields))
+    ends = sorted((start, stop))
+    for end in ends:   # refused as given, not as rounded grid values
+        if not 0.0 < end < np.inf:
+            validate_params(*config_inputs(fields | {param: end}))
+    with np.errstate(over="ignore"):
+        values = start + np.arange(steps) * ((stop - start) / (steps - 1))
+    off = ~(np.isfinite(values) & (values > 0.0))
+    values[off] = np.clip(values[off], *ends)
     columns = {name: np.full(steps, float(value)) for name, value in fields.items()}
     columns[param] = values
     with np.errstate(all="ignore"):

@@ -35,7 +35,7 @@ import enum
 import sys
 from dataclasses import dataclass
 
-from .errors import FloatRangeError, NonPositiveRate, NonPositiveRewardCost
+from .errors import FloatRangeError, InputError
 
 #: Relative tolerance for classifying the congestion product as zero.
 CASE_TOLERANCE = 1e-12
@@ -131,16 +131,16 @@ def config_inputs(fields) -> tuple[ModelParams, RewardCost]:
     return ModelParams(*rates), RewardCost(reward, cost)
 
 
-def _require_positive(error: type[Exception], name: str, value) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is a finite number > 0.
+def _require_positive(name: str, value) -> None:
+    """Raise ``InputError`` naming ``name`` unless ``value`` is a finite number > 0.
 
     The bounds compare exactly, so an int too large for a float is refused
     here as not finite instead of overflowing in the arithmetic.
     """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise error(f"{name} must be a number, got {value!r}")
+        raise InputError(f"{name} must be a number, got {value!r}")
     if not 0.0 < value <= sys.float_info.max:   # also false for NaN
-        raise error(f"{name} must be strictly positive and finite, got {value!r}")
+        raise InputError(f"{name} must be strictly positive and finite, got {value!r}")
 
 
 def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
@@ -155,17 +155,16 @@ def validate_params(raw: ModelParams, rc: RewardCost) -> ValidatedModel:
         the stationary environment distribution and the mean clearing times.
 
     Raises:
-        NonPositiveRate: If any rate is not a number, nonpositive or not
-            finite. A zero switch rate would degenerate the alternating
-            environment, so it is rejected rather than special-cased.
-        NonPositiveRewardCost: If reward or cost is not a number,
-            nonpositive or not finite.
+        InputError: If a rate, the reward or the cost is not a number,
+            nonpositive or not finite; the message names the field. A zero
+            switch rate would degenerate the alternating environment, so it
+            is rejected rather than special-cased.
         FloatRangeError: If K underflows to 0 or overflows to inf.
     """
     for name in CONFIG_FIELDS[:6]:
-        _require_positive(NonPositiveRate, f"rate {name}", getattr(raw, name))
+        _require_positive(f"rate {name}", getattr(raw, name))
     for name in ("reward", "cost"):
-        _require_positive(NonPositiveRewardCost, name, getattr(rc, name))
+        _require_positive(name, getattr(rc, name))
     # as floats, so that no int arithmetic reaches a closed form
     model = derive_model(ModelParams(*map(float, vars(raw).values())))
     if model.k > sys.float_info.max:

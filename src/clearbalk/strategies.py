@@ -37,7 +37,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import StrategyParseError
+from .errors import InputError
 
 
 def _check_level(n0: int) -> None:
@@ -208,17 +208,17 @@ def parse_strategy(text: str) -> Strategy:
     ``vector:<p0>,<p1>,...``; ``_DESCRIPTORS`` reads the fields.
 
     Raises:
-        StrategyParseError: If the string does not match the grammar or a
+        InputError: If the string does not match the grammar or a
             field is out of range.
     """
     head, sep, rest = text.strip().partition(":")
     if head not in _DESCRIPTORS:
-        raise StrategyParseError(f"unknown strategy descriptor {text!r}")
+        raise InputError(f"unknown strategy descriptor {text!r}")
     make, converters = _DESCRIPTORS[head]
     fields = rest.split(":") if sep else []
     if len(fields) != len(converters):
-        raise StrategyParseError(f"{head} takes {len(converters)} field(s), got {text!r}")
+        raise InputError(f"{head} takes {len(converters)} field(s), got {text!r}")
     try:
         return make(*(convert(field) for convert, field in zip(converters, fields)))
     except ValueError as exc:
-        raise StrategyParseError(f"bad descriptor {text!r}: {exc}") from None
+        raise InputError(f"bad descriptor {text!r}: {exc}") from None

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 from clearbalk import (
+    ConsistencyError,
     DominantStrategySet,
     EquilibriumReport,
     JoinVector,
@@ -743,6 +744,34 @@ def test_sweep_refuses_a_nonpositive_end_as_given(config, capsys, param, start, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_sweep_clips_a_grid_value_rounded_past_an_end(config, capsys):
+    # 1 + 2*((1e-300 - 1)/2) rounds to 0.0; 6*step overflows to inf, with a
+    # numpy warning unless the grid ignores it
+    assert main(["sweep", "--config", config(), "--param", "R", "--from", "1",
+                 "--to", "1e-300", "--steps", "3", "--format", "json"]) == 0
+    assert [row["value"] for row in json.loads(capsys.readouterr().out)] == [1.0, 0.5, 1e-300]
+    top = 1.7976931348623157e308
+    assert main(["sweep", "--config", config(), "--param", "mu1", "--from", "1",
+                 "--to", repr(top), "--steps", "7", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert rows[-1]["value"] == top
+    assert [row["equilibria"] for row in rows[1:]] == ["error:FloatRangeError"] * 6
+    assert captured.err.startswith("numerical failure: FloatRangeError: ")
+    assert captured.err.endswith(" (6 of 7 grid points)\n")
+
+
+def test_consistency_error_exits_3_with_its_prefix(config, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConsistencyError("x")
+
+    monkeypatch.setattr(cli, "compute_equilibria", fail)
+    assert main(["equilibrium", "--config", config()]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "consistency failure: x\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -186,6 +186,22 @@ def test_scan_limit_names_orientation(orientation, alpha, beta, a):
         equilibrium_members(kind, coef, index, levels, band)
 
 
+@pytest.mark.parametrize("expected", [AlwaysJoin(), AlwaysBalk()])
+def test_case_b_root_rounded_onto_an_end_is_the_nearer_pure(pb, expected):
+    # beta = -alpha puts theta(0) at 1; the second beta puts it at 0
+    c = pb.coef
+    beta = (-c.alpha if expected == AlwaysJoin()
+            else -c.alpha * (1.0 - c.z1) * c.z2 / ((1.0 - c.z2) * c.z1))
+    coef = dataclasses.replace(c, beta=beta)
+    with pytest.raises(NoInteriorRoot):
+        mixing_probability(coef, 0)
+    subcase, bounds, items, knife = equilibrium_members(CaseKind.CASE_B, coef, 1,
+                                                        (0, 1, 0, 1), False)
+    assert subcase is Subcase.II and bounds.n_u_minus == 1
+    assert [(item.strategy, item.tag) for item in items] == [(expected, "reverse")]
+    assert knife is True
+
+
 def _reference_bounds(coef, orient, tolerance):
     """(subcase index, n_l, n_u, n_l_plus, n_u_minus, band) of ``classify`` in
     case A (``orient`` 1) or B (-1), by a level-by-level scan: up to n_u, then

@@ -22,9 +22,8 @@ from clearbalk import (
     CASE_TOLERANCE,
     CaseKind,
     ClearbalkError,
+    InputError,
     ModelParams,
-    NonPositiveRate,
-    NonPositiveRewardCost,
     RewardCost,
     benefit_coefficients,
     compute_equilibria,
@@ -96,7 +95,7 @@ def reference_columns(params, rc, param, start, stop, steps, tolerance):
         value = start + i * step
         try:
             rows.append(_sweep_row(params, rc, param, value, tolerance))
-        except (NonPositiveRate, NonPositiveRewardCost):
+        except InputError:
             raise
         except ClearbalkError as exc:
             failures.append(exc)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from clearbalk import (
     AlwaysJoin,
     CaseKind,
+    InputError,
     ModelParams,
-    NonPositiveRate,
-    NonPositiveRewardCost,
     RewardCost,
     congestion_case,
     simulate,
@@ -48,26 +47,29 @@ def test_mean_clearing_solves_first_step_system():
        st.sampled_from([0.0, -1.0, math.nan, math.inf]))
 def test_bad_rate_names_field(field, value):
     params = ModelParams(**{**PSTAR.__dict__, field: value})
-    with pytest.raises(NonPositiveRate) as err:
+    with pytest.raises(InputError) as err:
         validate_params(params, UNIT_RC)
-    assert field in str(err.value)
+    assert str(err.value).startswith(f"rate {field} must be strictly positive and finite")
 
 
 def test_non_numeric_rate_rejected():
     params = ModelParams(**{**PSTAR.__dict__, "mu2": "3"})
-    with pytest.raises(NonPositiveRate) as err:
+    with pytest.raises(InputError) as err:
         validate_params(params, UNIT_RC)
-    assert "mu2" in str(err.value)
+    assert str(err.value) == "rate mu2 must be a number, got '3'"
     params = ModelParams(**{**PSTAR.__dict__, "q12": True})
-    with pytest.raises(NonPositiveRate):
+    with pytest.raises(InputError) as err:
         validate_params(params, UNIT_RC)
+    assert str(err.value) == "rate q12 must be a number, got True"
 
 
 @pytest.mark.parametrize("reward,cost", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0),
                                          (1.0, math.inf)])
 def test_bad_reward_cost_rejected(reward, cost):
-    with pytest.raises(NonPositiveRewardCost):
+    with pytest.raises(InputError) as err:
         validate_params(PSTAR, RewardCost(reward, cost))
+    field = "cost" if reward == 1.0 else "reward"
+    assert str(err.value).startswith(f"{field} must be strictly positive and finite")
 
 
 def test_congestion_cases():

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from clearbalk import (
     AlwaysBalk,
     AlwaysJoin,
+    InputError,
     JoinVector,
     MixedThreshold,
     PureThreshold,
     ReverseThreshold,
-    StrategyParseError,
     format_strategy,
     parse_strategy,
 )
@@ -69,7 +69,7 @@ BAD_DESCRIPTORS = [
 
 @pytest.mark.parametrize("text", BAD_DESCRIPTORS)
 def test_parse_rejects(text):
-    with pytest.raises(StrategyParseError):
+    with pytest.raises(InputError):
         parse_strategy(text)
 
 
