@@ -20,8 +20,6 @@ n_u past the listing cap; the one-line message names the error class, and
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -45,10 +43,14 @@ from .strategies import Strategy, format_strategy, parse_strategy
 _SWEEP_FLOATS = ("value", "v_fu", "h_upper_0", "h_limit")
 
 
+def _fmts(column) -> list[str]:
+    """Float cells with 12 significant digits; 'inf' for infinities, '-' for NaN, '' for None."""
+    return ["" if value is None else "-" if value != value else "%.12g" % value
+            for value in column]
+
+
 def _fmt(value: float | None) -> str:
-    """Float cell with 12 significant digits; 'inf' for infinities, '-' for NaN, '' for None."""
-    text = "" if value is None else f"{value:.12g}"
-    return "-" if text == "nan" else text
+    return _fmts((value,))[0]
 
 
 def _json_text(payload) -> str:
@@ -56,11 +58,11 @@ def _json_text(payload) -> str:
 
 
 def _cells_text(cells: list[tuple[str, ...]], fmt: str) -> str:
-    """Rows of string cells, header first, as CSV or a left-aligned table."""
+    """Rows of string cells, header first, as CSV or a left-aligned table. CSV quotes
+    nothing: no cell holds ``,``, ``"``, ``\r`` or ``\n``, as cells are numbers, config
+    field names, ``-``, ``tail``, ``family``, ``error:<class>`` and non-vector descriptors."""
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(cells)
-        return buf.getvalue()
+        return "".join(",".join(row) + "\n" for row in cells)
     widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
                    for row in cells)
@@ -285,6 +287,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_cells(columns: dict[str, list]) -> list[tuple[str, ...]]:
+    """The rows of string cells of the sweep ``columns``, header first, a column at a time."""
+    return [SWEEP_FIELDS, *zip(*(_fmts(column) if name in _SWEEP_FLOATS
+                                 else ["" if v is None else str(v) for v in column]
+                                 for name, column in columns.items()))]
+
+
 def cmd_sweep(args) -> int:
     model, rc = _load_config(args.config)
     columns, failures = sweep_columns(model.params, rc, args.param, args.start, args.stop,
@@ -293,13 +302,7 @@ def cmd_sweep(args) -> int:
     def payload():
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    def cells():
-        text = [list(map(_fmt, column)) if name in _SWEEP_FLOATS
-                else ["" if v is None else str(v) for v in column]
-                for name, column in columns.items()]
-        return [SWEEP_FIELDS, *zip(*text)]
-
-    _render(args, payload, cells)
+    _render(args, payload, lambda: _sweep_cells(columns))
     if failures:
         print(f"numerical failure: {type(failures[0]).__name__}: {failures[0]} "
               f"({len(failures)} of {args.steps} grid points)", file=sys.stderr)

@@ -25,8 +25,8 @@ theory and set a knife-edge flag, since the classification is then
 tolerance-dependent. Along n each normalized F is a two-term geometric
 mixture, so the level where a banded sign flips is a logarithm: ``classify``
 gives the subcase, the bounds and the band hits in closed form, on floats
-and on the numpy columns of a sweep alike. ``equilibrium_members`` turns a
-point's classification into its bounds and members, in a report and a sweep.
+and on the numpy columns of a sweep alike; so does ``listed_levels``, the levels
+a point lists, whose members ``equilibrium_members`` makes for a report.
 """
 
 from __future__ import annotations
@@ -185,6 +185,8 @@ def classify(coef: BenefitCoefficients, orient, tolerance: float):
 #: (orientation of the bounds, ``orient`` of ``classify``) by congestion case
 _ORIENTATIONS = {CaseKind.CASE_A: (Orientation.THRESHOLD, 1),
                  CaseKind.CASE_B: (Orientation.REVERSE, -1), CaseKind.CASE_C: (None, 0)}
+#: The class of a mixed member by ``orient``
+MIXED = {1: MixedThreshold, -1: ReverseThreshold}
 
 
 def _bounds(orientation: Orientation, index: int, levels, band: bool) -> ThresholdBounds:
@@ -198,7 +200,7 @@ def _bounds(orientation: Orientation, index: int, levels, band: bool) -> Thresho
     return ThresholdBounds(orientation, subcase, *levels, knife_edge=band)
 
 
-def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
+def mixing_probability(coef: BenefitCoefficients, n0):
     """Joining probability theta(n0) solving F(n0, theta) = 0.
 
     Divided by r1**n0, F(n0, theta) is alpha*(1-z1)/(theta-z1) +
@@ -208,24 +210,25 @@ def mixing_probability(coef: BenefitCoefficients, n0: int) -> float:
         theta = [alpha*(1-z1)*z2 + beta*s*(1-z2)*z1] / [alpha*(1-z1) + beta*s*(1-z2)]
 
     Taken from the roots, it keeps the digits that the rounded r1 and r2
-    lose as clearing slows (r1 -> 1), and s cannot underflow to a 0/0.
+    lose as clearing slows (r1 -> 1), and s cannot underflow to a 0/0. On numpy
+    columns (``elementwise``) it gives NaN where the float form raises, else its bits.
 
     Raises:
-        NoInteriorRoot: If the computed theta does not lie strictly inside
-            (0, 1), which signals that n0 is outside the admissible mixed
-            range.
+        NoInteriorRoot: On floats, if the computed theta does not lie strictly
+            inside (0, 1), which signals that n0 is outside the admissible
+            mixed range.
     """
+    xp = elementwise(coef.alpha)
     z1, z2 = coef.z1, coef.z2
     w1 = coef.alpha * (1.0 - z1)
-    w2 = coef.beta * math.exp(n0 * coef.log_ratio) * (1.0 - z2)
+    w2 = coef.beta * xp.libm_exp(n0 * coef.log_ratio) * (1.0 - z2)
     denom = w1 + w2
-    if denom == 0.0:
-        raise NoInteriorRoot(f"F(n={n0}, theta) has no interior root (degenerate)")
-    theta = (w1 * z2 + w2 * z1) / denom
-    slack = 1e-12
-    if not slack < theta < 1.0 - slack:
-        raise NoInteriorRoot(f"computed theta {theta!r} is outside (0, 1) at n0={n0}")
-    return theta
+    theta = xp.divide(w1 * z2 + w2 * z1, denom)
+    interior = (1e-12 < theta) & (theta < 1.0 - 1e-12)
+    if xp is FLOATS and not interior:
+        raise NoInteriorRoot(f"F(n={n0}, theta) has no interior root (degenerate)" if denom == 0.0
+                             else f"computed theta {theta!r} is outside (0, 1) at n0={n0}")
+    return xp.where(interior, theta, math.nan)
 
 
 @dataclass(frozen=True)
@@ -298,46 +301,50 @@ def compute_equilibria(model: ValidatedModel, spec: SpectralData,
     )
 
 
+def listed_levels(orient, n_l, n_u, n_l_plus, n_u_minus):
+    """What a point of case A subcase II (``orient`` 1) or case B (-1) lists, elementwise:
+    (first, end) of its pure thresholds, n_l..n_u in case A, and of its ``MIXED`` ones
+    where their theta is interior (else, in case B, the nearer pure), n_l_plus..n_u_minus-1
+    in case A and 0 in case B where n_u_minus > 0 and n_l_plus < 1; and whether it lists
+    always-join, not always-balk, where it lists no level."""
+    xp = elementwise(n_l)
+    case_a = orient > 0
+    return (xp.where(case_a, n_l, 0), xp.where(case_a, n_u + 1, 0), xp.where(case_a, n_l_plus, 0),
+            xp.where(case_a, n_u_minus, (n_u_minus > 0) & (n_l_plus < 1)), n_u_minus == 0)
+
+
 def equilibrium_members(kind: CaseKind, coef: BenefitCoefficients | None, index: int,
                         levels, band: bool) -> tuple[Subcase, ThresholdBounds | None,
                                                      list[EquilibriumItem], bool]:
     """(subcase, bounds, members, knife edge) of a point of case ``kind`` that
     ``classify`` gave the subcase ``index``, ``levels`` and ``band``: the
     bounds are None in case C, and a mixed root rounded onto 0 or 1 is a
-    knife edge too. Only subcase II of cases A and B reads ``coef``.
+    knife edge too. Only ``listed_levels`` points read ``coef``.
 
     Raises:
         ScanLimitExceeded: If n_u lies above ``SCAN_LIMIT`` (subcase II).
     """
-    orientation, _ = _ORIENTATIONS[kind]
+    orientation, orient = _ORIENTATIONS[kind]
     subcase = SUBCASES[index]
     bounds = None if orientation is None else _bounds(orientation, index, levels, band)
     knife = band
-    if kind is CaseKind.CASE_B:   # subcase I has bounds 0, subcase III inf
-        strategy = AlwaysJoin() if bounds.n_u_minus == 0 else AlwaysBalk()
-        if bounds.n_u_minus > 0 and bounds.n_l_plus < 1:   # the mixed reverse threshold at 0
+    if orient < 0 or (orient > 0 and subcase is Subcase.II):
+        first, end, low, high, join = map(int, listed_levels(orient, *levels))
+        tag = "mixed" if orient > 0 else "reverse"
+        items = [EquilibriumItem(PureThreshold(n0), "pure") for n0 in range(first, end)]
+        for n0 in range(low, high):
             try:
-                strategy = ReverseThreshold(0, mixing_probability(coef, 0))
+                items.append(EquilibriumItem(MIXED[orient](n0, mixing_probability(coef, n0)), tag))
             except NoInteriorRoot:
-                # root rounded onto an endpoint: report the nearer pure
+                # root rounded onto 0 or 1: a mixed threshold is an adjacent pure one
                 knife = True
-                if abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0)):
-                    strategy = AlwaysJoin()
-        items = [EquilibriumItem(strategy, "reverse")]
+                if orient < 0:   # the reverse threshold at 0 is the nearer pure
+                    near = abs(f_eval(coef, 0, 1.0)) <= abs(f_eval(coef, 0, 0.0))
+                    items.append(EquilibriumItem(AlwaysJoin() if near else AlwaysBalk(), tag))
+        items = items or [EquilibriumItem(AlwaysJoin() if join else AlwaysBalk(), tag)]
     elif subcase is not Subcase.II:
         items = [EquilibriumItem(AlwaysBalk() if subcase is Subcase.I else AlwaysJoin(), "pure")]
-    elif kind is CaseKind.CASE_C:
+    else:
         items = [EquilibriumItem(None, "family", note="every threshold and "
                                  "reverse-threshold strategy is an equilibrium")]
-    else:
-        items = [EquilibriumItem(PureThreshold(n0), "pure")
-                 for n0 in range(bounds.n_l, bounds.n_u + 1)]
-        for n0 in range(bounds.n_l_plus, bounds.n_u_minus):
-            try:
-                items.append(EquilibriumItem(MixedThreshold(n0, mixing_probability(coef, n0)),
-                                             "mixed"))
-            except NoInteriorRoot:
-                # interior root pushed onto 0 or 1 by rounding: the
-                # mixed candidate collapses onto an adjacent pure one
-                knife = True
     return subcase, bounds, items, knife

@@ -87,11 +87,13 @@ FLOATS = SimpleNamespace(
     maximum=lambda x, y: x if x >= y or x != x else y,
     minimum=lambda x, y: x if x <= y or x != x else y,
     where=lambda condition, x, y: x if condition else y, any=bool)
+FLOATS.libm_exp = FLOATS.exp
 
-#: ``elementwise`` on numpy columns. log1p is libm's, mapped over the column,
-#: as on floats: numpy's may differ from it in the last bit.
+#: ``elementwise`` on numpy columns. log1p and libm_exp (for a theta written to every
+#: digit) are libm's, mapped over the column, as on floats: numpy's may differ in the last bit.
 COLUMNS = SimpleNamespace(
     sqrt=np.sqrt, log1p=lambda x: np.array(list(map(math.log1p, x.tolist()))), exp=np.exp,
+    libm_exp=lambda x: np.array(list(map(FLOATS.libm_exp, x.tolist()))),
     frexp=np.frexp, ldexp=np.ldexp, log=np.log, ceil=np.ceil, divide=np.divide,
     maximum=np.maximum, minimum=np.minimum, where=np.where, any=np.any)
 

@@ -187,17 +187,18 @@ _DESCRIPTORS = {
 _HEADS = {make: head for head, (make, _) in _DESCRIPTORS.items()}
 
 
+def descriptor(make: type, *fields) -> str:
+    """The descriptor string of ``make(*fields)``, without making it: its head
+    in ``_DESCRIPTORS``, then the ``repr`` of each field."""
+    return ":".join([_HEADS[make], *(repr(value) if isinstance(value, (int, float))
+                                     else ",".join(map(repr, value)) for value in fields)])
+
+
 def format_strategy(strategy: Strategy) -> str:
-    """Render a strategy as its descriptor string (inverse of parse_strategy):
-    its head in ``_DESCRIPTORS``, then the ``repr`` of each field."""
-    text = _HEADS.get(type(strategy))
-    if text is None:
+    """Render a strategy as its descriptor string (inverse of parse_strategy)."""
+    if type(strategy) not in _HEADS:
         raise TypeError(f"not a strategy: {strategy!r}")
-    for name in strategy.__match_args__:
-        value = getattr(strategy, name)
-        text += ":" + (repr(value) if isinstance(value, (int, float))
-                       else ",".join(map(repr, value)))
-    return text
+    return descriptor(type(strategy), *map(strategy.__getattribute__, strategy.__match_args__))
 
 
 def parse_strategy(text: str) -> Strategy:

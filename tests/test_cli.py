@@ -1,11 +1,13 @@
 """Command-line front end: exit codes, formats, round-trips."""
 
 import csv
+import io
 import json
 import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from clearbalk import (
@@ -909,3 +911,56 @@ def test_sweep_of_underflowing_weights_writes_a_finite_v_fu(config, capsys):
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert ([row["v_fu"] for row in csv.DictReader(out.splitlines())], err) == (["0.75"] * 3, "")
+
+
+def _csv_reports(config, capsys, rng) -> list[str]:
+    """The CSV reports of seeded ``sweep``, ``stationary`` and ``benefit`` calls."""
+    family = config("family.json", **dict.fromkeys(RATES, 1.0), R=1.0)   # case C
+    reverse = config("reverse.json", lambda1=1.0, lambda2=6.0, mu1=1.0, mu2=3.0, q12=1.0,
+                     q21=1.0, R=0.475)   # case B
+    calls = [
+        ["sweep", "--config", family, "--param", "R", "--from", "0.5", "--to", "1.5",
+         "--steps", "5"],
+        ["sweep", "--config", config(), "--param", "R", "--from", "0.55", "--to", "0.85",
+         "--steps", "301"],
+        ["sweep", "--config", reverse, "--param", "R", "--from", "0.3", "--to", "0.7",
+         "--steps", "201"],
+        # the discriminant overflows from lambda1 = 3.8e153 on: error rows
+        ["sweep", "--config", config(), "--param", "lambda1", "--from", "1e152",
+         "--to", "1e154", "--steps", "9"],
+    ]
+    for i in range(12):
+        rates = dict(zip(RATES, np.exp(rng.uniform(-4.0, 4.0, 6)).tolist()))
+        path = config(f"seeded-{i}.json", **rates, R=float(np.exp(rng.uniform(-2.0, 2.0))))
+        param = ("R", "C", *RATES)[rng.integers(8)]
+        calls.append(["sweep", "--config", path, "--param", param,
+                      "--from", repr(float(np.exp(rng.uniform(-3.0, 0.0)))),
+                      "--to", repr(float(np.exp(rng.uniform(0.0, 3.0)))), "--steps", "41",
+                      "--tolerance", repr(float(rng.choice([1e-9, 0.02])))])
+    for strategy in ("always-join", "always-balk", "threshold:3", "mixed-threshold:2:0.857",
+                     "reverse:0:0.458", "reverse:2:0.5", "vector:1,0.5,0.25"):
+        for path in (config(), reverse, family):
+            calls.append(["stationary", "--config", path, "--strategy", strategy,
+                          "--max-n", str(rng.integers(0, 12))])
+            calls.append(["benefit", "--config", path, "--strategy", strategy,
+                          "--levels", "0..8"])
+    reports = []
+    for argv in calls:
+        assert main(argv + ["--format", "csv"]) in (0, 3)
+        reports.append(capsys.readouterr().out)
+    return reports
+
+
+def test_csv_reports_have_no_quoting_to_drop(config, capsys):
+    # the CSV writer joins cells with "," unquoted: exact while no cell holds
+    # ",", '"', "\r" or "\n", which csv.reader then reads back as a plain split
+    seen = set()
+    for text in _csv_reports(config, capsys, np.random.default_rng(31)):
+        assert text.endswith("\n") and "\r" not in text and '"' not in text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [line.split(",") for line in text.splitlines()]
+        assert {len(row) for row in rows} == {len(rows[0])}   # no cell holds a ","
+        seen.update(member.split(":")[0] for row in rows for cell in row
+                    for member in cell.split(";"))
+    assert {"family", "error", "mixed-threshold", "reverse", "threshold", "-", "tail",
+            ""} <= seen

@@ -13,6 +13,7 @@ from clearbalk import (
     AlwaysJoin,
     BenefitCoefficients,
     CaseKind,
+    ClearbalkError,
     EquilibriumReport,
     FloatRangeError,
     ModelParams,
@@ -28,10 +29,12 @@ from clearbalk import (
     ThresholdBounds,
     benefit_coefficients,
     compute_equilibria,
+    congestion_case,
     f_eval,
     g_eval,
     h_upper_limit,
     mixing_probability,
+    net_benefit_ao,
     solve_truncated_balance,
     spectral_quantities,
     validate_params,
@@ -559,3 +562,87 @@ def test_case_c_classifies_where_the_limit_divides_by_zero():
     # since the benefit is the same at every level
     subcase, *_, band, h0, h_limit = classify(_synthetic(1.0, 0.0, d=0.0, e=1.0), 0, 1e-9)
     assert (subcase, band, h0, h_limit) == (2, False, 1.0, 1.0)
+
+
+#: log(sys.float_info.max): exp overflows above it
+EXP_EDGE = 709.782712893384
+
+
+def _theta_pairs(rng: np.random.Generator) -> list[tuple[BenefitCoefficients, int]]:
+    """Seeded (coefficients, n0) pairs: the mixed candidates and a few other levels of
+    case A and B models with R across subcase II, rates log-uniform in e^+-6."""
+    pairs = []
+    while len(pairs) < 1850:
+        rates = ModelParams(*np.exp(rng.uniform(-6.0, 6.0, 6)).tolist())
+        try:
+            unit = Ctx(rates, UNIT_RC)
+        except ClearbalkError:
+            continue
+        orient = {CaseKind.CASE_A: 1, CaseKind.CASE_B: -1}.get(congestion_case(unit.model).kind)
+        if orient is None:
+            continue
+        # the critical ratios R/C of h0 and of its large-n limit
+        ends = sorted((1.0 - net_benefit_ao(unit.model, unit.coef, AlwaysJoin(), 0).value,
+                       unit.coef.a / unit.coef.d))
+        reward = float(np.exp(rng.uniform(np.log(0.9 * ends[0]), np.log(1.1 * ends[1]))))
+        coef = Ctx(rates, RewardCost(reward, 1.0)).coef
+        index, _, n_u, n_l_plus, n_u_minus, *_ = classify(coef, orient, SIGN_TOLERANCE)
+        levels = {0, int(rng.integers(0, 40))}
+        if index == 1 and n_u < 10 ** 4:
+            levels.update(range(int(n_l_plus), min(int(n_u_minus), int(n_l_plus) + 20)))
+        pairs += [(coef, n0) for n0 in sorted(levels)]
+    return pairs
+
+
+def _theta_edges(c: BenefitCoefficients) -> dict[str, list[tuple[BenefitCoefficients, int]]]:
+    """(coefficients, n0) pairs at the float edges of ``mixing_probability``, by edge."""
+    around = [1.0 - 2.0 ** -50, 1.0, 1.0 + 2.0 ** -50, 1.001, 2.0]
+    small = c.beta * math.exp(-EXP_EDGE)   # beta*s about beta at the edge
+    overflow = [(dataclasses.replace(c, beta=beta, log_ratio=EXP_EDGE / n0 * f), n0)
+                for beta in (c.beta, small) for n0 in (1, 7, 1000) for f in around]
+    overflow += [(dataclasses.replace(c, beta=small, log_ratio=float(x)), 1)
+                 for x in (np.nextafter(EXP_EDGE, 0.0), EXP_EDGE, np.nextafter(EXP_EDGE, 1e3))]
+    # alpha*(1-z1) + beta*s is 0.0: both 0, or alpha 0 and s underflowing
+    zero = [(dataclasses.replace(c, alpha=0.0, beta=0.0), 3),
+            (dataclasses.replace(c, alpha=0.0), 10 ** 6)]
+    # beta = -alpha puts theta(0) at 1, the second beta at 0; nudged by 2^-44 steps
+    ends = [(dataclasses.replace(c, beta=beta * (1.0 + k * 2.0 ** -44)), 0)
+            for beta in (-c.alpha, -c.alpha * (1.0 - c.z1) * c.z2 / ((1.0 - c.z2) * c.z1))
+            for k in range(-40, 41)]
+    return {"overflow": overflow, "zero": zero, "ends": ends}
+
+
+def _coefficient_columns(coefs: list[BenefitCoefficients]) -> BenefitCoefficients:
+    """One ``BenefitCoefficients`` of numpy columns, entry k from ``coefs[k]``."""
+    def column(values):
+        return (tuple(map(np.array, zip(*values))) if isinstance(values[0], tuple)
+                else np.array(values))
+    return BenefitCoefficients(**{f.name: column([getattr(c, f.name) for c in coefs])
+                                  for f in dataclasses.fields(BenefitCoefficients)})
+
+
+def test_column_theta_is_the_float_theta_bit_for_bit(pb):
+    groups = {"seeded": _theta_pairs(np.random.default_rng(31)), **_theta_edges(pb.coef)}
+    pairs = [pair for group in groups.values() for pair in group]
+    assert len(pairs) >= 2000
+    with np.errstate(all="ignore"):   # as ``grid`` calls it
+        column = mixing_probability(_coefficient_columns([c for c, _ in pairs]),
+                                    np.array([n0 for _, n0 in pairs], dtype=float))
+    outcome = []   # theta, or None where the float form raises and the column has NaN
+    for (coef, n0), got in zip(pairs, column.tolist()):
+        try:
+            want = mixing_probability(coef, n0)
+        except NoInteriorRoot:
+            assert math.isnan(got), (coef, n0, got)
+            outcome.append(None)
+        else:
+            assert got.hex() == want.hex(), (coef, n0, got, want)
+            outcome.append(want)
+    thetas = iter(outcome)
+    by_group = {name: [next(thetas) for _ in group] for name, group in groups.items()}
+    assert sum(theta is not None for theta in by_group["seeded"]) >= 300
+    assert all(theta is None for theta in by_group["zero"])
+    for name in ("overflow", "ends"):   # both sides of each edge are seen
+        assert {theta is None for theta in by_group[name]} == {True, False}
+    # a theta within 1e-12 of 0 or 1 is left out, one just inside it kept
+    assert any(theta is not None and min(theta, 1.0 - theta) < 1e-11 for theta in by_group["ends"])

@@ -35,7 +35,7 @@ from clearbalk import (
     spectral_quantities,
     validate_params,
 )
-from clearbalk import cli, equilibrium
+from clearbalk import cli, equilibrium, grid
 from clearbalk.grid import SWEEP_FIELDS
 from conftest import P0, PB, PSTAR
 
@@ -286,3 +286,27 @@ def test_sweep_runs_no_per_point_analysis(tmp_path, monkeypatch, capsys):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert "mixed-threshold:" in out and "threshold:3" in out
+
+
+@pytest.mark.parametrize("start, stop, pure", [
+    # R across the two ends of PB's mixed reverse threshold, where theta(0) is within
+    # 1e-12 of 0 and of 1: at a zero band those points list the nearer pure
+    (0.46938775510199376, 0.46938775510208763, "always-balk"),
+    (0.4794520547944725, 0.47945205479456837, "always-join"),
+])
+def test_case_b_roots_rounded_onto_an_end_match_the_per_point_reference(
+        tmp_path, monkeypatch, capsys, start, stop, pure):
+    rounded = []   # the keys of the points listed one at a time, on their own coefficients
+    cells = grid._cells
+
+    def spy(key, coef, row):
+        if coef is not None:
+            rounded.append(key)
+        return cells(key, coef, row)
+
+    monkeypatch.setattr(grid, "_cells", spy)
+    argv = ["sweep", "--config", _config(tmp_path, PB, 0.475), "--param", "R",
+            "--from", repr(start), "--to", repr(stop), "--steps", "41", "--tolerance", "0"]
+    rows = assert_matches_reference(monkeypatch, capsys, argv)
+    assert rounded.count((2, 1)) >= 2   # case B, subcase II, in both formats
+    assert {row[6].split(":")[0] for row in rows if row[3] == "II"} == {pure, "reverse"}

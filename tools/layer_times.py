@@ -13,7 +13,11 @@ also timed on the deepest member ``threshold:85494`` of a deep family, rates
 (2.13e6, 6.58e7, 234, 1.14e-6, 5.52e-4, 5.1e-5) and R = 539. ``sweep_columns``
 is one call on each of two grids of 2,001 points: the reference model over R
 in 0.57..0.84, and the case B model, rates (4, 1, 3, 1, 1, 2) and R = 0.6,
-over q21 in 0.095..1.05; together they cross subcases I, II and III.
+over q21 in 0.095..1.05; together they cross subcases I, II and III. Three
+rows split that call on the same grids: ``sweep_classified``, the per-model
+functions on the grid columns up to ``classify``; ``sweep_listing``, the
+members of the subcase-II points from those columns; and ``sweep_csv``, the
+sweep's cells written as CSV, as ``clearbalk sweep`` writes them.
 ``mixing_probability`` is timed at level 2 of the reference model,
 ``net_benefit_ao`` at level 3 under ``threshold:3``, and ``simulate`` as one
 replication of ``threshold:3`` on it, with horizon 10,000 and seed 0.
@@ -36,6 +40,8 @@ import sys
 import timeit
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clearbalk import (  # noqa: E402
@@ -55,8 +61,12 @@ from clearbalk import (  # noqa: E402
     stationary_distribution,
     validate_params,
 )
+from clearbalk.cli import _cells_text, _sweep_cells  # noqa: E402
 from clearbalk.equilibrium import classify, mixing_probability  # noqa: E402
-from clearbalk.grid import sweep_columns  # noqa: E402
+from clearbalk.grid import _listed, sweep_columns  # noqa: E402
+from clearbalk.model import (CONFIG_FIELDS, config_inputs, congestion_sign,  # noqa: E402
+                             derive_model)
+from clearbalk.spectral import derive_spectral  # noqa: E402
 from clearbalk.oracle.balance import solve_truncated_balance  # noqa: E402
 from clearbalk.oracle.simulate import simulate  # noqa: E402
 from clearbalk.oracle.verify import verify_equilibrium  # noqa: E402
@@ -83,6 +93,41 @@ def unverified(rates: ModelParams, rc: RewardCost):
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, rc)
     return lambda: compute_equilibria(model, spec, coef, rc, verify=False)
+
+
+def grid_columns(rates: ModelParams, rc: RewardCost, param: str, start: float,
+                 stop: float) -> dict:
+    """The config columns of a sweep grid of ``GRID_STEPS`` points."""
+    fields = dict(zip(CONFIG_FIELDS, (*vars(rates).values(), rc.reward, rc.cost)))
+    columns = {name: np.full(GRID_STEPS, float(value)) for name, value in fields.items()}
+    columns[param] = np.linspace(start, stop, GRID_STEPS)
+    return columns
+
+
+def classified(columns: dict) -> tuple:
+    """(coefficients, congestion sign, ``classify``) of the grid ``columns``, as
+    ``sweep_columns`` computes them."""
+    with np.errstate(all="ignore"):
+        rates, rewards = config_inputs(columns)
+        model = derive_model(rates)
+        coef = benefit_coefficients(model, derive_spectral(model), rewards)
+        case = congestion_sign(model)
+        return coef, case, classify(coef, -case, SIGN_TOLERANCE)
+
+
+def sweep_stages() -> dict:
+    """The timed calls that split ``sweep_columns`` on ``GRIDS``, by layer name."""
+    columns = [grid_columns(*grid) for grid in GRIDS]
+    listings = []
+    for coef, case, (subcase, *levels) in map(classified, columns):
+        rows = np.flatnonzero((case != 0) & (subcase == 1))   # subcase II of cases A and B
+        listings.append((coef, case, rows, levels))
+    cells = [sweep_columns(*grid, GRID_STEPS, SIGN_TOLERANCE)[0] for grid in GRIDS]
+    return {
+        "sweep_classified": lambda: [classified(grid) for grid in columns],
+        "sweep_listing": lambda: [_listed(*listing) for listing in listings],
+        "sweep_csv": lambda: [_cells_text(_sweep_cells(grid), "csv") for grid in cells],
+    }
 
 
 def layers() -> dict:
@@ -117,6 +162,7 @@ def layers() -> dict:
             lambda: verify_equilibrium(deep_model, DEEP[1], PureThreshold(85494)),
         "sweep_columns": lambda: [sweep_columns(*grid, GRID_STEPS, SIGN_TOLERANCE)
                                   for grid in GRIDS],
+        **sweep_stages(),
         "simulate_threshold_3": lambda: simulate(model, RC, PureThreshold(3), SIM_HORIZON,
                                                  seed=0, replications=1),
     }
