@@ -20,6 +20,7 @@ n_u past the listing cap; the one-line message names the error class, and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,7 +310,16 @@ def cmd_sweep(args) -> int:
     return 3 if failures else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``clearbalk`` parser, built on the first ``main`` call and shared by the rest.
+
+    Sharing is safe: each call gets a fresh ``Namespace``, the handlers look up
+    module-level names at call time (so a name replaced in this module is the
+    one the next call runs), a string default such as ``--levels 0..5`` goes
+    through its ``type=`` again on every call, and every ``set_defaults`` value
+    is immutable.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
                         help="JSON config with " + ", ".join(CONFIG_FIELDS))

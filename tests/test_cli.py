@@ -4,8 +4,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -774,6 +778,70 @@ def test_consistency_error_exits_3_with_its_prefix(config, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "consistency failure: x\n"
+
+
+# pairs of calls whose second leaves to its default the flag the first set, with
+# argparse refusals and an input error (a sweep end that is not positive) between
+# them, each followed by a good call
+REUSE_CALLS = [
+    ["stationary", "--strategy", "threshold:3", "--max-n", "3", "--format", "csv"],
+    ["stationary", "--strategy", "threshold:3"],
+    ["benefit", "--strategy", "threshold:3", "--levels", "2..3"],
+    ["benefit", "--strategy", "threshold:3"],
+    ["simulate", "--strategy", "threshold:3", "--format", "csv"],
+    ["analyze", "--info-level", "au", "--tolerance", "0.5"],
+    ["analyze", "--info-level", "au"],
+    ["stationary", "--strategy", "threshold:-2"],
+    ["benefit", "--strategy", "threshold:3", "--levels", "1"],
+    ["sweep", "--param", "R", "--from", "-0.1", "--to", "0.8", "--steps", "5"],
+    ["sweep", "--param", "R", "--from", "0.6", "--to", "0.8", "--steps", "5",
+     "--tolerance", "0.02"],
+    ["equilibrium"],
+]
+
+
+def test_a_reused_parser_leaks_nothing_from_one_call_to_the_next(config, capsys, monkeypatch):
+    # the usage line of a refusal is wrapped to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    path = config()
+    calls = [argv[:1] + ["--config", path] + argv[1:] for argv in REUSE_CALLS]
+    parser = cli._build_parser()
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    assert cli._build_parser() is parser
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "clearbalk.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, *_ in fresh] == [0, 0, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["equilibrium"], "compute_equilibria"),
+    (["stationary", "--strategy", "threshold:3"], "stationary_distribution"),
+    (["sweep", "--param", "R", "--from", "0.6", "--to", "0.8", "--steps", "3"],
+     "sweep_columns"),
+])
+def test_a_name_replaced_after_a_call_is_the_one_the_next_call_runs(config, capsys,
+                                                                    monkeypatch, argv, name):
+    argv = argv[:1] + ["--config", config()] + argv[1:]
+    assert main(argv) == 0
+
+    def fail(*args, **kwargs):
+        raise ConsistencyError(name)
+
+    monkeypatch.setattr(cli, name, fail)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"consistency failure: {name}\n")
 
 
 @pytest.mark.parametrize("argv", [

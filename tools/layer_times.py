@@ -21,6 +21,10 @@ sweep's cells written as CSV, as ``clearbalk sweep`` writes them.
 ``mixing_probability`` is timed at level 2 of the reference model,
 ``net_benefit_ao`` at level 3 under ``threshold:3``, and ``simulate`` as one
 replication of ``threshold:3`` on it, with horizon 10,000 and seed 0.
+Two rows time the command-line front end on the reference model, in
+process, with the JSON report written to a temporary file:
+``cli_equilibrium`` (``clearbalk equilibrium``, verified) and
+``cli_analyze_fu`` (``clearbalk analyze --info-level fu``).
 
 The script imports the package from the ``src`` directory of the checkout
 it lives in, so two checkouts can be timed side by side::
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -61,7 +66,7 @@ from clearbalk import (  # noqa: E402
     stationary_distribution,
     validate_params,
 )
-from clearbalk.cli import _cells_text, _sweep_cells  # noqa: E402
+from clearbalk.cli import _cells_text, _sweep_cells, main as cli_main  # noqa: E402
 from clearbalk.equilibrium import classify, mixing_probability  # noqa: E402
 from clearbalk.grid import _listed, sweep_columns  # noqa: E402
 from clearbalk.model import (CONFIG_FIELDS, config_inputs, congestion_sign,  # noqa: E402
@@ -95,10 +100,15 @@ def unverified(rates: ModelParams, rc: RewardCost):
     return lambda: compute_equilibria(model, spec, coef, rc, verify=False)
 
 
+def config_fields(rates: ModelParams, rc: RewardCost) -> dict:
+    """The config of a model, by field name."""
+    return dict(zip(CONFIG_FIELDS, (*vars(rates).values(), rc.reward, rc.cost)))
+
+
 def grid_columns(rates: ModelParams, rc: RewardCost, param: str, start: float,
                  stop: float) -> dict:
     """The config columns of a sweep grid of ``GRID_STEPS`` points."""
-    fields = dict(zip(CONFIG_FIELDS, (*vars(rates).values(), rc.reward, rc.cost)))
+    fields = config_fields(rates, rc)
     columns = {name: np.full(GRID_STEPS, float(value)) for name, value in fields.items()}
     columns[param] = np.linspace(start, stop, GRID_STEPS)
     return columns
@@ -130,8 +140,24 @@ def sweep_stages() -> dict:
     }
 
 
-def layers() -> dict:
-    """The timed calls, by layer name."""
+def cli_calls(directory: Path) -> dict:
+    """The timed ``clearbalk`` calls on the reference model, by row name; the
+    config and the reports are files in ``directory``."""
+    config = directory / "config.json"
+    config.write_text(json.dumps(config_fields(RATES, RC)))
+    calls = {}
+    for name, argv in (("cli_equilibrium", ["equilibrium"]),
+                       ("cli_analyze_fu", ["analyze", "--info-level", "fu"])):
+        argv = [*argv, "--config", str(config), "--format", "json", "--out",
+                str(directory / name)]
+        if cli_main(argv) != 0:
+            raise RuntimeError(f"clearbalk {' '.join(argv)} failed")
+        calls[name] = lambda argv=argv: cli_main(argv)
+    return calls
+
+
+def layers(directory: Path) -> dict:
+    """The timed calls, by layer name; the CLI calls write their files in ``directory``."""
     model = validate_params(RATES, RC)
     spec = spectral_quantities(model)
     coef = benefit_coefficients(model, spec, RC)
@@ -165,6 +191,7 @@ def layers() -> dict:
         **sweep_stages(),
         "simulate_threshold_3": lambda: simulate(model, RC, PureThreshold(3), SIM_HORIZON,
                                                  seed=0, replications=1),
+        **cli_calls(directory),
     }
 
 
@@ -182,7 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.number is not None and args.number < 1:
         parser.error("--number must be at least 1")
-    times = {name: round(best_us(call, args.number), 2) for name, call in layers().items()}
+    with tempfile.TemporaryDirectory() as directory:
+        times = {name: round(best_us(call, args.number), 2)
+                 for name, call in layers(Path(directory)).items()}
     print(json.dumps({"model": [*vars(RATES).values(), RC.reward, RC.cost],
                       "repeat": REPEAT, "number": args.number, "us": times}))
     return 0
